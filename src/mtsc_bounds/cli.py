@@ -38,7 +38,7 @@ from .model import (
     casebook,
     expected_distortion,
 )
-from .prob import binary_entropy, conditional_mutual_information
+from .prob import EntropyOracle, binary_entropy
 from .regions import (
     RatePoint,
     bt_inner_constraints,
@@ -87,16 +87,29 @@ def _emit(text: str, out_path):
             sys.stdout.write("\n")
 
 
-def _load_json(path: str) -> dict:
+def _load(cls, path: str):
+    """``cls.from_json`` of the JSON object in ``path``.  Unreadable or
+    malformed input, including a missing or mistyped field, is a usage
+    error whose message names the file and the field."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise _UsageError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
+    if not isinstance(payload, dict):
+        raise _UsageError(
+            f"{path}: expected a JSON object at the top level, got {type(payload).__name__}"
+        )
+    try:
+        return cls.from_json(payload)
+    except KeyError as exc:
+        raise _UsageError(f"{path}: missing field {exc.args[0]!r} in {cls.__name__}")
+    except TypeError as exc:
+        raise _UsageError(f"{path}: malformed {cls.__name__}: {exc}")
 
 
 def _floats(text: str) -> list[float]:
@@ -197,12 +210,12 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    model = SourceModel.from_json(_load_json(args.model))
-    gamma = AuxSystem.from_json(_load_json(args.gamma))
+    model = _load(SourceModel, args.model)
+    gamma = _load(AuxSystem, args.gamma)
     if args.kind == "new-outer":
         if not args.x:
             raise _UsageError("--kind new-outer requires --x")
-        x = XChannel.from_json(_load_json(args.x))
+        x = _load(XChannel, args.x)
         constraints = new_outer_constraints(model, x, gamma)
     elif args.kind == "bt-inner":
         constraints = bt_inner_constraints(model, gamma)
@@ -288,9 +301,10 @@ def _repro_toy(lines) -> bool:
     instance = casebook("toy")
     joint = build_full_joint(instance.model, instance.gamma)
     ys = ("Y1", "Y2")
-    i_full = conditional_mutual_information(joint, ys, ("U1", "U2"))
-    i_u1 = conditional_mutual_information(joint, ys, ("U1",))
-    i_cond = conditional_mutual_information(joint, ys, ("U1",), ("U2",))
+    oracle = EntropyOracle(joint, ys + ("U1", "U2"))
+    i_full = oracle.cmi(ys, ("U1", "U2"))
+    i_u1 = oracle.cmi(ys, ("U1",))
+    i_cond = oracle.cmi(ys, ("U1",), ("U2",))
     d1 = expected_distortion(instance.model, instance.gamma, 0)
     ok = True
     ok &= _check(lines, "I(Y;U1,U2)", i_full, 1.25 * LN2, abs(i_full - 1.25 * LN2) <= 1e-12)
@@ -384,7 +398,7 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    model = SourceModel.from_json(_load_json(args.model))
+    model = _load(SourceModel, args.model)
     n_workers = int(os.environ.get("MTSC_THREADS", "1"))
     result = optimize_bt_inner_sum_rate(
         model,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .model import build_full_joint, casebook, expected_distortion
-from .prob import binary_entropy, conditional_mutual_information
+from .prob import EntropyOracle, binary_entropy
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,12 @@ def sum_rate_curve_csv(p: float, Ls: Sequence[int], n: int) -> str:
 def _g_of_root(s: np.ndarray, p: float, L: int) -> np.ndarray:
     """G(s) = g(s^{1/L}) elementwise, for s in [p^L, 1]."""
     x = np.clip(np.asarray(s, float), p**L, 1.0) ** (1.0 / L)
-    x = np.clip(x, p, 1.0)
-    hx = _h_vec(x)
-    z = (x - p) / (1.0 - p)
-    return hx - (1.0 - p) * _h_vec(z)
+    return _g_vec(np.clip(x, p, 1.0), p)
+
+
+def _g_vec(x: np.ndarray, p: float) -> np.ndarray:
+    """g(x) elementwise for x >= p; 0 beyond 1, where both entropies vanish."""
+    return _h_vec(x) - (1.0 - p) * _h_vec((x - p) / (1.0 - p))
 
 
 def _h_vec(x: np.ndarray) -> np.ndarray:
@@ -244,7 +246,8 @@ def g_shape_report(p: float, grid_size: int = 10_000) -> ShapeReport:
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
     x = np.linspace(math.log(p), 1.0, grid_size)
-    vals = np.array([g_function(v, p) if v <= 1.0 else 0.0 for v in np.exp(x)])
+    # exp(log p) can round below p, outside the domain of g.
+    vals = _g_vec(np.maximum(np.exp(x), p), p)
     first = np.diff(vals)
     second = np.diff(vals, 2)
     xc = math.log(p) + (-math.log(p)) * np.arange(1, grid_size + 1) / grid_size
@@ -269,7 +272,8 @@ def g_root_shape_report(
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
     y = np.linspace(p**L, y_max, grid_size)
-    vals = np.array([g_function(v, p) if v <= 1.0 else 0.0 for v in y ** (1.0 / L)])
+    # (p^L)^{1/L} can round below p, outside the domain of g.
+    vals = _g_vec(np.maximum(y ** (1.0 / L), p), p)
     return RootShapeReport(
         p=p,
         L=L,
@@ -313,8 +317,9 @@ def erasure_bt_counterexample() -> ErasureCounterexample:
     instance = casebook("appendix_c")
     joint = build_full_joint(instance.model, instance.gamma)
     ys = ("Y1", "Y2")
-    i_joint = conditional_mutual_information(joint, ys, ("U1", "U2"))
-    i_cond = conditional_mutual_information(joint, ys, ("U1",), ("U2",))
+    oracle = EntropyOracle(joint, ys + ("U1", "U2"))
+    i_joint = oracle.cmi(ys, ("U1", "U2"))
+    i_cond = oracle.cmi(ys, ("U1",), ("U2",))
     distortion = expected_distortion(instance.model, instance.gamma, 0)
     optimal = erasure_sum_rate(ErasureParams(0.5, 2, distortion))
     if not 2.0 * i_cond < optimal:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import AlphabetMismatchError, MarkovCheckError, VariableError
-from .prob import Channel, JointPmf, conditional_mutual_information
+from .prob import Channel, EntropyOracle, JointPmf
 
 MARKOV_TOL = 1e-9  # pass tolerance for Markov residuals, in nats
 
@@ -320,11 +320,12 @@ def gamma_class_residuals(
     side = f"Y{L + 1}"
     us = list(encoder_names(L))
     shared = ["W", "T"] if cls == "outer" else ["T"]
+    oracle = EntropyOracle(joint, sources + us + shared + ["Z"])
     residuals = []
     residuals.append(
         (
             "shared_randomness_independent_of_sources",
-            conditional_mutual_information(joint, shared, sources),
+            oracle.cmi(shared, sources),
         )
     )
     for l in range(1, L + 1):
@@ -334,16 +335,14 @@ def gamma_class_residuals(
         residuals.append(
             (
                 f"encoder_{l}_markov",
-                conditional_mutual_information(
-                    joint, [f"U{l}"], others, [f"Y{l}"] + shared
-                ),
+                oracle.cmi([f"U{l}"], others, [f"Y{l}"] + shared),
             )
         )
     left = [f"Y{i}" for i in range(L + 1)] + (["W"] if cls == "outer" else [])
     residuals.append(
         (
             "decoder_markov",
-            conditional_mutual_information(joint, left, ["Z"], us + [side, "T"]),
+            oracle.cmi(left, ["Z"], us + [side, "T"]),
         )
     )
     return MarkovReport(tuple(residuals), tolerance)
@@ -364,11 +363,10 @@ def check_gamma_class(
 def chi_residual(joint: JointPmf, L: int, tolerance: float = MARKOV_TOL) -> MarkovReport:
     """Conditional-independence residual of a joint that already contains X."""
     side = f"Y{L + 1}"
+    oracle = EntropyOracle(joint, [f"Y{l}" for l in range(1, L + 2)] + ["X"])
     total = 0.0
     for l in range(2, L + 1):
-        total += conditional_mutual_information(
-            joint, [f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", side]
-        )
+        total += oracle.cmi([f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", side])
     return MarkovReport((("conditional_independence_given_x", total),), tolerance)
 
 

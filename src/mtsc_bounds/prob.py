@@ -17,10 +17,13 @@ the same order: rows[0] is the output pmf given (A=0,B=0), rows[1] given
 
 Values are immutable after construction and all operations are pure, so
 everything in this module is safe for concurrent use without synchronization.
+The one exception is the private ``EntropyOracle``, a cache that each bound,
+region or report builds for itself and never shares.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -121,14 +124,17 @@ class JointPmf:
 
     def marginalize(self, keep: Iterable[Name]) -> "JointPmf":
         """Sum out every variable not in ``keep`` (original order preserved)."""
+        names, table = self._summed(keep)
+        variables = tuple(v for v in self.variables if v[0] in names)
+        return JointPmf(variables, table.reshape(-1))
+
+    def _summed(self, keep: Iterable[Name]) -> tuple[tuple[Name, ...], np.ndarray]:
+        """Names and table of the marginal on ``keep``, not validated again."""
         keep = set(keep)
         if not keep:
             raise VariableError("keep set must be nonempty")
         self._axes_of(keep)  # validates names
-        drop = tuple(i for i, (n, _) in enumerate(self.variables) if n not in keep)
-        table = self.table.sum(axis=drop) if drop else self.table
-        variables = tuple(v for v in self.variables if v[0] in keep)
-        return JointPmf(variables, table.reshape(-1))
+        return _sum_out(self.names, self.table, keep)
 
     def extend(self, channel: "Channel") -> "JointPmf":
         """Attach ``channel``'s output variable, drawn conditionally on its inputs.
@@ -265,9 +271,100 @@ class Channel:
 
 
 def _sum_plogp(masses: np.ndarray) -> float:
+    """-sum m log m over the positive entries of ``masses``: the entropy kernel."""
     m = masses.reshape(-1)
     m = m[m > 0.0]
-    return float(-(m * np.log(m)).sum())
+    terms = np.log(m)
+    terms *= m
+    return float(-terms.sum())
+
+
+def _sum_out(
+    names: tuple[Name, ...], table: np.ndarray, keep
+) -> tuple[tuple[Name, ...], np.ndarray]:
+    """Sum out the axes of ``table`` not named in ``keep``; size-1 axes are
+    dropped by a reshape, which copies nothing."""
+    summed = tuple(i for i, n in enumerate(names) if n not in keep and table.shape[i] > 1)
+    shape = tuple(size for n, size in zip(names, table.shape) if n in keep)
+    if summed:
+        table = table.sum(axis=summed)
+    if table.shape != shape:
+        table = table.reshape(shape)
+    return tuple(n for n in names if n in keep), table
+
+
+class EntropyOracle:
+    """Memoized entropies H(S) of the marginals of one joint.
+
+    The joint is summed once down to the variables in ``keep``.  After that
+    each new marginal is a plain ndarray summed from the smallest cached
+    table that contains it; it is not validated again, since the joint was
+    at construction.  H(S) is cached by ``frozenset(S)``.  An oracle holds
+    every table it has summed, so it is made for one bound, region or report
+    and dropped when that returns.
+    """
+
+    def __init__(self, joint: JointPmf, keep: Iterable[Name]):
+        names, table = joint._summed(keep)
+        # Every table keeps the axes of ``names`` that it has, in this order.
+        self._order = names
+        self._names = frozenset(names)
+        self._sizes = dict(zip(names, table.shape))
+        self._tables = {self._names: table}
+        self._by_size = [(table.size, self._names)]  # ascending cells
+        self._h: dict[frozenset, float] = {}
+
+    def _superset(self, s: frozenset) -> frozenset:
+        """The smallest cached variable set that contains ``s``."""
+        # A proper superset of S has at least cells(S) times the least
+        # alphabet size outside S cells, so a cached S + {v} with v of that
+        # size is a smallest one; only when there is none, scan by size.
+        outside = self._names - s
+        least = min(self._sizes[v] for v in outside)
+        for v in outside:
+            if self._sizes[v] == least and (s | {v}) in self._tables:
+                return s | {v}
+        for _, have in self._by_size:
+            if s <= have:
+                return have
+
+    def _table(self, s: frozenset) -> np.ndarray:
+        table = self._tables.get(s)
+        if table is None:
+            have = self._superset(s)
+            names = tuple(n for n in self._order if n in have)
+            table = self._tables[s] = _sum_out(names, self._tables[have], s)[1]
+            bisect.insort(self._by_size, (table.size, s), key=lambda t: t[0])
+        return table
+
+    def h(self, names: Iterable[Name]) -> float:
+        """H(S) in nats; 0 for the empty set."""
+        s = frozenset(names)
+        value = self._h.get(s)
+        if value is None:
+            if not s <= self._names:
+                raise VariableError(
+                    f"unknown variables {sorted(s - self._names)}; have {sorted(self._names)}"
+                )
+            value = _sum_plogp(self._table(s)) if s else 0.0
+            self._h[s] = value
+        return value
+
+    def cmi(self, a: Iterable[Name], b: Iterable[Name], c: Iterable[Name] = ()) -> float:
+        """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), in nats.
+
+        A, B, C must be pairwise disjoint and A, B nonempty.
+        """
+        a, b, c = frozenset(a), frozenset(b), frozenset(c)
+        if not a or not b:
+            raise VariableError("A and B must be nonempty")
+        for left, right, x, y in (("A", "B", a, b), ("A", "C", a, c), ("B", "C", b, c)):
+            overlap = x & y
+            if overlap:
+                raise VariableError(f"{left} and {right} overlap: {sorted(overlap)}")
+        # H(A,B,C) first, so that the smaller marginals are summed from it.
+        h_abc = self.h(a | b | c)
+        return self.h(a | c) + self.h(b | c) - h_abc - self.h(c)
 
 
 def entropy(joint: JointPmf, variables: Iterable[Name], given: Iterable[Name] = ()) -> float:
@@ -283,11 +380,8 @@ def entropy(joint: JointPmf, variables: Iterable[Name], given: Iterable[Name] = 
     overlap = set(variables) & set(given)
     if overlap:
         raise VariableError(f"variables and given overlap: {sorted(overlap)}")
-    joined = joint.marginalize(set(variables) | set(given)) if (variables or given) else joint
-    h_all = _sum_plogp(joined.probs)
-    if not given:
-        return h_all
-    return h_all - _sum_plogp(joined.marginalize(given).probs)
+    oracle = EntropyOracle(joint, variables + given)
+    return oracle.h(variables + given) - oracle.h(given)
 
 
 def conditional_mutual_information(
@@ -304,18 +398,7 @@ def conditional_mutual_information(
     mathematically >= 0; floating point can leave a residue of order -1e-15.
     """
     a, b, c = tuple(a), tuple(b), tuple(c)
-    if not a or not b:
-        raise VariableError("A and B must be nonempty")
-    for left, right, names in (("A", "B", (a, b)), ("A", "C", (a, c)), ("B", "C", (b, c))):
-        overlap = set(names[0]) & set(names[1])
-        if overlap:
-            raise VariableError(f"{left} and {right} overlap: {sorted(overlap)}")
-    reduced = joint.marginalize(set(a) | set(b) | set(c))
-    h_ac = _sum_plogp(reduced.marginalize(set(a) | set(c)).probs)
-    h_bc = _sum_plogp(reduced.marginalize(set(b) | set(c)).probs)
-    h_abc = _sum_plogp(reduced.probs)
-    h_c = _sum_plogp(reduced.marginalize(c).probs) if c else 0.0
-    return h_ac + h_bc - h_abc - h_c
+    return EntropyOracle(joint, a + b + c).cmi(a, b, c)
 
 
 def mutual_information(joint: JointPmf, a: Iterable[Name], b: Iterable[Name]) -> float:

@@ -3,7 +3,7 @@
 Subsets A of encoders {1..L} are encoded as bitmasks (bit l-1 set means
 encoder l is in A), so a constraint set holds 2^L - 1 subset rate lower
 bounds plus the K expected distortions.  The representation caps L at 16;
-cost caps it at about 5 in practice.
+cost (the dense joint) caps it at about 6 in practice.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .model import (
     gamma_class_residuals,
     source_names,
 )
-from .prob import Channel, JointPmf, conditional_mutual_information, entropy
+from .prob import Channel, EntropyOracle, JointPmf, _sum_plogp
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 
@@ -179,6 +179,14 @@ def _subset_constraints(model, gamma, joint, kind) -> RegionConstraints:
     side = f"Y{L + 1}"
     us = encoder_names(L)
     ys = tuple(f"Y{l}" for l in range(1, L + 1))
+    if kind == "new_outer":
+        oracle = EntropyOracle(joint, ys + us + ("X", side, "W", "T"))
+        # I(Y_l; U_l | X, side, W, T) does not depend on the subset.
+        own = [
+            oracle.cmi([f"Y{l}"], [f"U{l}"], ["X", side, "W", "T"]) for l in range(1, L + 1)
+        ]
+    else:
+        oracle = EntropyOracle(joint, ys + us + (side, "T"))
     bounds: dict[int, float] = {}
     for mask in range(1, 1 << L):
         members = _mask_members(mask, L)
@@ -187,15 +195,13 @@ def _subset_constraints(model, gamma, joint, kind) -> RegionConstraints:
         cond = u_ac + [side, "T"]
         if kind == "bt_inner":
             left = [f"Y{l}" for l in members]
-            value = conditional_mutual_information(joint, left, u_a, cond)
+            value = oracle.cmi(left, u_a, cond)
         elif kind == "bt_outer":
-            value = conditional_mutual_information(joint, list(ys), u_a, cond)
+            value = oracle.cmi(ys, u_a, cond)
         else:  # new_outer
-            value = conditional_mutual_information(joint, ["X"], u_a, cond)
+            value = oracle.cmi(["X"], u_a, cond)
             for l in members:
-                value += conditional_mutual_information(
-                    joint, [f"Y{l}"], [f"U{l}"], ["X", side, "W", "T"]
-                )
+                value += own[l - 1]
         bounds[mask] = value
     distortions = expected_distortions(model, gamma, joint)
     return RegionConstraints(L, model.K, bounds, distortions)
@@ -205,12 +211,12 @@ def slepian_wolf_bounds(model: SourceModel) -> RegionConstraints:
     """Lossless bounds H(Y_A | Y_{A^c}) for every nonempty A (no side information)."""
     L = model.L
     ys = tuple(f"Y{l}" for l in range(1, L + 1))
+    oracle = EntropyOracle(model.joint, ys)
+    h_y = oracle.h(ys)
     bounds = {}
     for mask in range(1, 1 << L):
-        members = _mask_members(mask, L)
-        a = [f"Y{l}" for l in members]
-        ac = [y for y in ys if y not in a]
-        bounds[mask] = entropy(model.joint, a, ac)
+        a = [f"Y{l}" for l in _mask_members(mask, L)]
+        bounds[mask] = h_y - oracle.h(y for y in ys if y not in a)
     return RegionConstraints(L, model.K, bounds, (0.0,) * model.K)
 
 
@@ -231,9 +237,10 @@ def berger_yeung_bounds(
     gamma_class_residuals(joint, model.L, "bt_inner", tolerance).require(
         "gamma (Berger-Tung inner class)"
     )
-    r1 = entropy(joint, ["Y1"], ["U2", "T"])
-    i2 = conditional_mutual_information(joint, ["Y2"], ["U2"], ["Y1", "T"])
-    h1 = entropy(joint, ["Y1"])
+    oracle = EntropyOracle(joint, ("Y1", "Y2", "U2", "T"))
+    r1 = oracle.h(["Y1", "U2", "T"]) - oracle.h(["U2", "T"])
+    i2 = oracle.cmi(["Y2"], ["U2"], ["Y1", "T"])
+    h1 = oracle.h(["Y1"])
     return (r1, i2, h1 + i2)
 
 
@@ -395,10 +402,10 @@ class _InnerEvaluator:
         obs = tuple(range(self.L))
         us = tuple(range(self.L + 1, 2 * self.L + 1))
         return (
-            _h(p_no_hidden.sum(axis=us))
-            + _h(p_no_hidden.sum(axis=obs))
-            - _h(p_no_hidden)
-            - _h(p_no_hidden.sum(axis=obs + us))
+            _sum_plogp(p_no_hidden.sum(axis=us))
+            + _sum_plogp(p_no_hidden.sum(axis=obs))
+            - _sum_plogp(p_no_hidden)
+            - _sum_plogp(p_no_hidden.sum(axis=obs + us))
         )
 
     def _costs(self, p: np.ndarray) -> list[np.ndarray]:
@@ -525,12 +532,6 @@ class _InnerEvaluator:
             for l in range(1, self.L + 1)
         )
         return AuxSystem(wt, encoders, self.bayes_decoder(kernels))
-
-
-def _h(masses: np.ndarray) -> float:
-    m = masses.reshape(-1)
-    m = m[m > 0.0]
-    return float(-(m * np.log(m)).sum())
 
 
 class _SearchState:
@@ -701,6 +702,8 @@ def optimize_bt_inner_sum_rate(
         raise ValueError(f"need {model.K} distortion caps, got {len(caps)}")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     evaluator = _InnerEvaluator(model, cardinalities)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     per_restart = max(1, budget // restarts)

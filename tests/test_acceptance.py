@@ -267,3 +267,11 @@ def test_criterion_9_optimizer_sanity():
     res_toy = optimize_bt_inner_sum_rate(toy.model, [0.0], [2, 2], budget=10_000, seed=1)
     ok &= res_toy.feasible and res_toy.sum_rate <= 2 * LN2 + 1e-6
     _report(9, "optimizer sanity", ok, time.time() - t0, 120.0)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_new_outer_full_set_meets_erasure_sum_rate(L):
+    inst = casebook("erasure", p=0.5, L=L, D=0.6)
+    region = new_outer_constraints(inst.model, inst.x, inst.gamma)
+    closed = erasure_sum_rate(ErasureParams(0.5, L, 0.6))
+    assert abs(region.full_set - closed) <= 1e-9

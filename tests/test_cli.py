@@ -197,3 +197,36 @@ def test_optimize_honors_thread_cap(tmp_path, capsys, monkeypatch):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2  # deterministic merge regardless of worker count
+
+
+def test_model_without_joint_field_exits_1(tmp_path, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps({"L": 2, "K": 1}))
+    code, _, err = run(
+        capsys, "bounds", "--model", str(bad), "--gamma", str(bad), "--kind", "bt-inner"
+    )
+    assert code == 1
+    assert "'joint'" in err
+
+
+def test_top_level_json_list_exits_1(tmp_path, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text("[1, 2, 3]")
+    code, _, err = run(
+        capsys, "optimize", "--model", str(bad), "--caps", "0.6",
+        "--cardinalities", "3,3", "--budget", "100", "--seed", "1",
+    )
+    assert code == 1
+    assert "JSON object" in err and "list" in err
+
+
+def test_optimize_zero_restarts_exits_1(tmp_path, capsys):
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix,
+        "--p", "0.5", "--L", "2", "--D", "0.6")
+    code, _, err = run(
+        capsys, "optimize", "--model", prefix + ".model.json", "--caps", "0.6",
+        "--cardinalities", "3,3", "--budget", "100", "--seed", "1", "--restarts", "0",
+    )
+    assert code == 1
+    assert "restarts" in err

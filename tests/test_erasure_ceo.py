@@ -148,6 +148,15 @@ def test_g_root_shape_report_passes():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "p, L", [(0.35, None), (0.05, 5), (0.1, 5), (0.15, 5), (0.2, 5), (0.25, 5)]
+)
+def test_shape_reports_where_the_grid_start_rounds_below_p(p, L):
+    # exp(log p) and (p^L)^{1/L} round below p for these inputs.
+    report = g_shape_report(p) if L is None else g_root_shape_report(p, L)
+    assert report.passed
+
+
 def test_shape_report_validates_grid():
     with pytest.raises(ValueError):
         g_shape_report(0.5, grid_size=2)

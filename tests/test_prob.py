@@ -19,6 +19,7 @@ from mtsc_bounds import (
     entropy,
     mutual_information,
 )
+from mtsc_bounds.prob import EntropyOracle
 
 LN2 = math.log(2.0)
 
@@ -336,3 +337,72 @@ def test_cmi_against_fraction_oracle():
     joint = JointPmf((("A", 2), ("B", 2), ("C", 2)), probs)
     got = conditional_mutual_information(joint, ("A",), ("B",), ("C",))
     assert got == pytest.approx(want, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The memoized entropy oracle against the dense formula it replaced
+# ---------------------------------------------------------------------------
+
+
+def _dense_h(names, table, keep):
+    """H of the marginal on ``keep``, summed straight from a dense table."""
+    if not keep:
+        return 0.0
+    m = table.sum(axis=tuple(i for i, n in enumerate(names) if n not in keep)).reshape(-1)
+    m = m[m > 0.0]
+    return float(-(m * np.log(m)).sum())
+
+
+def _dense_cmi(joint, a, b, c):
+    """I(A;B|C) the way it was computed before the oracle: reduce the whole
+    joint to A, B, C, then sum that down for every entropy term."""
+    abc = set(a) | set(b) | set(c)
+    names = [n for n in joint.names if n in abc]
+    reduced = joint.table.sum(axis=tuple(i for i, n in enumerate(joint.names) if n not in abc))
+    return (
+        _dense_h(names, reduced, set(a) | set(c))
+        + _dense_h(names, reduced, set(b) | set(c))
+        - _dense_h(names, reduced, abc)
+        - _dense_h(names, reduced, set(c))
+    )
+
+
+@st.composite
+def joints_with_queries(draw):
+    """A joint over 3-5 variables and a sequence of (A, B, C) splits of them."""
+    joint = draw(joints(min_vars=3, max_vars=5))
+    n = len(joint.names)
+    roles = st.lists(st.sampled_from("ABC-"), min_size=n, max_size=n).filter(
+        lambda r: "A" in r and "B" in r
+    )
+    queries = []
+    for r in draw(st.lists(roles, min_size=1, max_size=8)):
+        queries.append(tuple([v for v, role in zip(joint.names, r) if role == x] for x in "ABC"))
+    return joint, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(joints_with_queries())
+def test_oracle_matches_dense_formula(case):
+    joint, queries = case
+    oracle = EntropyOracle(joint, joint.names)
+    for a, b, c in queries:
+        for names in (a, b + c, a + b + c):
+            assert abs(oracle.h(names) - _dense_h(joint.names, joint.table, set(names))) <= 1e-12
+        got = oracle.cmi(a, b, c)
+        assert abs(got - _dense_cmi(joint, a, b, c)) <= 1e-12
+        assert got >= -1e-12
+        assert abs(conditional_mutual_information(joint, a, b, c) - got) <= 1e-12
+
+
+def test_oracle_reduces_to_keep_and_validates_names():
+    joint = uniform_bit("A").product(uniform_bit("B")).product(uniform_bit("C"))
+    oracle = EntropyOracle(joint, ("A", "B"))
+    assert oracle.h(("A", "B")) == pytest.approx(2 * LN2, abs=1e-15)
+    assert oracle.h(()) == 0.0
+    with pytest.raises(VariableError):
+        oracle.h(("C",))
+    with pytest.raises(VariableError):
+        EntropyOracle(joint, ("Q",))
+    with pytest.raises(VariableError):
+        oracle.cmi(("A",), ("A",))
