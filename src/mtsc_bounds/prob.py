@@ -279,18 +279,51 @@ def _sum_plogp(masses: np.ndarray) -> float:
     return float(-terms.sum())
 
 
+def _sum_axes(table: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Sum out ``axes`` of ``table``; size-1 axes are dropped by a reshape,
+    which copies nothing."""
+    axes = tuple(axes)
+    shape = table.shape
+    summed = tuple(i for i in axes if shape[i] > 1)
+    if summed:
+        table = table.sum(axis=summed)
+    if len(summed) < len(axes):
+        table = table.reshape([size for i, size in enumerate(shape) if i not in axes])
+    return table
+
+
 def _sum_out(
     names: tuple[Name, ...], table: np.ndarray, keep
 ) -> tuple[tuple[Name, ...], np.ndarray]:
-    """Sum out the axes of ``table`` not named in ``keep``; size-1 axes are
-    dropped by a reshape, which copies nothing."""
-    summed = tuple(i for i, n in enumerate(names) if n not in keep and table.shape[i] > 1)
-    shape = tuple(size for n, size in zip(names, table.shape) if n in keep)
-    if summed:
-        table = table.sum(axis=summed)
-    if table.shape != shape:
-        table = table.reshape(shape)
-    return tuple(n for n in names if n in keep), table
+    """Sum out the axes of ``table`` not named in ``keep``."""
+    summed = (i for i, n in enumerate(names) if n not in keep)
+    return tuple(n for n in names if n in keep), _sum_axes(table, summed)
+
+
+def _lattice_entropies(table: np.ndarray) -> np.ndarray:
+    """H of every marginal of ``table``, indexed by the bitmask of the axes it
+    keeps (bit i for axis i); entry 0, the empty marginal, is 0.
+
+    One depth-first walk of the subset lattice: a node sums one axis out of
+    its parent's table, and axes are dropped in increasing index order, so
+    each marginal is summed exactly once and at most ndim + 1 tables are
+    live at a time.
+    """
+    n = table.ndim
+    out = np.zeros(1 << n)
+
+    def walk(t: np.ndarray, mask: int, first: int) -> None:
+        out[mask] = _sum_plogp(t)
+        for a in range(first, n):
+            child = mask & ~(1 << a)
+            if child:
+                # ``t`` has the axes of ``mask`` in order; a follows those below it.
+                pos = (mask & ((1 << a) - 1)).bit_count()
+                walk(_sum_axes(t, (pos,)), child, a + 1)
+
+    if n:
+        walk(table, (1 << n) - 1, 0)
+    return out
 
 
 class EntropyOracle:
@@ -319,7 +352,10 @@ class EntropyOracle:
         # A proper superset of S has at least cells(S) times the least
         # alphabet size outside S cells, so a cached S + {v} with v of that
         # size is a smallest one; only when there is none, scan by size.
-        outside = self._names - s
+        # Candidates go in the joint's variable order, not frozenset (string
+        # hash) order, so the table chosen, and every last bit, is the same
+        # in every process.
+        outside = [v for v in self._order if v not in s]
         least = min(self._sizes[v] for v in outside)
         for v in outside:
             if self._sizes[v] == least and (s | {v}) in self._tables:

@@ -28,7 +28,7 @@ from .model import (
     gamma_class_residuals,
     source_names,
 )
-from .prob import Channel, EntropyOracle, JointPmf, _sum_plogp
+from .prob import Channel, EntropyOracle, JointPmf, _lattice_entropies, _sum_plogp
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 
@@ -210,13 +210,10 @@ def _subset_constraints(model, gamma, joint, kind) -> RegionConstraints:
 def slepian_wolf_bounds(model: SourceModel) -> RegionConstraints:
     """Lossless bounds H(Y_A | Y_{A^c}) for every nonempty A (no side information)."""
     L = model.L
-    ys = tuple(f"Y{l}" for l in range(1, L + 1))
-    oracle = EntropyOracle(model.joint, ys)
-    h_y = oracle.h(ys)
-    bounds = {}
-    for mask in range(1, 1 << L):
-        a = [f"Y{l}" for l in _mask_members(mask, L)]
-        bounds[mask] = h_y - oracle.h(y for y in ys if y not in a)
+    full = (1 << L) - 1
+    # Axis l-1 of the table is Y_l, so h[mask] = H(Y_mask) in the mask encoding.
+    h = _lattice_entropies(model.joint._summed(f"Y{l}" for l in range(1, L + 1))[1])
+    bounds = {mask: h[full] - h[full ^ mask] for mask in range(1, 1 << L)}
     return RegionConstraints(L, model.K, bounds, (0.0,) * model.K)
 
 
@@ -249,18 +246,51 @@ def berger_yeung_bounds(
 # ---------------------------------------------------------------------------
 
 
+def _locally_supermodular(F: np.ndarray, L: int, slack: float) -> bool:
+    """True when f(S+i+j) + f(S) >= f(S+i) + f(S+j) - tol for every S and
+    i, j not in S, with a tol that certifies the pair condition of
+    ``check_supermodular`` at ``slack``.  ``F`` holds f on all 2^L masks.
+
+    A pair's defect f(A or B) + f(A and B) - f(A) - f(B) telescopes into
+    |A - B| * |B - A| <= c = floor(L/2) * ceil(L/2) local defects, so local
+    ones >= -slack / (2c) keep every pair's >= -slack / 2.  tol also gives up
+    4 (c + 1) eps * max|f|, more than the float sums and comparisons here and
+    in the pair loop can round away, so a certified region never fails the
+    pair loop, whatever the slack and the scale of f.  Cost O(2^L L^2).
+    """
+    c = (L // 2) * ((L + 1) // 2)
+    if c == 0:
+        return True  # L <= 1: there is no pair to violate
+    rounding = 4 * (c + 1) * np.finfo(float).eps * float(np.abs(F).max())
+    tol = (slack / 2 - rounding) / c
+    masks = np.arange(1 << L)
+    for i in range(L):
+        for j in range(i + 1, L):
+            bi, bj = 1 << i, 1 << j
+            S = masks[(masks & (bi | bj)) == 0]
+            lhs = F[S | bi | bj] + F[S]
+            rhs = F[S | bi] + F[S | bj]
+            if np.any(lhs < rhs - tol):
+                return False
+    return True
+
+
 def check_supermodular(constraints: RegionConstraints, slack: float = 1e-9) -> None:
     """Raise SupermodularityError on the first pair violating
     f(A or B) + f(A and B) >= f(A) + f(B) - slack (with f(empty) = 0)."""
     L = constraints.L
+    F = np.zeros(1 << L)
+    F[1:] = [constraints.subset_bounds[mask] for mask in range(1, 1 << L)]
+    if _locally_supermodular(F, L, slack):
+        return
 
-    def f(mask: int) -> float:
-        return constraints.subset_bounds[mask] if mask else 0.0
-
+    # Some local defect is too negative to certify; the pair loop decides,
+    # and names the first violating pair in its order.
+    f = F.tolist()
     for a in range(1, 1 << L):
         for b in range(a + 1, 1 << L):
-            lhs = f(a | b) + f(a & b)
-            rhs = f(a) + f(b)
+            lhs = f[a | b] + f[a & b]
+            rhs = f[a] + f[b]
             if lhs < rhs - slack:
                 raise SupermodularityError(
                     f"subset bounds are not supermodular: "
@@ -326,6 +356,10 @@ class OptimizeResult:
     message: str
 
 
+_EINSUM_LETTERS = "abcdefghijklmnop"  # "z" is the reproduction axis
+_MAX_OPTIMIZE_L = (len(_EINSUM_LETTERS) - 2) // 2
+
+
 class _InnerEvaluator:
     """Sum-rate / distortion evaluation for encoder kernels on the simplex.
 
@@ -340,15 +374,20 @@ class _InnerEvaluator:
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
         self.model = model
         self.L = model.L
+        if self.L > _MAX_OPTIMIZE_L:
+            raise ValueError(
+                f"the optimizer supports L <= {_MAX_OPTIMIZE_L}, got L={self.L}: its einsum "
+                f"subscripts name 2L + 2 axes (sources, side information and one U per "
+                f"encoder) from {len(_EINSUM_LETTERS)} letters"
+            )
         self.cards = tuple(int(c) for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
         self.src = model.joint.table  # axes: y0, y1..yL, side
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
         n_src = self.L + 2
-        letters = "abcdefghijklmnop"
-        self.src_letters = letters[:n_src]
-        self.u_letters = letters[n_src : n_src + self.L]
+        self.src_letters = _EINSUM_LETTERS[:n_src]
+        self.u_letters = _EINSUM_LETTERS[n_src : n_src + self.L]
         side = self.src_letters[-1]
         # einsum spec for per-k decoder costs: contract hidden + observations,
         # keep (U..., side, Z).

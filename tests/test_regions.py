@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mtsc_bounds
 from mtsc_bounds import (
     AuxSystem,
     Channel,
@@ -35,6 +41,7 @@ from mtsc_bounds import (
     x_channel_full_observation,
 )
 from mtsc_bounds.model import source_names
+from mtsc_bounds.prob import EntropyOracle
 from mtsc_bounds.regions import _InnerEvaluator
 
 LN2 = math.log(2.0)
@@ -290,6 +297,92 @@ def test_vertex_validates_order():
         contrapolymatroid_vertex(c, (1, 1))
 
 
+def pair_loop_check(constraints, slack=1e-9):
+    """The all-pairs supermodularity check, kept as a test-only oracle."""
+    L = constraints.L
+
+    def f(mask):
+        return constraints.subset_bounds[mask] if mask else 0.0
+
+    for a in range(1, 1 << L):
+        for b in range(a + 1, 1 << L):
+            if f(a | b) + f(a & b) < f(a) + f(b) - slack:
+                raise SupermodularityError("not supermodular", pair=(a, b))
+
+
+def random_joint_table(rng, L):
+    sizes = rng.integers(1, 4, size=L)
+    return rng.dirichlet(np.ones(int(np.prod(sizes)))).reshape(sizes)
+
+
+def entropies_by_mask(table):
+    """H(Y_A) for every mask A (bit l-1 for axis l-1), one marginal per mask."""
+    L = table.ndim
+    out = np.zeros(1 << L)
+    for mask in range(1, 1 << L):
+        summed = tuple(l for l in range(L) if not mask & (1 << l))
+        m = table.sum(axis=summed).reshape(-1)
+        m = m[m > 0.0]
+        out[mask] = float(-(m * np.log(m)).sum())
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    L=st.integers(2, 6),
+    base=st.sampled_from(["entropic", "modular"]),
+    scale=st.sampled_from([1.0, 1e3, 1e6]),
+    pairwise=st.booleans(),
+    bumps=st.integers(0, 3),
+    noise=st.sampled_from([0.0, 1e-10, 1e-9, 1e-8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_certificate_agrees_with_pair_loop(L, base, scale, pairwise, bumps, noise, seed):
+    rng = np.random.default_rng(seed)
+    full = (1 << L) - 1
+    if base == "entropic":  # f(A) = H(Y_A | Y_Ac) is supermodular
+        h = entropies_by_mask(random_joint_table(rng, L))
+        f = h[full] - h[full ^ np.arange(1 << L)]
+    else:  # modular: every local defect is 0
+        w = rng.uniform(0.0, 1.0, L)
+        f = np.array([sum(w[l] for l in range(L) if m & (1 << l)) for m in range(1 << L)])
+    f = f * scale + rng.uniform(-noise, noise, 1 << L)
+    # Subtracting e_ij from every set that holds i and j puts a local defect
+    # of -e_ij on each (S, i, j), and a pair (A, B) adds up those of every i
+    # in A - B and j in B - A.  With e_ij between slack / (5c) and slack the
+    # local defects straddle the certificate's threshold while the pair loop
+    # may reject.  A bump of d at one set puts local defects of -d next to it.
+    c = (L // 2) * ((L + 1) // 2)
+    if pairwise:
+        for i in range(L):
+            for j in range(i + 1, L):
+                e = rng.uniform(0.2 / c, 1.0) * 1e-9
+                f[[m for m in range(1 << L) if m >> i & 1 and m >> j & 1]] -= e
+    for _ in range(bumps):
+        f[rng.integers(1, 1 << L)] += rng.uniform(0.2 / c, 1.5) * 1e-9
+    region = RegionConstraints(
+        L, 1, {m: max(0.0, float(f[m])) for m in range(1, 1 << L)}, (0.0,)
+    )
+    try:
+        pair_loop_check(region)
+    except SupermodularityError as want:
+        with pytest.raises(SupermodularityError) as err:
+            check_supermodular(region)
+        assert err.value.pair == want.pair
+    else:
+        check_supermodular(region)
+
+
+def test_check_supermodular_at_the_mask_cap():
+    L = 16
+    square = RegionConstraints(L, 1, {m: m.bit_count() ** 2 for m in range(1, 1 << L)}, (0.0,))
+    check_supermodular(square)  # all 2^31 pairs: out of reach of the pair loop
+    root = RegionConstraints(L, 1, {m: m.bit_count() ** 0.5 for m in range(1, 1 << L)}, (0.0,))
+    with pytest.raises(SupermodularityError) as err:
+        check_supermodular(root)
+    assert err.value.pair == (0b1, 0b10)
+
+
 # ---------------------------------------------------------------------------
 # Slepian-Wolf and the lossless-component bounds
 # ---------------------------------------------------------------------------
@@ -328,6 +421,24 @@ def test_slepian_wolf_symmetric_crossover():
     assert c.bound([1]) == pytest.approx(binary_entropy(eps), abs=1e-12)
     assert c.bound([1]) == pytest.approx(0.3250829733914482, abs=1e-12)
     assert c.full_set == pytest.approx(LN2 + binary_entropy(eps), abs=1e-12)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_slepian_wolf_lattice_matches_per_mask_oracle(L):
+    rng = np.random.default_rng(700 + L)
+    for _ in range(5):
+        sizes = (int(rng.integers(1, 4)),) + tuple(rng.integers(1, 4, size=L)) + (1,)
+        joint = JointPmf(
+            tuple(zip(source_names(L), sizes)), rng.dirichlet(np.ones(int(np.prod(sizes))))
+        )
+        model = SourceModel(L, 1, joint, (np.zeros(sizes + (2,)),), (2,))
+        ys = tuple(f"Y{l}" for l in range(1, L + 1))
+        oracle = EntropyOracle(joint, ys)
+        got = slepian_wolf_bounds(model)
+        for mask in range(1, 1 << L):
+            a = [f"Y{l}" for l in range(1, L + 1) if mask & (1 << (l - 1))]
+            want = oracle.h(ys) - oracle.h(y for y in ys if y not in a)
+            assert got.subset_bounds[mask] == pytest.approx(max(0.0, want), abs=1e-12)
 
 
 def lossless_component_model(copula):
@@ -460,6 +571,34 @@ def test_optimizer_deterministic_given_seed():
     assert a.distortions == b.distortions
     for k1, k2 in zip(a.gamma.encoder_kernels, b.gamma.encoder_kernels):
         assert np.array_equal(k1.rows, k2.rows)
+
+
+@pytest.mark.parametrize("L, budget", [(2, 1500), (3, 800)])
+def test_optimizer_never_beats_the_erasure_closed_form(L, budget):
+    inst = casebook("erasure", p=0.5, L=L, D=0.6)
+    res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * L, budget=budget, seed=L)
+    assert res.feasible
+    assert res.sum_rate >= erasure_sum_rate(ErasureParams(0.5, L, 0.6)) - 1e-9
+
+
+def test_optimizer_bits_do_not_depend_on_the_hash_seed():
+    script = (
+        "from mtsc_bounds import casebook, optimize_bt_inner_sum_rate\n"
+        "model = casebook('erasure', p=0.5, L=2, D=0.6).model\n"
+        "res = optimize_bt_inner_sum_rate(model, [0.4], [3, 3], budget=10000, seed=1)\n"
+        "print(res.constraints.full_set.hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtsc_bounds.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(4)
+    }
+    assert len(outputs) == 1, outputs
 
 
 def test_optimizer_result_is_valid_inner_system():
