@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,7 +35,7 @@ from .model import (
     XChannel,
     build_full_joint,
     casebook,
-    expected_distortion,
+    expected_distortions,
 )
 from .prob import EntropyOracle, binary_entropy
 from .regions import (
@@ -305,7 +304,7 @@ def _repro_toy(lines) -> bool:
     i_full = oracle.cmi(ys, ("U1", "U2"))
     i_u1 = oracle.cmi(ys, ("U1",))
     i_cond = oracle.cmi(ys, ("U1",), ("U2",))
-    d1 = expected_distortion(instance.model, instance.gamma, 0)
+    d1 = expected_distortions(instance.model, instance.gamma, joint)[0]
     ok = True
     ok &= _check(lines, "I(Y;U1,U2)", i_full, 1.25 * LN2, abs(i_full - 1.25 * LN2) <= 1e-12)
     ok &= _check(lines, "I(Y;U1)", i_u1, 0.5 * LN2, abs(i_u1 - 0.5 * LN2) <= 1e-12)
@@ -399,7 +398,6 @@ def _cmd_repro(args) -> int:
 
 def _cmd_optimize(args) -> int:
     model = _load(SourceModel, args.model)
-    n_workers = int(os.environ.get("MTSC_THREADS", "1"))
     result = optimize_bt_inner_sum_rate(
         model,
         _floats(args.caps),
@@ -407,7 +405,6 @@ def _cmd_optimize(args) -> int:
         budget=args.budget,
         seed=args.seed,
         restarts=args.restarts,
-        n_workers=max(1, n_workers),
     )
     if args.format == "csv" and result.constraints is not None:
         _emit(result.constraints.to_csv(), args.out)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import build_full_joint, casebook, expected_distortion
+from .model import build_full_joint, casebook, expected_distortions
 from .prob import EntropyOracle, binary_entropy
 
 
@@ -320,7 +320,7 @@ def erasure_bt_counterexample() -> ErasureCounterexample:
     oracle = EntropyOracle(joint, ys + ("U1", "U2"))
     i_joint = oracle.cmi(ys, ("U1", "U2"))
     i_cond = oracle.cmi(ys, ("U1",), ("U2",))
-    distortion = expected_distortion(instance.model, instance.gamma, 0)
+    distortion = expected_distortions(instance.model, instance.gamma, joint)[0]
     optimal = erasure_sum_rate(ErasureParams(0.5, 2, distortion))
     if not 2.0 * i_cond < optimal:
         raise AssertionError(

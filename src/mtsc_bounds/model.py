@@ -275,6 +275,16 @@ def _check_alphabets(model: SourceModel, gamma: AuxSystem) -> None:
         )
 
 
+def _check_x(model: SourceModel, x: XChannel) -> None:
+    if x.L != model.L:
+        raise AlphabetMismatchError(f"x has L={x.L}, model has L={model.L}")
+    for name, size in x.kernel.inputs:
+        if model.joint.size_of(name) != size:
+            raise AlphabetMismatchError(
+                f"x kernel input {name!r} size {size} != model size {model.joint.size_of(name)}"
+            )
+
+
 def build_full_joint(
     model: SourceModel, gamma: AuxSystem, x: Optional[XChannel] = None
 ) -> JointPmf:
@@ -286,19 +296,13 @@ def build_full_joint(
     (U, Z, W, T) given the sources (the unique such coupling).
     """
     _check_alphabets(model, gamma)
+    if x is not None:
+        _check_x(model, x)
     joint = model.joint.product(gamma.wt_pmf)
     for kernel in gamma.encoder_kernels:
         joint = joint.extend(kernel)
     joint = joint.extend(gamma.decoder_kernel)
     if x is not None:
-        if x.L != model.L:
-            raise AlphabetMismatchError(f"x has L={x.L}, model has L={model.L}")
-        for name, size in x.kernel.inputs:
-            if model.joint.size_of(name) != size:
-                raise AlphabetMismatchError(
-                    f"x kernel input {name!r} size {size} != model size "
-                    f"{model.joint.size_of(name)}"
-                )
         joint = joint.extend(x.kernel)
     return joint
 
@@ -372,13 +376,7 @@ def chi_residual(joint: JointPmf, L: int, tolerance: float = MARKOV_TOL) -> Mark
 
 def check_chi(model: SourceModel, x: XChannel, tolerance: float = MARKOV_TOL) -> MarkovReport:
     """Check that Y1..YL are conditionally independent given (X, side info)."""
-    if x.L != model.L:
-        raise AlphabetMismatchError(f"x has L={x.L}, model has L={model.L}")
-    for name, size in x.kernel.inputs:
-        if model.joint.size_of(name) != size:
-            raise AlphabetMismatchError(
-                f"x kernel input {name!r} size {size} != model size {model.joint.size_of(name)}"
-            )
+    _check_x(model, x)
     joint = model.joint.extend(x.kernel)
     return chi_residual(joint, model.L, tolerance)
 
@@ -386,11 +384,14 @@ def check_chi(model: SourceModel, x: XChannel, tolerance: float = MARKOV_TOL) ->
 def expected_distortions(
     model: SourceModel, gamma: AuxSystem, joint: Optional[JointPmf] = None
 ) -> tuple[float, ...]:
-    """Exact E[d_k(Y0, Y, Y_{L+1}, Z_k)] for every k, under the built joint."""
+    """Exact E[d_k(Y0, Y, Y_{L+1}, Z_k)] for every k, under the built joint.
+
+    ``joint``, when given, is ``build_full_joint(model, gamma[, x])``, which
+    has the sources and Z in this order.
+    """
     if joint is None:
         joint = build_full_joint(model, gamma)
-    names = list(source_names(model.L)) + ["Z"]
-    table = joint.marginalize(names).reordered(names).table
+    table = joint._summed(source_names(model.L) + ("Z",))[1]
     # Split the composite Z axis into one axis per reproduction variable.
     table = table.reshape(table.shape[:-1] + tuple(model.reproduction_sizes))
     n_src = len(source_names(model.L))

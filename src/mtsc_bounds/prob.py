@@ -152,19 +152,8 @@ class JointPmf:
                 raise AlphabetMismatchError(
                     f"variable {name!r}: joint size {self.size_of(name)} != channel size {size}"
                 )
-        shape = self.shape
-        ndim = len(shape)
-        # Row index of the channel input tuple, per joint cell (row-major in
-        # the channel's own input order).
-        idx = np.zeros(shape, dtype=np.intp)
-        stride = 1
-        for name, size in reversed(channel.inputs):
-            ax = self.names.index(name)
-            grid_shape = [1] * ndim
-            grid_shape[ax] = size
-            idx = idx + np.arange(size, dtype=np.intp).reshape(grid_shape) * stride
-            stride *= size
-        new_table = self.table[..., None] * channel.rows[idx]
+        in_axes = self._axes_of(name for name, _ in channel.inputs)
+        new_table = _times_kernel(self.table, in_axes, channel.rows)
         return JointPmf(self.variables + (channel.output,), new_table.reshape(-1))
 
     def product(self, other: "JointPmf") -> "JointPmf":
@@ -263,6 +252,24 @@ class Channel:
             tup = np.unravel_index(flat, sizes) if sizes else ()
             rows[flat, int(fn(*map(int, tup)))] = 1.0
         return cls(inputs, output, rows)
+
+
+def _times_kernel(table: np.ndarray, in_axes: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """``table`` times the conditional pmf ``rows``, with its output axis appended.
+
+    ``rows`` holds p(out | inputs), one row per input tuple, row-major in the
+    order of ``in_axes``: the table axes the inputs sit on, in any order.
+    Each cell of the result is the single product table[cell] * rows[row of
+    the cell's inputs, out].  This is the one place a kernel is multiplied
+    into a dense table.
+    """
+    n_in = len(in_axes)
+    shape = [1] * table.ndim
+    for a in in_axes:
+        shape[a] = table.shape[a]
+    rows = rows.reshape([shape[a] for a in in_axes] + [-1])
+    order = sorted(range(n_in), key=in_axes.__getitem__) + [n_in]
+    return table[..., None] * rows.transpose(order).reshape(shape + [-1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ cost (the dense joint) caps it at about 6 in practice.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -28,7 +27,7 @@ from .model import (
     gamma_class_residuals,
     source_names,
 )
-from .prob import Channel, EntropyOracle, JointPmf, _lattice_entropies, _sum_plogp
+from .prob import Channel, EntropyOracle, JointPmf, _lattice_entropies, _sum_plogp, _times_kernel
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 
@@ -425,14 +424,12 @@ class _InnerEvaluator:
             for l in range(self.L)
         ]
 
-    def _joint(self, kernels) -> np.ndarray:
-        n_src = self.L + 2
-        p = self.src.reshape(self.src.shape + (1,) * self.L)
+    def _joint(self, kernels, skip: Optional[int] = None) -> np.ndarray:
+        """Joint over (y0, y1..yL, side, U_l for every encoder l != skip)."""
+        p = self.src
         for l, ker in enumerate(kernels):
-            shape = [1] * (n_src + self.L)
-            shape[1 + l] = ker.shape[0]  # the Y_l axis
-            shape[n_src + l] = ker.shape[1]  # the U_l axis
-            p = p * ker.reshape(shape)
+            if l != skip:
+                p = _times_kernel(p, (1 + l,), ker)  # ker: Y_l axis -> U_l
         return p
 
     def _rate(self, p: np.ndarray) -> float:
@@ -504,17 +501,7 @@ class _InnerEvaluator:
             u_m = self.u_letters[m]
             u_rest = "".join(self.u_letters[l] for l in range(self.L) if l != m)
             y_m = self.src_letters[1 + m]
-            # Joint with encoder m's kernel removed: axes (src..., u_rest).
-            p_wo = self.src.reshape(self.src.shape + (1,) * (self.L - 1))
-            pos = 0
-            for l, ker in enumerate(kernels):
-                if l == m:
-                    continue
-                shape = [1] * (n_src + self.L - 1)
-                shape[1 + l] = ker.shape[0]
-                shape[n_src + pos] = ker.shape[1]
-                p_wo = p_wo * ker.reshape(shape)
-                pos += 1
+            p_wo = self._joint(kernels, skip=m)  # axes (src..., u_rest)
             swo = self.src_letters + u_rest
             # d/dK of the mutual information (coefficient matrix, rows y_m).
             d_cross = np.einsum(
@@ -722,7 +709,6 @@ def optimize_bt_inner_sum_rate(
     budget: int,
     seed: int,
     restarts: int = 4,
-    n_workers: int = 1,
 ) -> OptimizeResult:
     """Multi-restart search for the inner-bound minimum sum rate under caps.
 
@@ -746,19 +732,13 @@ def optimize_bt_inner_sum_rate(
     evaluator = _InnerEvaluator(model, cardinalities)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     per_restart = max(1, budget // restarts)
-
-    def run(i):
+    states = []
+    for i in range(restarts):
         rng = np.random.default_rng(seeds[i])
         kernels = evaluator.identity_kernels() if i == 0 else evaluator.random_kernels(rng)
         state = _SearchState(caps, per_restart)
         _slope_search(evaluator, kernels, state)
-        return state
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            states = list(pool.map(run, range(restarts)))
-    else:
-        states = [run(i) for i in range(restarts)]
+        states.append(state)
 
     total_evals = sum(s.evals for s in states)
     best_idx, best = None, None

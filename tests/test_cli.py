@@ -2,9 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from mtsc_bounds import __version__
 from mtsc_bounds.cli import main
 
 LN2 = math.log(2.0)
@@ -14,6 +16,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_version_is_single_sourced(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.strip() == f"mtsc-bounds {__version__}"
+    # The package metadata reads the version from __version__.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert "version" in project["dynamic"] and "version" not in project
 
 
 def test_info(capsys):
@@ -182,21 +196,6 @@ def test_optimize_deterministic_output(tmp_path, capsys):
 def test_numeric_output_has_nine_significant_digits(capsys):
     _, out, _ = run(capsys, "erasure-ceo", "--p", "0.5", "--L", "2", "--D", "0.6")
     assert "0.656283897" in out
-
-
-def test_optimize_honors_thread_cap(tmp_path, capsys, monkeypatch):
-    prefix = str(tmp_path / "er")
-    run(capsys, "info", "--dump", "erasure", "--out", prefix,
-        "--p", "0.5", "--L", "2", "--D", "0.6")
-    args = [
-        "optimize", "--model", prefix + ".model.json", "--caps", "0.6",
-        "--cardinalities", "3,3", "--budget", "1200", "--seed", "4",
-    ]
-    code1, out1, _ = run(capsys, *args)
-    monkeypatch.setenv("MTSC_THREADS", "4")
-    code2, out2, _ = run(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2  # deterministic merge regardless of worker count
 
 
 def test_model_without_joint_field_exits_1(tmp_path, capsys):

@@ -215,13 +215,13 @@ def test_binary_entropy_against_extended_precision():
 # ---------------------------------------------------------------------------
 
 
-def joints(min_vars=3, max_vars=4):
-    """Random dense joints over 2-3 sized alphabets."""
+def joints(min_vars=3, max_vars=4, alphabet_sizes=(2, 3)):
+    """Random dense joints over alphabets of the given sizes (2-3 by default)."""
 
     @st.composite
     def build(draw):
         n_vars = draw(st.integers(min_vars, max_vars))
-        sizes = [draw(st.sampled_from([2, 3])) for _ in range(n_vars)]
+        sizes = [draw(st.sampled_from(alphabet_sizes)) for _ in range(n_vars)]
         total = int(np.prod(sizes))
         weights = draw(
             st.lists(
@@ -279,6 +279,34 @@ def test_extend_marginalize_round_trip(joint, seed):
     back = extended.marginalize(joint.names)
     assert np.max(np.abs(back.probs - joint.probs)) <= 1e-12
     assert back.variables == joint.variables
+
+
+def _extend_by_gather(joint, channel):
+    """Reference for JointPmf.extend: gather each cell's channel row through
+    an index grid the size of the joint."""
+    shape = joint.shape
+    idx = np.zeros(shape, dtype=np.intp)
+    stride = 1
+    for name, size in reversed(channel.inputs):
+        grid_shape = [1] * len(shape)
+        grid_shape[joint.names.index(name)] = size
+        idx = idx + np.arange(size, dtype=np.intp).reshape(grid_shape) * stride
+        stride *= size
+    return (joint.table[..., None] * channel.rows[idx]).reshape(-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(joints(min_vars=1, max_vars=4, alphabet_sizes=(1, 2, 3)), st.data())
+def test_extend_matches_index_grid_gather(joint, data):
+    # Inputs are any subset of the joint's variables in any order, like the
+    # decoder's (U..., Y_{L+1}, T) against the joint's (Y..., W, T, U...).
+    inputs = data.draw(st.permutations(joint.variables))
+    inputs = tuple(inputs[: data.draw(st.integers(0, len(inputs)))])
+    out_size = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_rows = int(np.prod([s for _, s in inputs], dtype=np.int64))
+    channel = Channel(inputs, ("NEW", out_size), rng.dirichlet(np.ones(out_size), size=n_rows))
+    assert np.array_equal(joint.extend(channel).probs, _extend_by_gather(joint, channel))
 
 
 def test_extend_conditional_law_matches_rows():

@@ -543,6 +543,28 @@ def test_optimizer_gradient_matches_finite_differences():
                 assert fd == pytest.approx(want, abs=1e-6)
 
 
+def test_optimizer_joint_matches_broadcast_loop():
+    inst = casebook("erasure", p=0.5, L=3, D=0.6)
+    ev = _InnerEvaluator(inst.model, [3, 2, 4])
+    kernels = ev.random_kernels(np.random.default_rng(7))
+    n_src = ev.L + 2
+
+    def looped(skip):
+        # Reference: one broadcast product per kept encoder, U axes appended
+        # after the sources in encoder order.
+        kept = [l for l in range(ev.L) if l != skip]
+        p = ev.src.reshape(ev.src.shape + (1,) * len(kept))
+        for pos, l in enumerate(kept):
+            shape = [1] * (n_src + len(kept))
+            shape[1 + l] = kernels[l].shape[0]
+            shape[n_src + pos] = kernels[l].shape[1]
+            p = p * kernels[l].reshape(shape)
+        return p
+
+    for skip in (None, 0, 1, 2):
+        assert np.array_equal(ev._joint(kernels, skip=skip), looped(skip))
+
+
 def test_optimizer_reaches_erasure_target_quickly():
     inst = casebook("erasure", p=0.5, L=2, D=0.6)
     res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=4000, seed=5)
@@ -614,15 +636,6 @@ def test_optimizer_validates_arguments():
         optimize_bt_inner_sum_rate(inst.model, [0.6, 0.1], [3, 3], budget=10, seed=0)
     with pytest.raises(ValueError):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=0, seed=0)
-
-
-def test_optimizer_thread_merge_matches_sequential():
-    inst = casebook("erasure", p=0.5, L=2, D=0.6)
-    seq = optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=2000, seed=3)
-    par = optimize_bt_inner_sum_rate(
-        inst.model, [0.6], [3, 3], budget=2000, seed=3, n_workers=4
-    )
-    assert seq.sum_rate == par.sum_rate
 
 
 def two_distortion_model():
