@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .model import build_full_joint, casebook, expected_distortions
-from .prob import EntropyOracle, binary_entropy
+from .prob import EntropyOracle, _binary_entropies
 
 
 @dataclass(frozen=True)
@@ -52,24 +52,31 @@ class ErasureParams:
             raise InfeasibleError(f"need lambda > 0, got {self.lam}")
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"need 0 < p < 1, got p={p}")
+
+
 def g_function(x: float, p: float) -> float:
     """g(x) = h(x) - (1-p) h((x-p)/(1-p)) for p <= x <= 1, and 0 for x > 1.
 
     Defined on [p, infinity); continuous at x = 1.  In nats.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    if x < p:
+    _check_p(p)
+    if not x >= p:
         raise ValueError(f"g is defined on [p, inf), got x={x} < p={p}")
-    if x > 1.0:
-        return 0.0
-    return binary_entropy(x) - (1.0 - p) * binary_entropy((x - p) / (1.0 - p))
+    return float(_g_vec(x, p))
+
+
+def _sum_rate(D: np.ndarray, p: float, L: int) -> np.ndarray:
+    """(1 - D) log 2 + L g(D^{1/L}) elementwise, for D in [p^L, 1]."""
+    return (1.0 - D) * math.log(2.0) + L * _g_of_root(D, p, L)
 
 
 def erasure_sum_rate(params: ErasureParams) -> float:
     """The exact limiting optimal sum rate (1-D) log 2 + L g(D^{1/L}), in nats."""
-    root = params.D ** (1.0 / params.L)
-    return (1.0 - params.D) * math.log(2.0) + params.L * g_function(root, params.p)
+    # A 0-d D would take numpy's scalar power, not the curve's array loop.
+    return float(_sum_rate(np.array([params.D]), params.p, params.L)[0])
 
 
 def sum_rate_curve(p: float, Ls: Sequence[int], n: int) -> list[tuple[float, int, float]]:
@@ -77,9 +84,10 @@ def sum_rate_curve(p: float, Ls: Sequence[int], n: int) -> list[tuple[float, int
     if n < 2:
         raise ValueError("need at least 2 grid points")
     rows = []
-    for L in Ls:
-        for D in np.linspace(p ** int(L), 1.0, n):
-            rows.append((float(D), int(L), erasure_sum_rate(ErasureParams(p, int(L), float(D)))))
+    for L in map(int, Ls):
+        ErasureParams(p, L, 1.0)  # validates p and L; the grid lies in [p^L, 1]
+        D = np.linspace(p**L, 1.0, n)
+        rows += zip(D.tolist(), [L] * n, _sum_rate(D, p, L).tolist())
     return rows
 
 
@@ -98,23 +106,15 @@ def sum_rate_curve_csv(p: float, Ls: Sequence[int], n: int) -> str:
 
 
 def _g_of_root(s: np.ndarray, p: float, L: int) -> np.ndarray:
-    """G(s) = g(s^{1/L}) elementwise, for s in [p^L, 1]."""
+    """G(s) = g(s^{1/L}) elementwise for s >= p^L; the root is clipped to
+    [p, 1], as (p^L)^{1/L} can round below p."""
     x = np.clip(np.asarray(s, float), p**L, 1.0) ** (1.0 / L)
     return _g_vec(np.clip(x, p, 1.0), p)
 
 
 def _g_vec(x: np.ndarray, p: float) -> np.ndarray:
     """g(x) elementwise for x >= p; 0 beyond 1, where both entropies vanish."""
-    return _h_vec(x) - (1.0 - p) * _h_vec((x - p) / (1.0 - p))
-
-
-def _h_vec(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    inner = (x > 0.0) & (x < 1.0)
-    xi = x[inner]
-    out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log(1.0 - xi)
-    return out
+    return _binary_entropies(x) - (1.0 - p) * _binary_entropies((x - p) / (1.0 - p))
 
 
 def _g_of_root_grad(s: np.ndarray, p: float, L: int) -> np.ndarray:
@@ -243,6 +243,7 @@ def g_shape_report(p: float, grid_size: int = 10_000) -> ShapeReport:
       (2)  e^x log(e^x - p) - e^x (x + 1) + e^{2x} / (e^x - p) >= 0
     Returns the worst margins; see ``ShapeReport.passed`` for the thresholds.
     """
+    _check_p(p)
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
     x = np.linspace(math.log(p), 1.0, grid_size)
@@ -269,11 +270,12 @@ def g_root_shape_report(
     p: float, L: int, grid_size: int = 10_000, y_max: float = 1.5
 ) -> RootShapeReport:
     """Check that y -> g(y^{1/L}) is nonincreasing and convex on [p^L, y_max]."""
+    _check_p(p)
+    if L < 1:
+        raise ValueError(f"need L >= 1, got L={L}")
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
-    y = np.linspace(p**L, y_max, grid_size)
-    # (p^L)^{1/L} can round below p, outside the domain of g.
-    vals = _g_vec(np.maximum(y ** (1.0 / L), p), p)
+    vals = _g_of_root(np.linspace(p**L, y_max, grid_size), p, L)
     return RootShapeReport(
         p=p,
         L=L,

@@ -43,8 +43,12 @@ class GaussianParams:
 
     def __post_init__(self):
         object.__setattr__(self, "noise_vars", tuple(float(v) for v in self.noise_vars))
-        if self.sigma2 <= 0.0 or any(v <= 0.0 for v in self.noise_vars):
-            raise InfeasibleError("sigma2 and every noise variance must be > 0")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise InfeasibleError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+        if not all(0.0 < v < math.inf for v in self.noise_vars):
+            raise InfeasibleError(
+                f"every noise variance must be finite and > 0, got {self.noise_vars}"
+            )
         if not self.noise_vars:
             raise InfeasibleError("need at least one encoder")
 
@@ -78,12 +82,12 @@ def gaussian_region_contains(
     explains distortion D at all.  Slack tolerance 1e-12.
     """
     r = tuple(float(v) for v in r)
-    if len(r) != params.L or any(v < 0.0 for v in r):
+    if len(r) != params.L or not all(v >= 0.0 for v in r):
         raise ValueError(f"need {params.L} nonnegative witness rates, got {r}")
     if len(point.rates) != params.L:
         raise ValueError(f"need {params.L} rates, got {len(point.rates)}")
     D = point.distortions[0]
-    if D <= 0.0:
+    if not D > 0.0:
         raise InfeasibleError(f"need D > 0, got {D}")
     for mask in range(1 << params.L):
         lhs = sum(point.rates[l] for l in range(params.L) if mask & (1 << l))
@@ -96,12 +100,13 @@ def gaussian_min_sum_rate(params: GaussianParams, D: float) -> float:
     """Minimum sum rate of the region at distortion D.
 
     Minimizes sum_l r_l + (1/2) log+ (sigma^2 / D) over witnesses r subject
-    to feasibility 1/D <= 1/sigma^2 + sum_l (1 - e^{-2 r_l}) / sigma_l^2.
-    Symmetric noises use the closed-form tight witness; general noises are
+    to feasibility 1/D <= 1/sigma^2 + sum_l (1 - e^{-2 r_l}) / sigma_l^2,
     solved by the water-filling condition e^{-2 r_l} = sigma_l^2 / (2 mu)
     with a bisection on mu.  Returns 0 for D >= sigma^2; D at or below the
     distortion floor is infeasible.
     """
+    if math.isnan(D):
+        raise ValueError("D must be a number, got nan")
     if D <= params.d_min:
         raise InfeasibleError(
             f"D={D} is at or below the distortion floor {params.d_min}"
@@ -111,10 +116,6 @@ def gaussian_min_sum_rate(params: GaussianParams, D: float) -> float:
     theta = 1.0 / D - 1.0 / params.sigma2
     base = 0.5 * _log_plus(params.sigma2 / D)
     vs = params.noise_vars
-    if len(set(vs)) == 1:
-        # Closed-form tight witness: L (1 - e^{-2r}) / v = theta.
-        frac = 1.0 - theta * vs[0] / params.L
-        return base - 0.5 * params.L * math.log(frac)
 
     def filled(mu: float) -> float:
         return sum(max(0.0, (1.0 - v / (2.0 * mu))) / v for v in vs)

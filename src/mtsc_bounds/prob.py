@@ -24,7 +24,6 @@ region or report builds for itself and never shares.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -453,6 +452,14 @@ def binary_entropy(x: float) -> float:
     """h(x) = -x ln x - (1-x) ln(1-x) with h(0) = h(1) = 0, in nats."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy requires 0 <= x <= 1, got {x!r}")
-    if x in (0.0, 1.0):
-        return 0.0
-    return float(-x * math.log(x) - (1.0 - x) * math.log(1.0 - x))
+    return float(_binary_entropies(x))
+
+
+def _binary_entropies(x) -> np.ndarray:
+    """h elementwise, 0 outside (0, 1): the one binary-entropy kernel."""
+    x = np.asarray(x, float)
+    out = np.zeros_like(x)
+    inner = (x > 0.0) & (x < 1.0)
+    xi = x[inner]
+    out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log(1.0 - xi)
+    return out

@@ -81,6 +81,14 @@ def test_erasure_ceo_curve_csv(capsys):
     assert len(lines) == 11
 
 
+def test_erasure_ceo_curve_starts_at_the_distortion_floor(capsys):
+    # (p^L)^{1/L} rounds below p here; the floor D = p^L is in the domain.
+    code, out, err = run(capsys, "erasure-ceo", "--p", "0.1", "--L", "5", "--curve", "10")
+    assert code == 0, err
+    rows = json.loads(out)
+    assert len(rows) == 10 and rows[0]["D"] == pytest.approx(1e-5, rel=1e-9)
+
+
 def test_erasure_ceo_rejects_bad_domain(capsys):
     code, _, err = run(capsys, "erasure-ceo", "--p", "0.5", "--L", "2", "--D", "0.1")
     assert code == 1
@@ -102,6 +110,24 @@ def test_gaussian_ceo_membership(capsys):
     assert code == 0 and json.loads(out) == {"contains": True}
     code, out, _ = run(capsys, *common, "--rates", "0.4,0.4")
     assert code == 0 and json.loads(out) == {"contains": False}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--sigma2", "nan", "--noise", "1,2", "--D", "0.5"], "sigma2"),
+        (["--sigma2", "1", "--noise", "1,inf", "--D", "0.5"], "noise variance"),
+        (["--sigma2", "1", "--noise", "1,1", "--D", "nan"], "D must be a number"),
+        (["--sigma2", "1", "--noise", "1,1", "--D", "0.5", "--witness", "nan,0",
+          "--rates", "1,1"], "witness"),
+        (["--sigma2", "1", "--noise", "1,1", "--D", "nan", "--witness", "0.3,0.3",
+          "--rates", "0,0"], "D > 0"),
+    ],
+)
+def test_gaussian_ceo_rejects_nan(capsys, argv, named):
+    code, out, err = run(capsys, "gaussian-ceo", *argv)
+    assert code == 1 and out == ""
+    assert named in err
 
 
 def test_bounds_round_trip_through_files(tmp_path, capsys):

@@ -36,6 +36,20 @@ def sum_rate_longdouble(p, L, D):
     return float((1 - D) * np.log(np.longdouble(2)) + L * g)
 
 
+def former_scalar_sum_rate(p, L, D):
+    """The sum rate's former scalar path, kept as a test-only oracle: math.log
+    throughout, and None where its root rounds below p (it raised there)."""
+
+    def h(x):
+        return 0.0 if x in (0.0, 1.0) else -x * math.log(x) - (1 - x) * math.log(1 - x)
+
+    root = D ** (1.0 / L)
+    if root < p:
+        return None
+    g = 0.0 if root > 1.0 else h(root) - (1.0 - p) * h((root - p) / (1.0 - p))
+    return (1.0 - D) * math.log(2.0) + L * g
+
+
 # ---------------------------------------------------------------------------
 # g and the sum-rate formula
 # ---------------------------------------------------------------------------
@@ -55,6 +69,8 @@ def test_g_domain_errors():
         g_function(0.4, 0.5)
     with pytest.raises(ValueError):
         g_function(0.5, 1.5)
+    with pytest.raises(ValueError, match="defined on"):
+        g_function(math.nan, 0.5)
 
 
 def test_g_value_frozen():
@@ -77,6 +93,13 @@ def test_sum_rate_endpoints():
     closed = (1 - 0.25) * LN2 + 2 * binary_entropy(0.5)
     assert erasure_sum_rate(ErasureParams(0.5, 2, 0.25)) == pytest.approx(closed, abs=1e-12)
     assert closed == pytest.approx(2.75 * LN2, abs=1e-12)
+    # The closed interval p^L <= D <= 1 includes its floor, also where
+    # (p^L)^{1/L} rounds below p (p = 0.05..0.25 at L = 5 and 10).
+    for p in np.round(np.arange(1, 20) * 0.05, 2):
+        for L in range(1, 11):
+            floor = (1 - p**L) * LN2 + L * binary_entropy(p)
+            got = erasure_sum_rate(ErasureParams(p, L, p**L))
+            assert got == pytest.approx(floor, abs=1e-12), (p, L)
 
 
 def test_params_validation():
@@ -95,6 +118,27 @@ def test_sum_rate_nonincreasing_in_d():
         rates = [r for _, _, r in sum_rate_curve(0.5, (L,), 1000)]
         assert max(np.diff(rates)) <= 1e-12
         assert rates[-1] == 0.0
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_curve_rows_equal_the_scalar_sum_rate(p):
+    returned = 0
+    for D, L, rate in sum_rate_curve(p, (1, 2, 3, 5, 10), 500):
+        assert rate == erasure_sum_rate(ErasureParams(p, L, D))
+        former = former_scalar_sum_rate(p, L, D)
+        if former is not None:
+            returned += 1
+            assert rate == pytest.approx(former, abs=1e-12)
+    assert returned >= 2490
+
+
+def test_curve_validates_p_and_each_l():
+    with pytest.raises(InfeasibleError, match="0 < p < 1"):
+        sum_rate_curve(1.5, (2,), 10)
+    with pytest.raises(InfeasibleError, match="L >= 1"):
+        sum_rate_curve(0.5, (2, 0), 10)
+    with pytest.raises(ValueError, match="2 grid points"):
+        sum_rate_curve(0.5, (2,), 1)
 
 
 def test_curve_csv_emitter():
@@ -160,6 +204,16 @@ def test_shape_reports_where_the_grid_start_rounds_below_p(p, L):
 def test_shape_report_validates_grid():
     with pytest.raises(ValueError):
         g_shape_report(0.5, grid_size=2)
+    with pytest.raises(ValueError):
+        g_root_shape_report(0.5, 2, grid_size=2)
+    for p in (0.0, 1.0, 1.5, -0.2, math.nan):
+        with pytest.raises(ValueError, match="need 0 < p < 1"):
+            g_shape_report(p)
+        with pytest.raises(ValueError, match="need 0 < p < 1"):
+            g_root_shape_report(p, 2)
+    for L in (0, -1):
+        with pytest.raises(ValueError, match="need L >= 1"):
+            g_root_shape_report(0.5, L)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ def test_params_validation():
         GaussianParams(1.0, (1.0, -0.5))
     with pytest.raises(InfeasibleError):
         GaussianParams(1.0, ())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InfeasibleError, match="sigma2"):
+            GaussianParams(bad, (1.0,))
+        with pytest.raises(InfeasibleError, match="noise variance"):
+            GaussianParams(1.0, (1.0, bad))
 
 
 def test_d_min():
@@ -70,6 +75,10 @@ def test_membership_validation():
         gaussian_region_contains(params, RatePoint((1.0, 1.0), (0.5,)), (0.1,))
     with pytest.raises(ValueError):
         gaussian_region_contains(params, RatePoint((1.0, 1.0), (0.5,)), (-0.1, 0.1))
+    with pytest.raises(ValueError, match="witness"):
+        gaussian_region_contains(params, RatePoint((1.0, 1.0), (0.5,)), (math.nan, 0.0))
+    with pytest.raises(InfeasibleError, match="D > 0"):
+        gaussian_region_contains(params, RatePoint((0.0, 0.0), (math.nan,)), (0.3, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +89,20 @@ def test_membership_validation():
 def test_min_sum_rate_symmetric_two_encoders():
     params = GaussianParams(1.0, (1.0, 1.0))
     assert gaussian_min_sum_rate(params, 0.5) == pytest.approx(1.5 * LN2, abs=1e-9)
+
+
+def test_min_sum_rate_equal_noises_match_the_tight_witness():
+    # Test-only copy of the closed form for equal noise variances v: the
+    # tight witness solves L (1 - e^{-2r}) / v = theta.
+    rng = np.random.default_rng(7)
+    for _ in range(250):
+        L = int(rng.integers(1, 9))
+        s2, v = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.1, 3.0))
+        params = GaussianParams(s2, (v,) * L)
+        D = params.d_min + float(rng.uniform(1e-3, 1.0)) * (s2 - params.d_min)
+        theta = 1.0 / D - 1.0 / s2
+        want = 0.5 * math.log(s2 / D) - 0.5 * L * math.log(1.0 - theta * v / L)
+        assert gaussian_min_sum_rate(params, D) == pytest.approx(want, abs=1e-12)
 
 
 def test_min_sum_rate_at_source_variance_is_zero():
@@ -125,6 +148,8 @@ def test_min_sum_rate_infeasible_distortion():
         gaussian_min_sum_rate(params, params.d_min)
     with pytest.raises(InfeasibleError):
         gaussian_min_sum_rate(params, 0.2)
+    with pytest.raises(ValueError, match="D must be a number"):
+        gaussian_min_sum_rate(params, math.nan)
 
 
 def test_min_sum_rate_monotone_in_d():

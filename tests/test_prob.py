@@ -199,6 +199,8 @@ def test_binary_entropy_endpoints_and_half():
         binary_entropy(-0.01)
     with pytest.raises(ValueError):
         binary_entropy(1.01)
+    with pytest.raises(ValueError):
+        binary_entropy(math.nan)
 
 
 def test_binary_entropy_against_extended_precision():
