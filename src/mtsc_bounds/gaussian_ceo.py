@@ -156,7 +156,7 @@ def oohama_gap(params: GaussianParams, q: Sequence[float], A: Iterable[int]) -> 
     if not members or members[0] < 1 or members[-1] > params.L:
         raise ValueError(f"A must be a nonempty subset of 1..{params.L}, got {A}")
     q = tuple(float(v) for v in q)
-    if len(q) != params.L or any(v <= 0.0 for v in q):
+    if len(q) != params.L or any(not v > 0.0 for v in q):
         raise ValueError(f"need {params.L} positive test-noise variances, got {q}")
     s2 = params.sigma2
     # I(Y0; U_A) from the rank-one-plus-diagonal determinant identity:
@@ -201,7 +201,7 @@ class GaussianCounterexample:
 
 def gaussian_bt_counterexample(sigma_w2: float) -> GaussianCounterexample:
     """Closed-form evaluation of the construction at a given Var(W) >= 0."""
-    if sigma_w2 < 0.0:
+    if not sigma_w2 >= 0.0:
         raise InfeasibleError(f"need sigma_w2 >= 0, got {sigma_w2}")
     s = float(sigma_w2)
     # Cov(U) = [[3+s, 1-s], [1-s, 3+s]], Cov(U|Y) = [[1+s, -s], [-s, 1+s]].

@@ -27,7 +27,7 @@ from .model import (
     gamma_class_residuals,
     source_names,
 )
-from .prob import Channel, EntropyOracle, JointPmf, _lattice_entropies, _sum_plogp, _times_kernel
+from .prob import Channel, EntropyOracle, JointPmf, _lattice_entropies, _sum_plogp
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 
@@ -284,19 +284,22 @@ def check_supermodular(constraints: RegionConstraints, slack: float = 1e-9) -> N
         return
 
     # Some local defect is too negative to certify; the pair loop decides,
-    # and names the first violating pair in its order.
-    f = F.tolist()
+    # and names the first violating pair in its order.  Each a checks every
+    # b > a at once, with the same sums in the same order as one pair at a time.
+    masks = np.arange(1 << L)
     for a in range(1, 1 << L):
-        for b in range(a + 1, 1 << L):
-            lhs = f[a | b] + f[a & b]
-            rhs = f[a] + f[b]
-            if lhs < rhs - slack:
-                raise SupermodularityError(
-                    f"subset bounds are not supermodular: "
-                    f"f({subset_label(a, L)}) + f({subset_label(b, L)}) = {rhs:.12g} "
-                    f"exceeds f(union) + f(intersection) = {lhs:.12g}",
-                    pair=(a, b),
-                )
+        b = masks[a + 1 :]
+        lhs = F[a | b] + F[a & b]
+        rhs = F[a] + F[b]
+        bad = np.flatnonzero(lhs < rhs - slack)
+        if bad.size:
+            i = bad[0]
+            raise SupermodularityError(
+                f"subset bounds are not supermodular: "
+                f"f({subset_label(a, L)}) + f({subset_label(int(b[i]), L)}) = {rhs[i]:.12g} "
+                f"exceeds f(union) + f(intersection) = {lhs[i]:.12g}",
+                pair=(a, int(b[i])),
+            )
 
 
 def contrapolymatroid_vertex(
@@ -355,8 +358,7 @@ class OptimizeResult:
     message: str
 
 
-_EINSUM_LETTERS = "abcdefghijklmnop"  # "z" is the reproduction axis
-_MAX_OPTIMIZE_L = (len(_EINSUM_LETTERS) - 2) // 2
+_MAX_OPTIMIZE_L = 7  # set by the dense bt_inner_constraints check; see __init__
 
 
 class _InnerEvaluator:
@@ -368,6 +370,12 @@ class _InnerEvaluator:
     rate + slopes . distortions in the kernel entries (for the fixed Bayes
     decoder of the evaluation point, a valid descent direction for the min
     over decoders).
+
+    Every quantity comes from one tensor over (y1..yL, side, c), built once:
+    channel c = 0 holds p(y, side), and measure k owns the channels
+    e_k(y, side, z_k) = sum_y0 p(y0, y, side) d_k(y0, y, side, z_k).  Only Y0
+    is summed ahead of time, so this holds for every model.  Contracting the
+    tensor with the L kernels gives p(u, side) and every decoder cost at once.
     """
 
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
@@ -375,25 +383,27 @@ class _InnerEvaluator:
         self.L = model.L
         if self.L > _MAX_OPTIMIZE_L:
             raise ValueError(
-                f"the optimizer supports L <= {_MAX_OPTIMIZE_L}, got L={self.L}: its einsum "
-                f"subscripts name 2L + 2 axes (sources, side information and one U per "
-                f"encoder) from {len(_EINSUM_LETTERS)} letters"
+                f"the optimizer supports L <= {_MAX_OPTIMIZE_L}, got L={self.L}: its result is "
+                f"checked with bt_inner_constraints, whose dense joint has about 29 M cells "
+                f"(2*9^7*3) on the erasure casebook at L = 7"
             )
         self.cards = tuple(int(c) for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
-        self.src = model.joint.table  # axes: y0, y1..yL, side
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
-        n_src = self.L + 2
-        self.src_letters = _EINSUM_LETTERS[:n_src]
-        self.u_letters = _EINSUM_LETTERS[n_src : n_src + self.L]
-        side = self.src_letters[-1]
-        # einsum spec for per-k decoder costs: contract hidden + observations,
-        # keep (U..., side, Z).
-        self.cost_spec = (
-            self.src_letters + self.u_letters + "," + self.src_letters + "z->"
-            + self.u_letters + side + "z"
-        )
+        src = model.joint.table  # axes: y0, y1..yL, side
+        p_obs = src.sum(axis=0)  # axes: y1..yL, side
+        blocks = [p_obs[..., None]] + [(src[..., None] * d).sum(axis=0) for d in model.distortions]
+        self.table = np.concatenate(blocks, axis=-1)
+        ends = np.cumsum((1,) + model.reproduction_sizes).tolist()
+        self.channels = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]  # measure k's c
+        self.p_y = [
+            p_obs.sum(axis=tuple(a for a in range(self.L + 1) if a != l)) for l in range(self.L)
+        ]
+        self.h_y = [_sum_plogp(p) for p in self.p_y]
+        p_side = p_obs.reshape(-1, p_obs.shape[-1]).sum(axis=0)
+        self.h_side = _sum_plogp(p_side)
+        self.ln_ps1 = np.log(np.maximum(p_side, 1e-300)) + 1.0
 
     @property
     def seed_mass(self) -> float:
@@ -424,38 +434,41 @@ class _InnerEvaluator:
             for l in range(self.L)
         ]
 
-    def _joint(self, kernels, skip: Optional[int] = None) -> np.ndarray:
-        """Joint over (y0, y1..yL, side, U_l for every encoder l != skip)."""
-        p = self.src
-        for l, ker in enumerate(kernels):
-            if l != skip:
-                p = _times_kernel(p, (1 + l,), ker)  # ker: Y_l axis -> U_l
-        return p
+    def _forward(self, kernels) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Contract the tensor with every kernel, one matmul per encoder.
 
-    def _rate(self, p: np.ndarray) -> float:
-        """I(Y; U | side info) from the full joint (axes y0, y, side, u)."""
-        p_no_hidden = p.sum(axis=0)  # axes: y1..yL, side, u1..uL
-        obs = tuple(range(self.L))
-        us = tuple(range(self.L + 1, 2 * self.L + 1))
-        return (
-            _sum_plogp(p_no_hidden.sum(axis=us))
-            + _sum_plogp(p_no_hidden.sum(axis=obs))
-            - _sum_plogp(p_no_hidden)
-            - _sum_plogp(p_no_hidden.sum(axis=obs + us))
+        Step l multiplies the tensor, reshaped with the Y_l axis in front,
+        into K_l and appends U_l at the back, so the next Y axis comes to the
+        front.  Returns the result over (side, c, u1..uL) with the U axes
+        flattened, and the 2-D left factor of every step for the gradient.
+        """
+        b = self.table
+        lefts = []
+        for y_size, ker in zip(self.y_sizes, kernels):
+            left = b.reshape(y_size, -1)
+            lefts.append(left)
+            b = left.T @ ker
+        return b.reshape(len(self.ln_ps1), self.table.shape[-1], -1), lefts
+
+    def _pass(self, kernels):
+        """Forward pass, rate and the per-k decoder cost tables over (side, z_k, u).
+
+        The rate is I(Y; U | side) = H(U, side) - H(side) - sum_l H(U_l | Y_l),
+        because the encoders act on disjoint observations.
+        """
+        q, lefts = self._forward(kernels)
+        own = sum(
+            _sum_plogp(p[:, None] * ker) - h for p, h, ker in zip(self.p_y, self.h_y, kernels)
         )
-
-    def _costs(self, p: np.ndarray) -> list[np.ndarray]:
-        """Per-k mass-weighted decoder cost tables over (U..., side, Z)."""
-        return [
-            np.einsum(self.cost_spec, p, self.model.distortions[k])
-            for k in range(self.model.K)
-        ]
+        rate = _sum_plogp(q[:, 0]) - self.h_side - own
+        costs = [q[:, ch] for ch in self.channels]
+        dists = tuple(float(c.min(axis=1).sum()) for c in costs)
+        return q, lefts, costs, rate, dists
 
     def evaluate(self, kernels) -> tuple[float, tuple[float, ...]]:
         """Return (sum-rate bound, per-k Bayes distortions) for these encoders."""
-        p = self._joint(kernels)
-        dists = tuple(float(c.min(axis=-1).sum()) for c in self._costs(p))
-        return self._rate(p), dists
+        _, _, _, rate, dists = self._pass(kernels)
+        return rate, dists
 
     def lagrangian_value(self, kernels, slopes):
         rate, dists = self.evaluate(kernels)
@@ -464,81 +477,54 @@ class _InnerEvaluator:
     def lagrangian_grad(self, kernels, slopes):
         """Value and exact kernel-space gradient of rate + slopes . dists.
 
-        Uses I(Y; U | side) = H(U | side) - sum_l H(U_l | Y_l) (the encoders
-        act on disjoint observations) and, for the distortion terms,
-        linearity in each kernel once the Bayes decoder of the current point
-        is fixed.  Logarithms are floored so boundary points (exact zeros in
-        kernels) get finite pull-in/push-out coefficients.
+        With the Bayes decoder of the current point fixed, the value depends
+        on the kernels through the forward result and through
+        sum_l H(U_l | Y_l).  Its derivative F in the forward result, over
+        (side, c, u), is pulled back through the forward matmuls in reverse
+        order: one matmul per kernel for its gradient and one to step back.
+        The kernel entropies add p(y_l) (ln K_l + 1).  Logarithms are floored
+        so boundary points (exact zeros in kernels) get finite
+        pull-in/push-out coefficients.
         """
-        p = self._joint(kernels)
-        costs = self._costs(p)
-        dists = tuple(float(c.min(axis=-1).sum()) for c in costs)
-        rate = self._rate(p)
+        q, lefts, costs, rate, dists = self._pass(kernels)
         value = rate + float(np.dot(slopes, dists))
         # Decoder choices for the gradient are the true Bayes argmins, except
         # on zero-mass decoder profiles, where the argmin is arbitrary and an
         # adversarial pick (large penalties) would wall off every unused
         # symbol; there a slightly smoothed joint breaks the tie sensibly.
-        smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
-        smoothed_costs = self._costs(self._joint(smoothed))
-        argmins = []
-        for c_true, c_smooth in zip(costs, smoothed_costs):
-            zz = c_true.argmin(axis=-1)
-            dead = c_true.max(axis=-1) == 0.0
-            if np.any(dead):
-                zz = np.where(dead, c_smooth.argmin(axis=-1), zz)
-            argmins.append(zz)  # axes (u1..uL, side)
+        argmins = [c.argmin(axis=1) for c in costs]  # axes (side, u)
+        dead = [c.max(axis=1) == 0.0 for c in costs]
+        if any(np.any(d) for d in dead):
+            smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
+            q_smooth, _ = self._forward(smoothed)
+            for k, ch in enumerate(self.channels):
+                argmins[k] = np.where(dead[k], q_smooth[:, ch].argmin(axis=1), argmins[k])
 
-        n_src = self.L + 2
-        side = self.src_letters[-1]
-        p_u_side = p.sum(axis=tuple(range(n_src - 1)))  # (side, u1..uL)
-        ln_p1 = np.log(np.maximum(p_u_side, 1e-300)) + 1.0
-        p_side = p_u_side.reshape(p_u_side.shape[0], -1).sum(axis=1)
-        ln_ps1 = np.log(np.maximum(p_side, 1e-300)) + 1.0
-
-        grads = []
-        for m in range(self.L):
-            u_m = self.u_letters[m]
-            u_rest = "".join(self.u_letters[l] for l in range(self.L) if l != m)
-            y_m = self.src_letters[1 + m]
-            p_wo = self._joint(kernels, skip=m)  # axes (src..., u_rest)
-            swo = self.src_letters + u_rest
-            # d/dK of the mutual information (coefficient matrix, rows y_m).
-            d_cross = np.einsum(
-                f"{swo},{side}{self.u_letters}->{y_m}{u_m}", p_wo, ln_p1
-            )
-            d_side = np.einsum(f"{swo},{side}->{y_m}", p_wo, ln_ps1)
-            p_ym = np.einsum(f"{swo}->{y_m}", p_wo)
-            ln_k1 = np.log(np.maximum(kernels[m], 1e-300)) + 1.0
-            coeff = -d_cross + d_side[:, None] + p_ym[:, None] * ln_k1
-            # d/dK of each Bayes distortion (decoder of the current point fixed).
-            for k in range(self.model.K):
-                cost_wo = np.einsum(
-                    f"{swo},{self.src_letters}z->{y_m}{u_rest}{side}z",
-                    p_wo,
-                    self.model.distortions[k],
-                )
-                zz = np.moveaxis(argmins[k], m, 0)  # (u_m, u_rest..., side)
-                picked = np.take_along_axis(
-                    cost_wo[None, ...],
-                    zz[(slice(None), None) + (Ellipsis, None)],
-                    axis=-1,
-                )[..., 0]
-                c_k = picked.sum(axis=tuple(range(2, self.L + 2))).T  # (y_m, u_m)
-                coeff = coeff + slopes[k] * c_k
-            grads.append(coeff)
+        f = np.zeros_like(q)
+        f[:, 0] = self.ln_ps1[:, None] - (np.log(np.maximum(q[:, 0], 1e-300)) + 1.0)
+        for k, ch in enumerate(self.channels):
+            np.put_along_axis(f[:, ch], argmins[k][:, None], slopes[k], axis=1)
+        grads = [None] * self.L
+        g = f.reshape(-1, self.cards[-1])  # d value / d (output of step L)
+        for l in range(self.L - 1, -1, -1):
+            ln_k1 = np.log(np.maximum(kernels[l], 1e-300)) + 1.0
+            grads[l] = lefts[l] @ g + self.p_y[l][:, None] * ln_k1
+            if l:
+                g = (kernels[l] @ g.T).reshape(-1, self.cards[l - 1])
         return value, grads, rate, dists
 
     def bayes_decoder(self, kernels) -> Channel:
-        p = self._joint(kernels)
-        choices = [c.argmin(axis=-1) for c in self._costs(p)]  # (u1..uL, side)
-        side_size = self.model.joint.size_of(f"Y{self.L + 1}")
+        q, _ = self._forward(kernels)
+        side_size = len(self.ln_ps1)
+        choices = [  # axes (side, u1..uL)
+            q[:, ch].argmin(axis=1).reshape((side_size,) + self.cards) for ch in self.channels
+        ]
         rep = self.model.reproduction_sizes
 
         def decode(*args):
             us = args[: self.L]
             y_side = args[self.L]
-            zs = [int(choices[k][us + (y_side,)]) for k in range(self.model.K)]
+            zs = [int(c[(y_side,) + us]) for c in choices]
             return int(np.ravel_multi_index(zs, rep))
 
         inputs = tuple((f"U{l}", self.cards[l - 1]) for l in range(1, self.L + 1)) + (

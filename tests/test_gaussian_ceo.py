@@ -198,6 +198,8 @@ def test_oohama_gap_validation():
     params = GaussianParams(1.0, (1.0, 1.0))
     with pytest.raises(ValueError):
         oohama_gap(params, (1.0, -1.0), (1,))
+    with pytest.raises(ValueError, match="positive test-noise variances"):
+        oohama_gap(params, (math.nan, 1.0), (1, 2))
     with pytest.raises(ValueError):
         oohama_gap(params, (1.0, 1.0), ())
     with pytest.raises(ValueError):
@@ -227,6 +229,8 @@ def test_counterexample_frozen_point():
 def test_counterexample_validation():
     with pytest.raises(InfeasibleError):
         gaussian_bt_counterexample(-0.01)
+    with pytest.raises(InfeasibleError, match="sigma_w2 >= 0"):
+        gaussian_bt_counterexample(math.nan)
 
 
 def test_search_finds_margin():

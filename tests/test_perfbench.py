@@ -3,6 +3,8 @@
 Runs every operation of the ``closed_forms`` and ``bounds_wide`` workloads
 once and applies each operation's independent check and its comparison with
 ``perfbench/reference.json``, as ``perfbench/run.py`` does per operation.
+The ``optimize`` workload's one-thread operations run once as well, and must
+land in their closed-form window.
 Only ``perfbench/workloads.py`` is imported: ``run.py`` rewrites
 ``os.environ`` on import.
 """
@@ -47,4 +49,17 @@ def test_benchmark_checks_pass(workload, tmp_path):
             found += ["no recorded reference"] if ref is None else op.compare(values, ref)
         if found:
             problems[op.name] = found
+    assert ops and problems == {}
+
+
+def test_optimizer_stays_in_the_closed_form_window(tmp_path):
+    workloads = _workloads()
+    setup, make_ops = workloads.WORKLOADS["optimize"]
+    state = setup(mtsc_bounds, str(tmp_path), np.random.default_rng(1))
+    # The two-thread operations repeat these: the thread count is ignored.
+    ops = [
+        op for op in make_ops(mtsc_bounds, state, np.random.default_rng(1))
+        if op.tag == "optimize_threads1"
+    ]
+    problems = {op.name: found for op in ops if (found := op.check(op.digest(op.call())))}
     assert ops and problems == {}

@@ -41,8 +41,8 @@ from mtsc_bounds import (
     x_channel_full_observation,
 )
 from mtsc_bounds.model import source_names
-from mtsc_bounds.prob import EntropyOracle
-from mtsc_bounds.regions import _InnerEvaluator
+from mtsc_bounds.prob import EntropyOracle, _sum_plogp
+from mtsc_bounds.regions import _InnerEvaluator, _locally_supermodular
 
 LN2 = math.log(2.0)
 
@@ -383,6 +383,21 @@ def test_check_supermodular_at_the_mask_cap():
     assert err.value.pair == (0b1, 0b10)
 
 
+def test_pair_loop_accepts_an_uncertified_region_at_l12():
+    # f(A) = |A| - e C(|A|, 2) has every local defect -e, below the
+    # certificate's threshold slack / (2c) here, and every pair defect
+    # -|A - B| |B - A| e >= -c e = -0.75e-9, inside the slack: only the pair
+    # loop accepts it, over all 2^23 pairs.
+    L = 12
+    c = (L // 2) * ((L + 1) // 2)
+    e = 0.75e-9 / c
+    f = {m: m.bit_count() - e * math.comb(m.bit_count(), 2) for m in range(1, 1 << L)}
+    region = RegionConstraints(L, 1, f, (0.0,))
+    F = np.array([0.0] + [f[m] for m in range(1, 1 << L)])
+    assert not _locally_supermodular(F, L, 1e-9)
+    check_supermodular(region)
+
+
 # ---------------------------------------------------------------------------
 # Slepian-Wolf and the lossless-component bounds
 # ---------------------------------------------------------------------------
@@ -516,53 +531,175 @@ def test_berger_yeung_requires_lossless_component():
 # ---------------------------------------------------------------------------
 
 
-def test_optimizer_gradient_matches_finite_differences():
-    rng = np.random.default_rng(0)
-    inst = casebook("erasure", p=0.5, L=2, D=0.6)
-    ev = _InnerEvaluator(inst.model, [3, 3])
-    kernels = [rng.dirichlet(np.ones(3), 3) * 0.8 + 0.2 / 3 for _ in range(2)]
-    kernels = [k / k.sum(axis=1, keepdims=True) for k in kernels]
-    slopes = np.array([1.3])
-    _, grads, _, _ = ev.lagrangian_grad(kernels, slopes)
-    eps = 1e-7
-    for m in range(2):
-        for i in range(3):
-            for j in range(2):
-                # perturb within the simplex tangent (mass between symbols)
-                kp = [k.copy() for k in kernels]
-                kp[m][i, j] += eps
-                kp[m][i, j + 1] -= eps
-                km = [k.copy() for k in kernels]
-                km[m][i, j] -= eps
-                km[m][i, j + 1] += eps
-                fd = (
-                    ev.lagrangian_value(kp, slopes)[0]
-                    - ev.lagrangian_value(km, slopes)[0]
-                ) / (2 * eps)
-                want = grads[m][i, j] - grads[m][i, j + 1]
-                assert fd == pytest.approx(want, abs=1e-6)
+def random_source_model(rng, L, K, side):
+    """Any joint over (Y0, Y1..YL, side), with no conditional independence,
+    and K random distortion measures; alphabets of size 1 included."""
+    sizes = (2,) + tuple(int(s) for s in rng.integers(1, 4, size=L)) + (side,)
+    joint = JointPmf(tuple(zip(source_names(L), sizes)), rng.dirichlet(np.ones(int(np.prod(sizes)))))
+    reps = tuple(int(s) for s in rng.integers(1, 4, size=K))
+    tables = tuple(rng.uniform(0.0, 1.0, size=sizes + (z,)) for z in reps)
+    return SourceModel(L, K, joint, tables, reps)
 
 
-def test_optimizer_joint_matches_broadcast_loop():
-    inst = casebook("erasure", p=0.5, L=3, D=0.6)
-    ev = _InnerEvaluator(inst.model, [3, 2, 4])
-    kernels = ev.random_kernels(np.random.default_rng(7))
-    n_src = ev.L + 2
+def zeroed_kernels(rng, ev):
+    """Random kernels with exact zeros: an unused column where |U_l| > 1 (so
+    some decoder profiles carry no mass) and scattered zero entries."""
+    kernels = ev.random_kernels(rng)
+    for ker in kernels:
+        if ker.shape[1] > 1:
+            ker[:, rng.integers(ker.shape[1])] = 0.0
+            ker[rng.random(ker.shape) < 0.2] = 0.0
+        for row in ker:
+            if row.sum() == 0.0:
+                row[rng.integers(ker.shape[1])] = 1.0
+        ker /= ker.sum(axis=1, keepdims=True)
+    return kernels
 
-    def looped(skip):
-        # Reference: one broadcast product per kept encoder, U axes appended
-        # after the sources in encoder order.
-        kept = [l for l in range(ev.L) if l != skip]
-        p = ev.src.reshape(ev.src.shape + (1,) * len(kept))
-        for pos, l in enumerate(kept):
-            shape = [1] * (n_src + len(kept))
-            shape[1 + l] = kernels[l].shape[0]
-            shape[n_src + pos] = kernels[l].shape[1]
-            p = p * kernels[l].reshape(shape)
+
+class DenseInnerEvaluator:
+    """The optimizer's former evaluation, kept as a test-only oracle.
+
+    It builds the dense joint over (y0, y1..yL, side, u1..uL) for every
+    evaluation, per-k cost tables over (u1..uL, side, z) by einsum, and one
+    leave-one-out joint per encoder for the gradient.
+    """
+
+    def __init__(self, model, cards):
+        self.model, self.L, self.cards = model, model.L, tuple(cards)
+        self.src = model.joint.table
+        letters = "abcdefghijklmnop"
+        n_src = self.L + 2
+        self.src_letters = letters[:n_src]
+        self.u_letters = letters[n_src : n_src + self.L]
+        self.side = self.src_letters[-1]
+        self.cost_spec = (
+            f"{self.src_letters}{self.u_letters},{self.src_letters}z->{self.u_letters}{self.side}z"
+        )
+
+    def joint(self, kernels, skip=None):
+        p = self.src
+        for l, ker in enumerate(kernels):
+            if l != skip:
+                p = p[..., None] * ker.reshape(
+                    (1,) * (1 + l) + ker.shape[:1] + (1,) * (p.ndim - 2 - l) + ker.shape[1:]
+                )
         return p
 
-    for skip in (None, 0, 1, 2):
-        assert np.array_equal(ev._joint(kernels, skip=skip), looped(skip))
+    def rate(self, p):
+        q = p.sum(axis=0)
+        obs = tuple(range(self.L))
+        us = tuple(range(self.L + 1, 2 * self.L + 1))
+        return (
+            _sum_plogp(q.sum(axis=us)) + _sum_plogp(q.sum(axis=obs))
+            - _sum_plogp(q) - _sum_plogp(q.sum(axis=obs + us))
+        )
+
+    def costs(self, p):
+        return [np.einsum(self.cost_spec, p, d) for d in self.model.distortions]
+
+    def evaluate(self, kernels):
+        p = self.joint(kernels)
+        return self.rate(p), tuple(float(c.min(axis=-1).sum()) for c in self.costs(p))
+
+    def lagrangian_grad(self, kernels, slopes):
+        p = self.joint(kernels)
+        costs = self.costs(p)
+        rate, dists = self.evaluate(kernels)
+        value = rate + float(np.dot(slopes, dists))
+        smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
+        argmins = []
+        for c_true, c_smooth in zip(costs, self.costs(self.joint(smoothed))):
+            dead = c_true.max(axis=-1) == 0.0
+            argmins.append(np.where(dead, c_smooth.argmin(axis=-1), c_true.argmin(axis=-1)))
+        p_u_side = p.sum(axis=tuple(range(self.L + 1)))
+        ln_p1 = np.log(np.maximum(p_u_side, 1e-300)) + 1.0
+        p_side = p_u_side.reshape(p_u_side.shape[0], -1).sum(axis=1)
+        ln_ps1 = np.log(np.maximum(p_side, 1e-300)) + 1.0
+        grads = []
+        for m in range(self.L):
+            u_m = self.u_letters[m]
+            u_rest = "".join(self.u_letters[l] for l in range(self.L) if l != m)
+            y_m = self.src_letters[1 + m]
+            p_wo = self.joint(kernels, skip=m)
+            swo = self.src_letters + u_rest
+            d_cross = np.einsum(f"{swo},{self.side}{self.u_letters}->{y_m}{u_m}", p_wo, ln_p1)
+            d_side = np.einsum(f"{swo},{self.side}->{y_m}", p_wo, ln_ps1)
+            p_ym = np.einsum(f"{swo}->{y_m}", p_wo)
+            ln_k1 = np.log(np.maximum(kernels[m], 1e-300)) + 1.0
+            coeff = -d_cross + d_side[:, None] + p_ym[:, None] * ln_k1
+            for k, d in enumerate(self.model.distortions):
+                cost_wo = np.einsum(
+                    f"{swo},{self.src_letters}z->{y_m}{u_rest}{self.side}z", p_wo, d
+                )
+                zz = np.moveaxis(argmins[k], m, 0)
+                picked = np.take_along_axis(
+                    cost_wo[None, ...], zz[(slice(None), None) + (Ellipsis, None)], axis=-1
+                )[..., 0]
+                coeff = coeff + slopes[k] * picked.sum(axis=tuple(range(2, self.L + 2))).T
+            grads.append(coeff)
+        return value, grads, rate, dists
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2])
+def test_optimizer_matches_the_dense_evaluator(L, K):
+    rng = np.random.default_rng(900 + 10 * L + K)
+    dead_seen = False
+    for trial in range(4):
+        model = random_source_model(rng, L, K, side=int(rng.integers(2, 4)))
+        cards = [1 + (l + trial) % 3 for l in range(L)]  # |U_l| of 1, 2 and 3
+        ev = _InnerEvaluator(model, cards)
+        dense = DenseInnerEvaluator(model, cards)
+        slopes = rng.uniform(0.5, 5.0, size=K)
+        for kernels in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
+            rate, dists = ev.evaluate(kernels)
+            want_rate, want_dists = dense.evaluate(kernels)
+            assert rate == pytest.approx(want_rate, abs=1e-12)
+            assert dists == pytest.approx(want_dists, abs=1e-12)
+            value, grads, g_rate, g_dists = ev.lagrangian_grad(kernels, slopes)
+            want = dense.lagrangian_grad(kernels, slopes)
+            assert (value, g_rate) == pytest.approx((want[0], want[2]), abs=1e-12)
+            assert g_dists == pytest.approx(want[3], abs=1e-12)
+            for got, exp in zip(grads, want[1]):
+                np.testing.assert_allclose(got, exp, rtol=1e-12, atol=1e-12)
+            costs = dense.costs(dense.joint(kernels))  # axes (u..., side, z)
+            dead_seen |= any(bool((c.max(axis=-1) == 0.0).any()) for c in costs)
+            choices = [c.argmin(axis=-1) for c in costs]
+            rows = ev.bayes_decoder(kernels).rows
+            for flat, row in enumerate(rows):
+                idx = np.unravel_index(flat, tuple(cards) + (model.joint.shape[-1],))
+                zs = [int(c[idx]) for c in choices]
+                assert row[np.ravel_multi_index(zs, model.reproduction_sizes)] == 1.0
+    assert dead_seen  # the smoothed pass for zero-mass profiles was exercised
+
+
+def test_optimizer_gradient_matches_finite_differences():
+    erasure = casebook("erasure", p=0.5, L=2, D=0.6).model
+    two_measures = random_source_model(np.random.default_rng(3), 3, 2, side=2)
+    for model in (erasure, two_measures):
+        rng = np.random.default_rng(0)
+        ev = _InnerEvaluator(model, [3] * model.L)
+        kernels = [rng.dirichlet(np.ones(3), n) * 0.8 + 0.2 / 3 for n in ev.y_sizes]
+        kernels = [k / k.sum(axis=1, keepdims=True) for k in kernels]
+        slopes = np.linspace(1.3, 2.1, model.K)
+        _, grads, _, _ = ev.lagrangian_grad(kernels, slopes)
+        eps = 1e-7
+        for m in range(model.L):
+            for i in range(ev.y_sizes[m]):
+                for j in range(2):
+                    # perturb within the simplex tangent (mass between symbols)
+                    kp = [k.copy() for k in kernels]
+                    kp[m][i, j] += eps
+                    kp[m][i, j + 1] -= eps
+                    km = [k.copy() for k in kernels]
+                    km[m][i, j] -= eps
+                    km[m][i, j + 1] += eps
+                    fd = (
+                        ev.lagrangian_value(kp, slopes)[0]
+                        - ev.lagrangian_value(km, slopes)[0]
+                    ) / (2 * eps)
+                    want = grads[m][i, j] - grads[m][i, j + 1]
+                    assert fd == pytest.approx(want, abs=1e-6)
 
 
 def test_optimizer_reaches_erasure_target_quickly():
@@ -595,7 +732,7 @@ def test_optimizer_deterministic_given_seed():
         assert np.array_equal(k1.rows, k2.rows)
 
 
-@pytest.mark.parametrize("L, budget", [(2, 1500), (3, 800)])
+@pytest.mark.parametrize("L, budget", [(2, 1500), (3, 800), (4, 800), (5, 600), (6, 400)])
 def test_optimizer_never_beats_the_erasure_closed_form(L, budget):
     inst = casebook("erasure", p=0.5, L=L, D=0.6)
     res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * L, budget=budget, seed=L)
