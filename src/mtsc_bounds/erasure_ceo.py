@@ -26,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import build_full_joint, casebook, expected_distortions
-from .prob import EntropyOracle, _binary_entropies
+from .model import casebook
+from .prob import _binary_entropies
+from .regions import bt_outer_constraints
 
 
 @dataclass(frozen=True)
@@ -314,15 +315,12 @@ def erasure_bt_counterexample() -> ErasureCounterexample:
 
     Computes I(Y1,Y2; U1,U2), I(Y1,Y2; U1 | U2), and the erasure rate
     Pr(Z = 0) = 3/5, and checks the sum-rate corollary
-    2 * i_cond < optimal sum rate at D = 3/5.
+    2 * i_cond < optimal sum rate at D = 3/5.  With T and side information
+    trivial, the informations are the Berger-Tung outer bounds of {1, 2}, {1}.
     """
     instance = casebook("appendix_c")
-    joint = build_full_joint(instance.model, instance.gamma)
-    ys = ("Y1", "Y2")
-    oracle = EntropyOracle(joint, ys + ("U1", "U2"))
-    i_joint = oracle.cmi(ys, ("U1", "U2"))
-    i_cond = oracle.cmi(ys, ("U1",), ("U2",))
-    distortion = expected_distortions(instance.model, instance.gamma, joint)[0]
+    bounds = bt_outer_constraints(instance.model, instance.gamma)
+    i_joint, i_cond, distortion = bounds.full_set, bounds.bound([1]), bounds.distortions[0]
     optimal = erasure_sum_rate(ErasureParams(0.5, 2, distortion))
     if not 2.0 * i_cond < optimal:
         raise AssertionError(

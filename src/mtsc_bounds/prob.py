@@ -66,8 +66,19 @@ class JointPmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", _as_variables(self.variables))
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        self._init(self.variables, self.probs, copy=True)
+
+    @classmethod
+    def _owning(cls, variables, probs: np.ndarray) -> "JointPmf":
+        """A validated pmf that adopts ``probs`` uncopied: an array nothing
+        else holds, or a view of one that is already read-only."""
+        pmf = object.__new__(cls)
+        pmf._init(variables, probs, copy=False)
+        return pmf
+
+    def _init(self, variables, probs, copy: bool) -> None:
+        object.__setattr__(self, "variables", _as_variables(variables))
+        probs = np.asarray(probs, dtype=float).reshape(-1)
         expected = int(np.prod([s for _, s in self.variables], dtype=np.int64))
         if probs.size != expected:
             raise InvalidDistributionError(
@@ -85,7 +96,8 @@ class JointPmf:
             raise InvalidDistributionError(
                 f"probs sums to {total!r}, violating |sum-1| <= {NORMALIZATION_TOL}"
             )
-        probs = probs.copy()
+        if copy:
+            probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -125,7 +137,8 @@ class JointPmf:
         """Sum out every variable not in ``keep`` (original order preserved)."""
         names, table = self._summed(keep)
         variables = tuple(v for v in self.variables if v[0] in names)
-        return JointPmf(variables, table.reshape(-1))
+        # ``table`` is a fresh sum or a view of the read-only ``self.table``.
+        return JointPmf._owning(variables, table)
 
     def _summed(self, keep: Iterable[Name]) -> tuple[tuple[Name, ...], np.ndarray]:
         """Names and table of the marginal on ``keep``, not validated again."""
@@ -153,7 +166,7 @@ class JointPmf:
                 )
         in_axes = self._axes_of(name for name, _ in channel.inputs)
         new_table = _times_kernel(self.table, in_axes, channel.rows)
-        return JointPmf(self.variables + (channel.output,), new_table.reshape(-1))
+        return JointPmf._owning(self.variables + (channel.output,), new_table)
 
     def product(self, other: "JointPmf") -> "JointPmf":
         """Independent product of two joints over disjoint variable sets."""
@@ -161,16 +174,16 @@ class JointPmf:
         if overlap:
             raise VariableError(f"variables {sorted(overlap)} present on both sides")
         table = np.multiply.outer(self.table, other.table)
-        return JointPmf(self.variables + other.variables, table.reshape(-1))
+        return JointPmf._owning(self.variables + other.variables, table)
 
     def reordered(self, order: Sequence[Name]) -> "JointPmf":
         """Same distribution with variables permuted into ``order``."""
         if sorted(order) != sorted(self.names):
             raise VariableError(f"order {order} is not a permutation of {self.names}")
         axes = self._axes_of(order)
-        table = np.transpose(self.table, axes)
+        table = np.transpose(self.table, axes)  # flattening copies unless axes is the identity
         variables = tuple(self.variables[a] for a in axes)
-        return JointPmf(variables, table.reshape(-1))
+        return JointPmf._owning(variables, table)
 
     # -- serialization -----------------------------------------------------
 
@@ -378,6 +391,11 @@ class EntropyOracle:
             table = self._tables[s] = _sum_out(names, self._tables[have], s)[1]
             bisect.insort(self._by_size, (table.size, s), key=lambda t: t[0])
         return table
+
+    def marginal(self, names: Sequence[Name]) -> np.ndarray:
+        """The marginal on ``names``, axes in that order: a view of a cached table."""
+        have = [n for n in self._order if n in names]
+        return self._table(frozenset(names)).transpose([have.index(n) for n in names])
 
     def h(self, names: Iterable[Name]) -> float:
         """H(S) in nats; 0 for the empty set."""

@@ -32,10 +32,6 @@ from .prob import Channel, EntropyOracle, JointPmf, _lattice_entropies, _sum_plo
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 
 
-def _mask_members(mask: int, L: int) -> tuple[int, ...]:
-    return tuple(l for l in range(1, L + 1) if mask & (1 << (l - 1)))
-
-
 def _mask_of(members: Iterable[int]) -> int:
     mask = 0
     for l in members:
@@ -133,13 +129,11 @@ def bt_inner_constraints(
     """Berger-Tung inner-bound constraints of a system in the inner class.
 
     bound(A) = I(Y_A; U_A | U_{A^c}, side info, T).  The system must pass the
-    inner-class Markov check (W trivial or folded into T).
+    inner-class Markov check (W trivial or folded into T).  It is computed as
+    I(Y; U_A | U_{A^c}, side, T), which exceeds it by at most the check's
+    summed encoder residuals: by 0 when the encoder chains hold exactly.
     """
-    joint = build_full_joint(model, gamma)
-    gamma_class_residuals(joint, model.L, "bt_inner", tolerance).require(
-        "gamma (Berger-Tung inner class)"
-    )
-    return _subset_constraints(model, gamma, joint, kind="bt_inner")
+    return _evaluate(model, gamma, None, "bt_inner", "gamma (Berger-Tung inner class)", tolerance)
 
 
 def bt_outer_constraints(
@@ -147,11 +141,7 @@ def bt_outer_constraints(
 ) -> RegionConstraints:
     """Berger-Tung outer-bound constraints: bound(A) = I(Y; U_A | U_{A^c}, side, T)
     with the full observation vector Y on the left."""
-    joint = build_full_joint(model, gamma)
-    gamma_class_residuals(joint, model.L, "bt_outer", tolerance).require(
-        "gamma (Berger-Tung outer class)"
-    )
-    return _subset_constraints(model, gamma, joint, kind="bt_outer")
+    return _evaluate(model, gamma, None, "bt_outer", "gamma (Berger-Tung outer class)", tolerance)
 
 
 def new_outer_constraints(
@@ -168,51 +158,53 @@ def new_outer_constraints(
     system only through the sources.
     """
     check_chi(model, x, tolerance).require("x (conditional-independence class)")
-    joint = build_full_joint(model, gamma, x)
-    gamma_class_residuals(joint, model.L, "outer", tolerance).require("gamma (outer class)")
-    return _subset_constraints(model, gamma, joint, kind="new_outer")
+    return _evaluate(model, gamma, x, "outer", "gamma (outer class)", tolerance)
 
 
-def _subset_constraints(model, gamma, joint, kind) -> RegionConstraints:
+def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
+    """The one evaluator body: build the joint, require Markov class ``cls``
+    (named ``what`` in the error) and, with S = (side, T), assemble
+
+        bound(A) = H(U_A | U_{A^c}, S) - H(U_A | V, U_{A^c}, S) + sum_{l in A} own_l.
+
+    With ``x``, V = X and own_l = I(Y_l; U_l | X, side, W, T); without, V = Y,
+    all observations, and own_l = 0.  The entropies come from one lattice
+    walk over a table with axes (U_1..U_L, V, S).
+    """
     L = model.L
-    side = f"Y{L + 1}"
-    us = encoder_names(L)
-    ys = tuple(f"Y{l}" for l in range(1, L + 1))
-    if kind == "new_outer":
-        oracle = EntropyOracle(joint, ys + us + ("X", side, "W", "T"))
-        # I(Y_l; U_l | X, side, W, T) does not depend on the subset.
-        own = [
-            oracle.cmi([f"Y{l}"], [f"U{l}"], ["X", side, "W", "T"]) for l in range(1, L + 1)
-        ]
-    else:
-        oracle = EntropyOracle(joint, ys + us + (side, "T"))
-    bounds: dict[int, float] = {}
-    for mask in range(1, 1 << L):
-        members = _mask_members(mask, L)
-        u_a = [f"U{l}" for l in members]
-        u_ac = [u for u in us if u not in u_a]
-        cond = u_ac + [side, "T"]
-        if kind == "bt_inner":
-            left = [f"Y{l}" for l in members]
-            value = oracle.cmi(left, u_a, cond)
-        elif kind == "bt_outer":
-            value = oracle.cmi(ys, u_a, cond)
-        else:  # new_outer
-            value = oracle.cmi(["X"], u_a, cond)
-            for l in members:
-                value += own[l - 1]
-        bounds[mask] = value
+    joint = build_full_joint(model, gamma, x)
+    gamma_class_residuals(joint, L, cls, tolerance).require(what)
+    us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
+    v, own_given = (ys, ()) if x is None else (("X",), ("X", "W"))
+    oracle = EntropyOracle(joint, ys + us + s + v + own_given)
+    # C-contiguous, U axes first, V and S one axis each: L + 2 axes to walk.
+    # On a transposed view the walk is several times slower.
+    table = np.ascontiguousarray(oracle.marginal(us + v + s))
+    table = table.reshape(table.shape[:L] + (-1, table.shape[-2] * table.shape[-1]))
+    h = _lattice_entropies(table)
+    v_bit, s_bit = 1 << L, 1 << (L + 1)
+    bounds = _conditional_entropies(h, L, s_bit) - _conditional_entropies(h, L, v_bit | s_bit)
+    if own_given:
+        own = [oracle.cmi([y], [u], own_given + s) for y, u in zip(ys, us)]
+        members = (np.arange(1, 1 << L)[:, None] >> np.arange(L)) & 1
+        bounds += members @ np.array(own)
     distortions = expected_distortions(model, gamma, joint)
-    return RegionConstraints(L, model.K, bounds, distortions)
+    return RegionConstraints(L, model.K, dict(enumerate(bounds.tolist(), start=1)), distortions)
+
+
+def _conditional_entropies(h: np.ndarray, L: int, c: int) -> np.ndarray:
+    """H(axes A | the rest of the first L axes, the axes in c) for every mask
+    A = 1..2^L - 1, from the lattice entropies ``h`` of a table."""
+    full = (1 << L) - 1
+    return h[full | c] - h[(full ^ np.arange(1, 1 << L)) | c]
 
 
 def slepian_wolf_bounds(model: SourceModel) -> RegionConstraints:
     """Lossless bounds H(Y_A | Y_{A^c}) for every nonempty A (no side information)."""
     L = model.L
-    full = (1 << L) - 1
     # Axis l-1 of the table is Y_l, so h[mask] = H(Y_mask) in the mask encoding.
     h = _lattice_entropies(model.joint._summed(f"Y{l}" for l in range(1, L + 1))[1])
-    bounds = {mask: h[full] - h[full ^ mask] for mask in range(1, 1 << L)}
+    bounds = dict(enumerate(_conditional_entropies(h, L, 0).tolist(), start=1))
     return RegionConstraints(L, model.K, bounds, (0.0,) * model.K)
 
 

@@ -1,8 +1,9 @@
 """Smoke test: the benchmark's own output checks pass on the current code.
 
-Runs every operation of the ``closed_forms`` and ``bounds_wide`` workloads
-once and applies each operation's independent check and its comparison with
-``perfbench/reference.json``, as ``perfbench/run.py`` does per operation.
+Runs every operation of the ``closed_forms``, ``bounds_wide`` and
+``bounds_large`` workloads once and applies each operation's independent
+check and its comparison with ``perfbench/reference.json``, as
+``perfbench/run.py`` does per operation.
 The ``optimize`` workload's one-thread operations run once as well, and must
 land in their closed-form window.
 Only ``perfbench/workloads.py`` is imported: ``run.py`` rewrites
@@ -32,7 +33,7 @@ def _workloads():
     return sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", ["closed_forms", "bounds_wide"])
+@pytest.mark.parametrize("workload", ["closed_forms", "bounds_wide", "bounds_large"])
 def test_benchmark_checks_pass(workload, tmp_path):
     workloads = _workloads()
     reference = json.loads((PERFBENCH / "reference.json").read_text())

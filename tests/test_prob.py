@@ -66,6 +66,38 @@ def test_probs_are_immutable():
         joint.probs[0] = 0.3
 
 
+def test_constructor_copies_and_every_derived_pmf_is_read_only():
+    arr = np.array([0.1, 0.2, 0.3, 0.4])
+    joint = JointPmf((("A", 2), ("B", 2)), arr)
+    arr[:] = 0.25
+    np.testing.assert_array_equal(joint.probs, [0.1, 0.2, 0.3, 0.4])
+    derived = [
+        joint.extend(Channel((("B", 2),), ("C", 3), np.full((2, 3), 1 / 3))),
+        joint.product(uniform_bit("D")),
+        joint.marginalize(("A",)),
+        joint.marginalize(("A", "B")),  # nothing summed: a view of joint.probs
+        joint.reordered(("B", "A")),
+        joint.reordered(("A", "B")),  # identity order: a view as well
+    ]
+    for pmf in derived:
+        assert not pmf.probs.flags.writeable
+        with pytest.raises(ValueError):
+            pmf.probs[0] = 0.5
+    np.testing.assert_array_equal(joint.probs, [0.1, 0.2, 0.3, 0.4])
+
+
+def test_derived_pmfs_are_validated():
+    # The adopting path skips only the copy, not a check.
+    half = uniform_bit("A").probs
+    for probs in ([0.6, 0.5], [1.5, -0.5], [math.nan, 1.0]):
+        with pytest.raises(InvalidDistributionError):
+            JointPmf._owning((("A", 2),), np.array(probs))
+    with pytest.raises(InvalidDistributionError):
+        JointPmf._owning((("A", 3),), half)
+    with pytest.raises(VariableError):
+        JointPmf._owning((("A", 1), ("A", 2)), half)
+
+
 # ---------------------------------------------------------------------------
 # extend / marginalize / product
 # ---------------------------------------------------------------------------

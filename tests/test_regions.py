@@ -29,11 +29,13 @@ from mtsc_bounds import (
     bt_outer_constraints,
     build_full_joint,
     casebook,
+    check_gamma_class,
     check_supermodular,
     conditional_mutual_information,
     contrapolymatroid_vertex,
     entropy,
     erasure_sum_rate,
+    expected_distortions,
     new_outer_constraints,
     optimize_bt_inner_sum_rate,
     slepian_wolf_bounds,
@@ -236,6 +238,158 @@ def test_new_outer_can_exceed_bt_outer_for_other_x():
             found = True
             break
     assert found
+
+
+# ---------------------------------------------------------------------------
+# The lattice evaluator body against the per-mask loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_mask_constraints(kind, model, gamma, x=None):
+    """The evaluators' former subset loop, kept as a test-only oracle: one
+    memoized CMI per mask on the dense joint, with I(Y_A; U_A | U_{A^c},
+    side, T) for bt_inner, no Markov check and no clamping."""
+    L = model.L
+    joint = build_full_joint(model, gamma, x)
+    side = f"Y{L + 1}"
+    us = [f"U{l}" for l in range(1, L + 1)]
+    ys = [f"Y{l}" for l in range(1, L + 1)]
+    if kind == "new_outer":
+        oracle = EntropyOracle(joint, ys + us + ["X", side, "W", "T"])
+        own = [oracle.cmi([y], [u], ["X", side, "W", "T"]) for y, u in zip(ys, us)]
+    else:
+        oracle = EntropyOracle(joint, ys + us + [side, "T"])
+    bounds = {}
+    for mask in range(1, 1 << L):
+        members = [l for l in range(L) if mask >> l & 1]
+        u_a = [us[l] for l in members]
+        cond = [u for u in us if u not in u_a] + [side, "T"]
+        if kind == "bt_inner":
+            value = oracle.cmi([ys[l] for l in members], u_a, cond)
+        elif kind == "bt_outer":
+            value = oracle.cmi(ys, u_a, cond)
+        else:
+            value = oracle.cmi(["X"], u_a, cond)
+            for l in members:
+                value += own[l]
+        bounds[mask] = value
+    return bounds, expected_distortions(model, gamma, joint)
+
+
+def assert_matches_per_mask(kind, model, gamma, x=None, atol=1e-12):
+    if kind == "new_outer":
+        got = new_outer_constraints(model, x, gamma)
+    else:
+        got = {"bt_inner": bt_inner_constraints, "bt_outer": bt_outer_constraints}[kind](
+            model, gamma
+        )
+    bounds, distortions = per_mask_constraints(kind, model, gamma, x)
+    for mask, want in bounds.items():
+        assert got.subset_bounds[mask] == pytest.approx(max(0.0, want), abs=atol), (kind, mask)
+    assert got.distortions == pytest.approx(distortions, abs=1e-12)
+
+
+def random_admissible_model(rng, L, K, side):
+    """Observations conditionally independent given (Y0, side), so X = Y0 is
+    admissible; observation alphabets of 1 to 3 symbols, K random measures."""
+    base = (("Y0", 2), (f"Y{L + 1}", side))
+    joint = JointPmf(base, rng.dirichlet(np.ones(2 * side)))
+    for l in range(1, L + 1):
+        n_y = int(rng.integers(1, 4))
+        joint = joint.extend(Channel(base, (f"Y{l}", n_y), rng.dirichlet(np.ones(n_y), 2 * side)))
+    joint = joint.reordered(source_names(L))
+    reps = tuple(int(z) for z in rng.integers(1, 4, size=K))
+    tables = tuple(rng.uniform(0.0, 1.0, size=joint.shape + (z,)) for z in reps)
+    return SourceModel(L, K, joint, tables, reps)
+
+
+def random_system(rng, model, w_size, t_size, u_sizes, w_blind):
+    """Random kernels with |U_l| = u_sizes[l-1].  With ``w_blind`` the
+    encoders ignore W, which puts the system in the Berger-Tung inner class."""
+    L = model.L
+    wt = JointPmf((("W", w_size), ("T", t_size)), rng.dirichlet(np.ones(w_size * t_size)))
+    encoders = []
+    for l, n_u in enumerate(u_sizes, start=1):
+        n_y = model.observation_size(l)
+        rows = rng.dirichlet(np.ones(n_u), size=(n_y, 1 if w_blind else w_size, t_size))
+        rows = np.broadcast_to(rows, (n_y, w_size, t_size, n_u)).reshape(-1, n_u)
+        encoders.append(
+            Channel(((f"Y{l}", n_y), ("W", w_size), ("T", t_size)), (f"U{l}", n_u), rows)
+        )
+    side = model.joint.size_of(f"Y{L + 1}")
+    inputs = tuple((f"U{l}", n) for l, n in enumerate(u_sizes, start=1))
+    inputs += ((f"Y{L + 1}", side), ("T", t_size))
+    rows = rng.dirichlet(np.ones(model.z_size), size=int(np.prod(u_sizes)) * side * t_size)
+    return AuxSystem(wt, tuple(encoders), Channel(inputs, ("Z", model.z_size), rows))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2])
+def test_lattice_evaluators_match_the_per_mask_loop(L, K):
+    rng = np.random.default_rng(1100 + 10 * L + K)
+    inner_runs = 0
+    for trial in range(8):
+        w_size, t_size, side = (1 + (trial >> bit & 1) for bit in range(3))
+        model = random_admissible_model(rng, L, K, side)
+        u_sizes = [1 + (l + trial) % 3 for l in range(L)]  # descriptions of 1 to 3 symbols
+        gamma = random_system(rng, model, w_size, t_size, u_sizes, w_blind=trial % 4 < 2)
+        assert_matches_per_mask("bt_outer", model, gamma)
+        x = x_channel_from_sources(model, ("Y0",))
+        assert_matches_per_mask("new_outer", model, gamma, x)
+        if check_gamma_class(model, gamma, "bt_inner").passed:
+            assert_matches_per_mask("bt_inner", model, gamma)
+            inner_runs += 1
+    assert inner_runs >= 6  # every W-blind system and every system with |W| = 1
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, kinds",
+    [
+        ("toy", {}, ("bt_outer", "new_outer")),
+        ("toy_bt_gamma", {}, ("bt_inner", "bt_outer", "new_outer")),
+        ("appendix_c", {}, ("bt_outer", "new_outer")),
+    ]
+    + [
+        ("erasure", {"p": 0.5, "L": L, "D": 0.6}, ("bt_inner", "bt_outer", "new_outer"))
+        for L in range(1, 6)
+    ],
+)
+def test_lattice_evaluators_match_the_per_mask_loop_on_the_casebook(name, kwargs, kinds):
+    inst = casebook(name, **kwargs)
+    for kind in kinds:
+        assert_matches_per_mask(kind, inst.model, inst.gamma, inst.x)
+
+
+def w_leaning_erasure_system(eps):
+    """The erasure system at L = 2, D = 0.6, with a uniform binary W that
+    moves each encoder's erasure probability by +-eps: in the inner class
+    only up to residuals of order eps^4."""
+    inst = casebook("erasure", p=0.5, L=2, D=0.6)
+    q = (0.6**0.5 - 0.5) / 0.5
+    rows = np.zeros((3, 2, 3))  # axes y, w, u
+    rows[1, :, 1] = 1.0
+    for w, e in enumerate((eps, -eps)):
+        rows[0, w] = [1 - q - e, q + e, 0.0]
+        rows[2, w] = [0.0, q + e, 1 - q - e]
+    encoders = tuple(
+        Channel(((f"Y{l}", 3), ("W", 2), ("T", 1)), (f"U{l}", 3), rows.reshape(-1, 3))
+        for l in (1, 2)
+    )
+    wt = JointPmf((("W", 2), ("T", 1)), np.array([0.5, 0.5]))
+    return inst.model, AuxSystem(wt, encoders, inst.gamma.decoder_kernel)
+
+
+def test_bt_inner_identity_holds_within_the_encoder_residuals():
+    # bt_inner evaluates I(Y; U_A | ...) for I(Y_A; U_A | ...); the two
+    # differ by at most the summed encoder residuals of the inner check.
+    model, gamma = w_leaning_erasure_system(1e-3)
+    report = check_gamma_class(model, gamma, "bt_inner")
+    assert report.passed and report.worst > 0.0
+    slack = sum(v for name, v in report.residuals if name.startswith("encoder_"))
+    got = bt_inner_constraints(model, gamma).subset_bounds
+    want, _ = per_mask_constraints("bt_inner", model, gamma)
+    for mask in want:
+        assert -1e-15 <= got[mask] - want[mask] <= slack
 
 
 # ---------------------------------------------------------------------------
