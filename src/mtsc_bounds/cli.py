@@ -340,13 +340,8 @@ def _repro_appendix_e(lines) -> bool:
         ce.classical_outer_sum_rate <= target - 0.04,
     )
     ok &= _check(lines, "MMSE distortion", ce.distortion, 0.5, abs(ce.distortion - 0.5) <= 1e-12)
-    ok &= _check(
-        lines,
-        "min sum rate at D=1/2",
-        gaussian_min_sum_rate(GaussianParams(1.0, (1.0, 1.0)), 0.5),
-        target,
-        abs(gaussian_min_sum_rate(GaussianParams(1.0, (1.0, 1.0)), 0.5) - target) <= 1e-9,
-    )
+    rate = gaussian_min_sum_rate(GaussianParams(1.0, (1.0, 1.0)), 0.5)
+    ok &= _check(lines, "min sum rate at D=1/2", rate, target, abs(rate - target) <= 1e-9)
     return ok
 
 

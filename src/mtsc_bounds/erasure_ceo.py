@@ -154,7 +154,8 @@ def noise_info_minimum(params: ErasureParams, restarts: int = 64, iters: int = 5
     to (s_+ + s_-)/2 <= D (the symmetric reduction of the per-encoder
     program, stated in the exponentiated variables s_± = e^{L Δ_±} where the
     distortion constraint is linear).  Solved by projected gradient descent
-    with backtracking from ``restarts`` random feasible starts.
+    with backtracking from ``restarts`` feasible starts: the symmetric point
+    (D, D), where g(D^{1/L}) is attained, and random ones.
     """
     p, L, D = params.p, params.L, params.D
     lo, cap = p**L, 2.0 * D
@@ -168,6 +169,7 @@ def noise_info_minimum(params: ErasureParams, restarts: int = 64, iters: int = 5
 
     s = rng.uniform(lo, 1.0, size=(restarts, 2))
     s = _project_feasible(s, lo, cap)
+    s[0] = D
     step = np.full(restarts, 0.25)
     f = objective(s)
     checkpoint = f.min()

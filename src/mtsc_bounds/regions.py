@@ -353,6 +353,19 @@ class OptimizeResult:
 _MAX_OPTIMIZE_L = 7  # set by the dense bt_inner_constraints check; see __init__
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One evaluated kernel set: its forward pass and what the search reads."""
+
+    kernels: list[np.ndarray]
+    q: np.ndarray  # forward result over (side, c, u1..uL flattened)
+    lefts: list[np.ndarray]  # left factor of every forward step
+    costs: list[np.ndarray]  # per-k decoder cost tables over (side, z_k, u)
+    rate: float
+    dists: tuple[float, ...]
+    value: float  # rate + slopes . dists
+
+
 class _InnerEvaluator:
     """Sum-rate / distortion evaluation for encoder kernels on the simplex.
 
@@ -442,8 +455,10 @@ class _InnerEvaluator:
             b = left.T @ ker
         return b.reshape(len(self.ln_ps1), self.table.shape[-1], -1), lefts
 
-    def _pass(self, kernels):
-        """Forward pass, rate and the per-k decoder cost tables over (side, z_k, u).
+    def point(self, kernels, slopes) -> _Point:
+        """One forward pass at these kernels: rate, per-k Bayes distortions
+        and rate + slopes . dists, with the pass kept for the gradient and
+        the decoder.
 
         The rate is I(Y; U | side) = H(U, side) - H(side) - sum_l H(U_l | Y_l),
         because the encoders act on disjoint observations.
@@ -455,31 +470,21 @@ class _InnerEvaluator:
         rate = _sum_plogp(q[:, 0]) - self.h_side - own
         costs = [q[:, ch] for ch in self.channels]
         dists = tuple(float(c.min(axis=1).sum()) for c in costs)
-        return q, lefts, costs, rate, dists
+        return _Point(kernels, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
 
-    def evaluate(self, kernels) -> tuple[float, tuple[float, ...]]:
-        """Return (sum-rate bound, per-k Bayes distortions) for these encoders."""
-        _, _, _, rate, dists = self._pass(kernels)
-        return rate, dists
+    def gradient(self, point: _Point, slopes) -> list[np.ndarray]:
+        """Exact kernel-space gradient of rate + slopes . dists at ``point``.
 
-    def lagrangian_value(self, kernels, slopes):
-        rate, dists = self.evaluate(kernels)
-        return rate + float(np.dot(slopes, dists)), rate, dists
-
-    def lagrangian_grad(self, kernels, slopes):
-        """Value and exact kernel-space gradient of rate + slopes . dists.
-
-        With the Bayes decoder of the current point fixed, the value depends
-        on the kernels through the forward result and through
-        sum_l H(U_l | Y_l).  Its derivative F in the forward result, over
-        (side, c, u), is pulled back through the forward matmuls in reverse
-        order: one matmul per kernel for its gradient and one to step back.
-        The kernel entropies add p(y_l) (ln K_l + 1).  Logarithms are floored
-        so boundary points (exact zeros in kernels) get finite
-        pull-in/push-out coefficients.
+        With the Bayes decoder of the point fixed, the value depends on the
+        kernels through the forward result and through sum_l H(U_l | Y_l).
+        Its derivative F in the forward result, over (side, c, u), is pulled
+        back through the point's forward matmuls in reverse order: one matmul
+        per kernel for its gradient and one to step back.  The kernel
+        entropies add p(y_l) (ln K_l + 1).  Logarithms are floored so
+        boundary points (exact zeros in kernels) get finite pull-in/push-out
+        coefficients.
         """
-        q, lefts, costs, rate, dists = self._pass(kernels)
-        value = rate + float(np.dot(slopes, dists))
+        kernels, q, costs = point.kernels, point.q, point.costs
         # Decoder choices for the gradient are the true Bayes argmins, except
         # on zero-mass decoder profiles, where the argmin is arbitrary and an
         # adversarial pick (large penalties) would wall off every unused
@@ -500,16 +505,15 @@ class _InnerEvaluator:
         g = f.reshape(-1, self.cards[-1])  # d value / d (output of step L)
         for l in range(self.L - 1, -1, -1):
             ln_k1 = np.log(np.maximum(kernels[l], 1e-300)) + 1.0
-            grads[l] = lefts[l] @ g + self.p_y[l][:, None] * ln_k1
+            grads[l] = point.lefts[l] @ g + self.p_y[l][:, None] * ln_k1
             if l:
                 g = (kernels[l] @ g.T).reshape(-1, self.cards[l - 1])
-        return value, grads, rate, dists
+        return grads
 
-    def bayes_decoder(self, kernels) -> Channel:
-        q, _ = self._forward(kernels)
+    def bayes_decoder(self, point: _Point) -> Channel:
         side_size = len(self.ln_ps1)
         choices = [  # axes (side, u1..uL)
-            q[:, ch].argmin(axis=1).reshape((side_size,) + self.cards) for ch in self.channels
+            c.argmin(axis=1).reshape((side_size,) + self.cards) for c in point.costs
         ]
         rep = self.model.reproduction_sizes
 
@@ -525,17 +529,17 @@ class _InnerEvaluator:
         )
         return Channel.deterministic(inputs, ("Z", self.model.z_size), decode)
 
-    def as_aux_system(self, kernels) -> AuxSystem:
+    def as_aux_system(self, point: _Point) -> AuxSystem:
         wt = JointPmf((("W", 1), ("T", 1)), np.array([1.0]))
         encoders = tuple(
             Channel(
                 ((f"Y{l}", self.y_sizes[l - 1]), ("W", 1), ("T", 1)),
                 (f"U{l}", self.cards[l - 1]),
-                kernels[l - 1],
+                point.kernels[l - 1],
             )
             for l in range(1, self.L + 1)
         )
-        return AuxSystem(wt, encoders, self.bayes_decoder(kernels))
+        return AuxSystem(wt, encoders, self.bayes_decoder(point))
 
 
 class _SearchState:
@@ -545,25 +549,21 @@ class _SearchState:
         self.caps = caps
         self.budget = budget
         self.evals = 0
-        self.feasible = False
-        self.sum_rate = float("inf")
-        self.kernels = None
+        self.best: Optional[_Point] = None
 
-    def note(self, rate, dists, kernels):
+    def note(self, point: _Point):
         self.evals += 1
-        if all(d <= c + FEASIBILITY_SLACK for d, c in zip(dists, self.caps)) and (
-            rate < self.sum_rate - 1e-12
+        if all(d <= c + FEASIBILITY_SLACK for d, c in zip(point.dists, self.caps)) and (
+            self.best is None or point.rate < self.best.rate - 1e-12
         ):
-            self.feasible = True
-            self.sum_rate = rate
-            self.kernels = [k.copy() for k in kernels]
+            self.best = point
 
     @property
     def exhausted(self):
         return self.evals >= self.budget
 
 
-def _md_minimize(evaluator, kernels, slopes, state, max_iters=150, tol=1e-12):
+def _md_minimize(evaluator, kernels, slopes, state, max_iters=150, tol=1e-12) -> _Point:
     """Mirror descent (exponentiated gradient) on rate + slopes . dists over
     the product of row simplices: K <- K exp(-t G) renormalized per row.
 
@@ -571,21 +571,23 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters=150, tol=1e-12):
     singularities that defeat Euclidean steps become plain exponential
     factors, row-constant gradient offsets cancel in the normalization, and
     large-penalty pushes drive forbidden symbols to (exactly) zero mass.
-    Every model evaluation reports to ``state``.
+    Every kernel set is evaluated once and reported to ``state``; the
+    gradient reads the accepted point's pass.  Returns the last accepted
+    point.
     """
-    value, grads, rate, dists = evaluator.lagrangian_grad(kernels, slopes)
-    state.note(rate, dists, kernels)
+    point = evaluator.point(kernels, slopes)
+    state.note(point)
     step = 1.0
     for _ in range(max_iters):
         if state.exhausted:
             break
+        grads = evaluator.gradient(point, slopes)
         accepted = False
-        v_cand = value
         for _bt in range(60):
             if state.exhausted:
                 break
             cand = []
-            for k_mat, g_mat in zip(kernels, grads):
+            for k_mat, g_mat in zip(point.kernels, grads):
                 logs = np.clip(-step * g_mat, -700.0, 700.0)
                 nxt = k_mat * np.exp(logs)
                 total = nxt.sum(axis=1, keepdims=True)
@@ -595,27 +597,23 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters=150, tol=1e-12):
                     nxt[bad] = k_mat[bad]
                     total = nxt.sum(axis=1, keepdims=True)
                 cand.append(nxt / total)
-            move = sum(float(np.abs(c - k).sum()) for c, k in zip(cand, kernels))
+            move = sum(float(np.abs(c - k).sum()) for c, k in zip(cand, point.kernels))
             if move <= 1e-15:
                 break
-            v_cand, rate_c, dists_c = evaluator.lagrangian_value(cand, slopes)
-            state.note(rate_c, dists_c, cand)
-            if v_cand <= value - 1e-6 * move:
+            trial = evaluator.point(cand, slopes)
+            state.note(trial)
+            if trial.value <= point.value - 1e-6 * move:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        improvement = value - v_cand
-        kernels, value = cand, v_cand
+        improvement = point.value - trial.value
+        point = trial
         step = min(step * 1.6, 1e8)
-        value, grads, rate, dists = evaluator.lagrangian_grad(kernels, slopes)
-        state.note(rate, dists, kernels)
-        if improvement <= tol * max(1.0, abs(value)):
+        if improvement <= tol * max(1.0, abs(point.value)):
             break
-    _, rate, dists = evaluator.lagrangian_value(kernels, slopes)
-    state.note(rate, dists, kernels)
-    return kernels, dists
+    return point
 
 
 def _slope_search(evaluator, kernels, state, rounds=60, iters=150):
@@ -641,18 +639,14 @@ def _slope_search(evaluator, kernels, state, rounds=60, iters=150):
     slopes = np.full(K, 64.0)
     lo = np.zeros(K)
     hi = np.full(K, np.inf)
-    kernels, dists = _md_minimize(
-        evaluator, soften(kernels), slopes, state, max_iters=iters
-    )
-    anchor = [k.copy() for k in kernels]
+    point = _md_minimize(evaluator, soften(kernels), slopes, state, max_iters=iters)
+    anchor = point.kernels
     for _ in range(rounds):
         if state.exhausted:
             break
-        feasible_now = all(
-            d <= c + FEASIBILITY_SLACK for d, c in zip(dists, state.caps)
-        )
-        if feasible_now:
-            anchor = [k.copy() for k in kernels]
+        dists = point.dists
+        if all(d <= c + FEASIBILITY_SLACK for d, c in zip(dists, state.caps)):
+            anchor = point.kernels
         moved = False
         for k in range(K):
             if dists[k] > state.caps[k] + FEASIBILITY_SLACK:
@@ -673,9 +667,7 @@ def _slope_search(evaluator, kernels, state, rounds=60, iters=150):
                     moved = True
         if not moved or bool(np.any(slopes > 1e14)):
             break
-        kernels, dists = _md_minimize(
-            evaluator, soften(anchor), slopes, state, max_iters=iters // 2
-        )
+        point = _md_minimize(evaluator, soften(anchor), slopes, state, max_iters=iters // 2)
     final = np.where(np.isfinite(hi), hi, slopes)
     _md_minimize(evaluator, soften(anchor), final, state, max_iters=iters)
 
@@ -721,10 +713,8 @@ def optimize_bt_inner_sum_rate(
     total_evals = sum(s.evals for s in states)
     best_idx, best = None, None
     for i, state in enumerate(states):
-        if not state.feasible:
-            continue
-        if best is None or state.sum_rate < best.sum_rate - 1e-12:
-            best_idx, best = i, state
+        if state.best is not None and (best is None or state.best.rate < best.rate - 1e-12):
+            best_idx, best = i, state.best
     if best is None:
         return OptimizeResult(
             feasible=False,
@@ -736,7 +726,7 @@ def optimize_bt_inner_sum_rate(
             restarts=restarts,
             message=f"no system met caps {caps} within budget {budget}",
         )
-    gamma = evaluator.as_aux_system(best.kernels)
+    gamma = evaluator.as_aux_system(best)
     constraints = bt_inner_constraints(model, gamma)
     return OptimizeResult(
         feasible=True,

@@ -162,6 +162,21 @@ def test_converse_program_matches_g():
         assert got == pytest.approx(g_function(D ** (1.0 / L), p), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "p, L, D",
+    [
+        (0.8, 1, 0.8010050251256282),
+        (0.9, 1, 0.9005025125628141),
+        (0.95, 1, 0.9979166666666667),
+        (0.99, 1, 0.9988442211055276),
+    ],
+)
+def test_converse_program_attains_g_where_random_starts_fall_short(p, L, D):
+    # Random starts alone stop up to 7e-4 nats above g at these points.
+    got = noise_info_minimum(ErasureParams(p, L, D))
+    assert got == pytest.approx(g_function(D ** (1.0 / L), p), abs=1e-9)
+
+
 def test_converse_program_trivial_at_full_erasure():
     assert noise_info_minimum(ErasureParams(0.5, 2, 1.0)) == pytest.approx(0.0, abs=1e-9)
 

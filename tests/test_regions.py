@@ -806,20 +806,20 @@ def test_optimizer_matches_the_dense_evaluator(L, K):
         dense = DenseInnerEvaluator(model, cards)
         slopes = rng.uniform(0.5, 5.0, size=K)
         for kernels in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
-            rate, dists = ev.evaluate(kernels)
+            point = ev.point(kernels, slopes)
             want_rate, want_dists = dense.evaluate(kernels)
-            assert rate == pytest.approx(want_rate, abs=1e-12)
-            assert dists == pytest.approx(want_dists, abs=1e-12)
-            value, grads, g_rate, g_dists = ev.lagrangian_grad(kernels, slopes)
+            assert point.rate == pytest.approx(want_rate, abs=1e-12)
+            assert point.dists == pytest.approx(want_dists, abs=1e-12)
+            grads = ev.gradient(point, slopes)
             want = dense.lagrangian_grad(kernels, slopes)
-            assert (value, g_rate) == pytest.approx((want[0], want[2]), abs=1e-12)
-            assert g_dists == pytest.approx(want[3], abs=1e-12)
+            assert (point.value, point.rate) == pytest.approx((want[0], want[2]), abs=1e-12)
+            assert point.dists == pytest.approx(want[3], abs=1e-12)
             for got, exp in zip(grads, want[1]):
                 np.testing.assert_allclose(got, exp, rtol=1e-12, atol=1e-12)
             costs = dense.costs(dense.joint(kernels))  # axes (u..., side, z)
             dead_seen |= any(bool((c.max(axis=-1) == 0.0).any()) for c in costs)
             choices = [c.argmin(axis=-1) for c in costs]
-            rows = ev.bayes_decoder(kernels).rows
+            rows = ev.bayes_decoder(point).rows
             for flat, row in enumerate(rows):
                 idx = np.unravel_index(flat, tuple(cards) + (model.joint.shape[-1],))
                 zs = [int(c[idx]) for c in choices]
@@ -836,7 +836,7 @@ def test_optimizer_gradient_matches_finite_differences():
         kernels = [rng.dirichlet(np.ones(3), n) * 0.8 + 0.2 / 3 for n in ev.y_sizes]
         kernels = [k / k.sum(axis=1, keepdims=True) for k in kernels]
         slopes = np.linspace(1.3, 2.1, model.K)
-        _, grads, _, _ = ev.lagrangian_grad(kernels, slopes)
+        grads = ev.gradient(ev.point(kernels, slopes), slopes)
         eps = 1e-7
         for m in range(model.L):
             for i in range(ev.y_sizes[m]):
@@ -848,12 +848,26 @@ def test_optimizer_gradient_matches_finite_differences():
                     km = [k.copy() for k in kernels]
                     km[m][i, j] -= eps
                     km[m][i, j + 1] += eps
-                    fd = (
-                        ev.lagrangian_value(kp, slopes)[0]
-                        - ev.lagrangian_value(km, slopes)[0]
-                    ) / (2 * eps)
+                    fd = (ev.point(kp, slopes).value - ev.point(km, slopes).value) / (2 * eps)
                     want = grads[m][i, j] - grads[m][i, j + 1]
                     assert fd == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("budget", [10_000, 800])
+def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
+    calls = []
+    point = _InnerEvaluator.point
+
+    def counted(self, kernels, slopes):
+        calls.append(None)
+        return point(self, kernels, slopes)
+
+    monkeypatch.setattr(_InnerEvaluator, "point", counted)
+    inst = casebook("erasure", p=0.5, L=2, D=0.6)
+    res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=budget, seed=1)
+    assert res.feasible
+    assert res.evaluations == len(calls)
+    assert res.evaluations <= budget
 
 
 def test_optimizer_reaches_erasure_target_quickly():
