@@ -37,6 +37,7 @@ from .regions import (
     bt_outer_constraints,
     new_outer_constraints,
     optimize_bt_inner_sum_rate,
+    subset_label,
 )
 
 LN2 = math.log(2.0)
@@ -213,7 +214,14 @@ def _cmd_bounds(args) -> int:
         constraints = bt_inner_constraints(model, gamma)
     else:
         constraints = bt_outer_constraints(model, gamma)
-    if args.format == "csv":
+    if args.format == "csv" and args.bits:
+        rows = sorted(constraints.subset_bounds.items())
+        _emit(
+            "subset,bound_bits\n"
+            + "".join(f"{subset_label(mask, constraints.L)},{v / LN2!r}\n" for mask, v in rows),
+            args.out,
+        )
+    elif args.format == "csv":
         _emit(constraints.to_csv(), args.out)
     else:
         payload = constraints.to_json()
@@ -225,32 +233,24 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_erasure(args) -> int:
-    if args.curve is not None:
-        Ls = _ints(args.L)
-        if args.format == "csv":
-            _emit(sum_rate_curve_csv(args.p, Ls, args.curve), args.out)
-        else:
-            rows = [
-                {"D": D, "L": L, "sum_rate_nats": rate}
-                for D, L, rate in sum_rate_curve(args.p, Ls, args.curve)
-            ]
-            _emit(json.dumps(_round9(rows)), args.out)
-        return 0
     Ls = _ints(args.L)
-    if len(Ls) != 1:
+    unit, scale = ("bits", LN2) if args.bits else ("nats", 1.0)
+    if args.curve is not None:
+        rows = sum_rate_curve(args.p, Ls, args.curve)
+    elif len(Ls) != 1:
         raise _UsageError("--D takes a single encoder count; use --curve for a list")
-    (L,) = Ls
-    rate = erasure_sum_rate(ErasureParams(args.p, L, args.D))
-    if args.format == "csv":
-        _emit(f"D,L,sum_rate_nats\n{args.D!r},{L},{rate!r}\n", args.out)
     else:
-        unit = "bits" if args.bits else "nats"
-        _emit(
-            json.dumps(
-                _round9({"p": args.p, "L": L, "D": args.D, f"sum_rate_{unit}": rate / (LN2 if args.bits else 1.0)})
-            ),
-            args.out,
-        )
+        rows = [(args.D, Ls[0], erasure_sum_rate(ErasureParams(args.p, Ls[0], args.D)))]
+    if args.format == "csv":
+        lines = "".join(f"{D!r},{L},{rate / scale!r}\n" for D, L, rate in rows)
+        _emit(f"D,L,sum_rate_{unit}\n" + lines, args.out)
+    elif args.curve is not None:
+        payload = [{"D": D, "L": L, f"sum_rate_{unit}": rate / scale} for D, L, rate in rows]
+        _emit(json.dumps(_round9(payload)), args.out)
+    else:
+        ((D, L, rate),) = rows
+        payload = {"p": args.p, "L": L, "D": D, f"sum_rate_{unit}": rate / scale}
+        _emit(json.dumps(_round9(payload)), args.out)
     return 0
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import AlphabetMismatchError, MarkovCheckError, VariableError
-from .prob import Channel, EntropyOracle, JointPmf
+from .prob import Channel, EntropyOracle, JointPmf, _code_dtype, _Support
 
 MARKOV_TOL = 1e-9  # pass tolerance for Markov residuals, in nats
 
@@ -295,16 +295,48 @@ def build_full_joint(
     from the sources alone so that X is conditionally independent of
     (U, Z, W, T) given the sources (the unique such coupling).
     """
+    joint = model.joint.product(gamma.wt_pmf)
+    for kernel in _kernels(model, gamma, x):
+        joint = joint.extend(kernel)
+    return joint
+
+
+def _kernels(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> tuple[Channel, ...]:
+    """The kernels extending sources x (W, T) to the system's joint, in
+    order, once their alphabets are checked against the model."""
     _check_alphabets(model, gamma)
     if x is not None:
         _check_x(model, x)
-    joint = model.joint.product(gamma.wt_pmf)
-    for kernel in gamma.encoder_kernels:
-        joint = joint.extend(kernel)
-    joint = joint.extend(gamma.decoder_kernel)
-    if x is not None:
-        joint = joint.extend(x.kernel)
-    return joint
+    return gamma.encoder_kernels + (gamma.decoder_kernel,) + ((x.kernel,) if x is not None else ())
+
+
+def _support_is_smaller(model: SourceModel, gamma: AuxSystem) -> bool:
+    """Whether the nonzero cells of sources x (W, T), one code per variable
+    plus a mass each, take less memory than its dense table.  Extending by a
+    kernel never raises the nonzero fraction, so a model that fails this
+    loses nothing by the dense build."""
+    src, wt = model.joint.probs, gamma.wt_pmf.probs
+    variables = model.joint.variables + gamma.wt_pmf.variables
+    row_bytes = len(variables) * _code_dtype(s for _, s in variables).itemsize + 8
+    rows = np.count_nonzero(src) * np.count_nonzero(wt)
+    return rows * row_bytes < src.size * wt.size * 8
+
+
+def _system_oracle(
+    model: SourceModel, gamma: AuxSystem, x: Optional[XChannel], keep: Iterable[str]
+) -> EntropyOracle:
+    """One entropy oracle over the joint of ``build_full_joint``, on ``keep``.
+
+    Its root is the joint's support, built by multiplying only the positive
+    kernel entries in, when that is smaller than the dense table
+    (``_support_is_smaller``); otherwise it is the dense joint itself.
+    """
+    if not _support_is_smaller(model, gamma):
+        return EntropyOracle(build_full_joint(model, gamma, x), keep)
+    support = _Support.of(model.joint.product(gamma.wt_pmf))
+    for kernel in _kernels(model, gamma, x):
+        support = support.extend(kernel)
+    return EntropyOracle(support, keep)
 
 
 def gamma_class_residuals(
@@ -320,11 +352,17 @@ def gamma_class_residuals(
     """
     if cls not in GAMMA_CLASSES:
         raise ValueError(f"cls must be one of {GAMMA_CLASSES}, got {cls!r}")
+    shared = ["W", "T"] if cls == "outer" else ["T"]
+    oracle = EntropyOracle(joint, list(source_names(L) + encoder_names(L)) + shared + ["Z"])
+    return _class_residuals(oracle, L, cls, tolerance)
+
+
+def _class_residuals(oracle: EntropyOracle, L: int, cls: str, tolerance: float) -> MarkovReport:
+    """``gamma_class_residuals`` read from an oracle over the joint."""
     sources = list(source_names(L))
     side = f"Y{L + 1}"
     us = list(encoder_names(L))
     shared = ["W", "T"] if cls == "outer" else ["T"]
-    oracle = EntropyOracle(joint, sources + us + shared + ["Z"])
     residuals = []
     residuals.append(
         (
@@ -366,8 +404,13 @@ def check_gamma_class(
 
 def chi_residual(joint: JointPmf, L: int, tolerance: float = MARKOV_TOL) -> MarkovReport:
     """Conditional-independence residual of a joint that already contains X."""
-    side = f"Y{L + 1}"
     oracle = EntropyOracle(joint, [f"Y{l}" for l in range(1, L + 2)] + ["X"])
+    return _chi_residual(oracle, L, tolerance)
+
+
+def _chi_residual(oracle: EntropyOracle, L: int, tolerance: float) -> MarkovReport:
+    """``chi_residual`` read from an oracle over a joint with X."""
+    side = f"Y{L + 1}"
     total = 0.0
     for l in range(2, L + 1):
         total += oracle.cmi([f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", side])
@@ -391,7 +434,11 @@ def expected_distortions(
     """
     if joint is None:
         joint = build_full_joint(model, gamma)
-    table = joint._summed(source_names(model.L) + ("Z",))[1]
+    return _distortions(model, joint._summed(source_names(model.L) + ("Z",))[1])
+
+
+def _distortions(model: SourceModel, table: np.ndarray) -> tuple[float, ...]:
+    """Every E[d_k] from ``table``, the marginal on (sources, Z) in this order."""
     # Split the composite Z axis into one axis per reproduction variable.
     table = table.reshape(table.shape[:-1] + tuple(model.reproduction_sizes))
     n_src = len(source_names(model.L))

@@ -1,7 +1,8 @@
 """Exact probability algebra and information measures on finite alphabets.
 
 Everything here works with dense joint probability mass functions over named
-finite variables and with conditional pmfs (stochastic kernels).  All
+finite variables and with conditional pmfs (stochastic kernels); the private
+``_Support`` holds a joint's nonzero cells instead, for the evaluators.  All
 information measures are returned in nats and are computed by exact summation
 with the conventions 0 log 0 = 0 and 0 log(0/0) = 0 applied entrywise.
 
@@ -24,8 +25,9 @@ region or report builds for itself and never shares.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -345,29 +347,124 @@ def _lattice_entropies(table: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Support:
+    """The cells of a joint that no factor zeroes, in row-major order.
+
+    ``codes`` has one row per variable, holding every cell's symbol in the
+    smallest unsigned integer type that fits, and ``masses`` the cells'
+    probabilities.  Built from a dense pmf and extended by kernels, it holds
+    the nonzero cells of the dense joint the same extensions build, with bit
+    for bit its masses, in the same order.
+    """
+
+    def __init__(self, variables: tuple[Variable, ...], codes: np.ndarray, masses: np.ndarray):
+        self.variables = variables
+        self.codes = codes
+        self.masses = masses
+        self.names = tuple(n for n, _ in variables)
+        self._row = {n: i for i, n in enumerate(self.names)}
+
+    @classmethod
+    def of(cls, joint: JointPmf) -> "_Support":
+        cells = np.flatnonzero(joint.probs)
+        codes = np.array(np.unravel_index(cells, joint.shape), dtype=_code_dtype(joint.shape))
+        return cls(joint.variables, codes, joint.probs[cells])
+
+    @property
+    def rows(self) -> int:
+        return self.masses.size
+
+    def extend(self, channel: "Channel") -> "_Support":
+        """Attach ``channel``'s output, as ``JointPmf.extend``: each cell
+        splits into one cell per positive entry of its kernel row, with mass
+        the single product cell mass * entry."""
+        key, _ = self.keys(name for name, _ in channel.inputs)
+        entries = channel.rows[key]  # each cell's kernel row
+        parent, outs = np.nonzero(entries)  # row-major: by cell, then output
+        dtype = np.promote_types(self.codes.dtype, _code_dtype((channel.output[1],)))
+        codes = np.concatenate((self.codes[:, parent], outs[None]), dtype=dtype, casting="unsafe")
+        masses = self.masses[parent] * entries[parent, outs]
+        return _Support(self.variables + (channel.output,), codes, masses)
+
+    def keys(self, names: Iterable[Name]) -> tuple[np.ndarray, int]:
+        """Every cell's rank among the tuples of ``names``, row-major in that
+        order, and the number of ranks: the mixed-radix index, or, where that
+        could overflow, the rank among the tuples that occur."""
+        index = []
+        for name in names:
+            if name not in self._row:
+                raise VariableError(f"unknown variable {name!r}; have {self.names}")
+            index.append(self._row[name])
+        if not index:
+            return np.zeros(self.rows, np.intp), 1
+        sizes = [self.variables[i][1] for i in index]
+        span = math.prod(sizes)
+        if span <= _MAX_KEY:
+            return np.ravel_multi_index(self.codes[index], sizes), span
+        occurring, key = np.unique(self.codes[index], axis=1, return_inverse=True)
+        return key.reshape(-1), occurring.shape[1]
+
+
+def _code_dtype(sizes: Iterable[int]) -> np.dtype:
+    return np.min_scalar_type(max(sizes, default=1) - 1)
+
+
+_MAX_KEY = 1 << 62
+
+# From a support root, a marginal with at most this many cells per support
+# row, or at most _SMALL_TABLE cells, is summed into a dense table and kept;
+# a larger one is grouped by sorting its keys, and only its occurring masses
+# are used.  Tables up to _SMALL_TABLE cells are cheap whatever the support's
+# size: summing one costs less than setting up a sort or a group-by.
+_DENSE_CELLS_PER_ROW = 4
+_SMALL_TABLE = 1 << 12
+
+
 class EntropyOracle:
     """Memoized entropies H(S) of the marginals of one joint.
 
-    The joint is summed once down to the variables in ``keep``.  After that
-    each new marginal is a plain ndarray summed from the smallest cached
-    table that contains it; it is not validated again, since the joint was
-    at construction.  H(S) is cached by ``frozenset(S)``.  An oracle holds
-    every table it has summed, so it is made for one bound, region or report
-    and dropped when that returns.
+    The root is a dense ``JointPmf``, summed once down to the variables in
+    ``keep``, or a ``_Support``.  From a support root a marginal is one
+    group-by of the cells on their key over S: a ``bincount`` into a dense
+    table, or, for an entropy whose table would be large, into the masses of
+    the tuples that occur (``_DENSE_CELLS_PER_ROW``, ``_SMALL_TABLE``).  A
+    marginal is summed instead from the smallest cached table that contains
+    it, whenever that table is cheaper to sum than a group-by.  Tables are
+    not validated again, since the joint was at construction.  H(S) is
+    cached by ``frozenset(S)``.  An oracle holds every table it has summed,
+    so it is made for one bound, region or report and dropped when that
+    returns.
     """
 
-    def __init__(self, joint: JointPmf, keep: Iterable[Name]):
-        names, table = joint._summed(keep)
-        # Every table keeps the axes of ``names`` that it has, in this order.
-        self._order = names
-        self._names = frozenset(names)
-        self._sizes = dict(zip(names, table.shape))
-        self._tables = {self._names: table}
-        self._by_size = [(table.size, self._names)]  # ascending cells
+    def __init__(self, joint: JointPmf | _Support, keep: Iterable[Name]):
+        self._tables: dict[frozenset, np.ndarray] = {}
+        self._by_size: list[tuple[int, frozenset]] = []  # ascending cells
+        if isinstance(joint, _Support):
+            keep = set(keep)
+            if not keep:
+                raise VariableError("keep set must be nonempty")
+            if not keep <= set(joint.names):
+                raise VariableError(f"unknown variables {sorted(keep - set(joint.names))}")
+            self._support = joint
+            variables = [v for v in joint.variables if v[0] in keep]
+        else:
+            names, table = joint._summed(keep)
+            self._support = None
+            variables = list(zip(names, table.shape))
+            self._cache(frozenset(names), table)
+        # Every table keeps the axes of ``_order`` that it has, in this order.
+        self._order = tuple(n for n, _ in variables)
+        self._names = frozenset(self._order)
+        self._sizes = dict(variables)
         self._h: dict[frozenset, float] = {}
 
-    def _superset(self, s: frozenset) -> frozenset:
-        """The smallest cached variable set that contains ``s``."""
+    def _cache(self, s: frozenset, table: np.ndarray) -> np.ndarray:
+        self._tables[s] = table
+        bisect.insort(self._by_size, (table.size, s), key=lambda t: t[0])
+        return table
+
+    def _superset(self, s: frozenset) -> Optional[frozenset]:
+        """The smallest cached variable set that contains ``s``, if any."""
         # A proper superset of S has at least cells(S) times the least
         # alphabet size outside S cells, so a cached S + {v} with v of that
         # size is a smallest one; only when there is none, scan by size.
@@ -375,27 +472,70 @@ class EntropyOracle:
         # hash) order, so the table chosen, and every last bit, is the same
         # in every process.
         outside = [v for v in self._order if v not in s]
-        least = min(self._sizes[v] for v in outside)
+        least = min((self._sizes[v] for v in outside), default=0)
         for v in outside:
             if self._sizes[v] == least and (s | {v}) in self._tables:
                 return s | {v}
         for _, have in self._by_size:
             if s <= have:
                 return have
+        return None
 
-    def _table(self, s: frozenset) -> np.ndarray:
+    def _masses(self, s: frozenset, dense: bool = True) -> np.ndarray:
+        """The marginal on ``s``: a cached table with the axes of ``s`` in
+        ``_order``, or, from a support root when ``dense`` is false and that
+        table would be large, the masses of the tuples that occur."""
         table = self._tables.get(s)
-        if table is None:
-            have = self._superset(s)
+        if table is not None:
+            return table
+        have = self._superset(s)
+        support = self._support
+        # A group-by reads |S| codes per support row; summing a cached table
+        # that is not larger than that, or small anyway, is cheaper.
+        if have is not None and (
+            support is None or self._tables[have].size <= max(support.rows * len(s), _SMALL_TABLE)
+        ):
             names = tuple(n for n in self._order if n in have)
-            table = self._tables[s] = _sum_out(names, self._tables[have], s)[1]
-            bisect.insort(self._by_size, (table.size, s), key=lambda t: t[0])
-        return table
+            return self._cache(s, _sum_out(names, self._tables[have], s)[1])
+        names = tuple(n for n in self._order if n in s)
+        shape = [self._sizes[n] for n in names]
+        key, span = support.keys(names)
+        if not dense and math.prod(shape) > self._dense_limit():
+            return np.bincount(np.unique(key, return_inverse=True)[1], weights=support.masses)
+        table = np.bincount(key, weights=support.masses, minlength=span).reshape(shape)
+        return self._cache(s, table)
+
+    def _dense_limit(self) -> int:
+        """The most cells a support root sums into a dense table for an entropy."""
+        return max(_DENSE_CELLS_PER_ROW * self._support.rows, _SMALL_TABLE)
 
     def marginal(self, names: Sequence[Name]) -> np.ndarray:
         """The marginal on ``names``, axes in that order: a view of a cached table."""
         have = [n for n in self._order if n in names]
-        return self._table(frozenset(names)).transpose([have.index(n) for n in names])
+        return self._masses(frozenset(names)).transpose([have.index(n) for n in names])
+
+    def grouped(self, groups: Sequence[Sequence[Name]]) -> np.ndarray:
+        """The marginal on the variables of ``groups``, as a C-contiguous
+        table with one axis per group.  A group of several variables is one
+        axis over their tuples, row-major: every tuple, unless the table
+        would be larger than a support root's dense tables, in which case
+        only the tuples that occur.  Either way each marginal of the table
+        has the entropy of the variables it stands for."""
+        sizes = [math.prod(self._sizes[n] for n in g) for g in groups]
+        support = self._support
+        if support is None or math.prod(sizes) <= self._dense_limit():
+            table = np.ascontiguousarray(self.marginal([n for g in groups for n in g]))
+            return table.reshape(sizes)
+        key, shape = np.zeros(support.rows, np.int64), []
+        for group in groups:
+            k, size = support.keys(group)
+            if len(group) > 1:
+                occurring, k = np.unique(k, return_inverse=True)
+                size = occurring.size
+            key *= size
+            key += k
+            shape.append(size)
+        return np.bincount(key, weights=support.masses, minlength=math.prod(shape)).reshape(shape)
 
     def h(self, names: Iterable[Name]) -> float:
         """H(S) in nats; 0 for the empty set."""
@@ -406,7 +546,7 @@ class EntropyOracle:
                 raise VariableError(
                     f"unknown variables {sorted(s - self._names)}; have {sorted(self._names)}"
                 )
-            value = _sum_plogp(self._table(s)) if s else 0.0
+            value = _sum_plogp(self._masses(s, dense=False)) if s else 0.0
             self._h[s] = value
         return value
 

@@ -2,8 +2,9 @@
 
 Subsets A of encoders {1..L} are encoded as bitmasks (bit l-1 set means
 encoder l is in A), so a constraint set holds 2^L - 1 subset rate lower
-bounds plus the K expected distortions.  The representation caps L at 16;
-cost (the dense joint) caps it at about 6 in practice.
+bounds plus the K expected distortions.  The representation caps L at 16.
+A model with a dense joint is capped at about 6 by its cost; a sparse one
+is evaluated on its support, new-outer on the erasure casebook up to L = 10.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from .model import (
     AuxSystem,
     SourceModel,
     XChannel,
-    build_full_joint,
-    check_chi,
+    _chi_residual,
+    _class_residuals,
+    _distortions,
+    _system_oracle,
     encoder_names,
-    expected_distortions,
-    gamma_class_residuals,
     source_names,
 )
-from .prob import Channel, EntropyOracle, JointPmf, _lattice_entropies, _sum_plogp
+from .prob import Channel, JointPmf, _lattice_entropies, _sum_plogp
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 
@@ -155,40 +156,41 @@ def new_outer_constraints(
     bound(A) = I(X; U_A | U_{A^c}, side, T)
              + sum_{l in A} I(Y_l; U_l | X, side, W, T),
     evaluated under the coupling in which X interacts with the auxiliary
-    system only through the sources.
+    system only through the sources.  X must pass ``check_chi``.
     """
-    check_chi(model, x, tolerance).require("x (conditional-independence class)")
     return _evaluate(model, gamma, x, "outer", "gamma (outer class)", tolerance)
 
 
 def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
-    """The one evaluator body: build the joint, require Markov class ``cls``
-    (named ``what`` in the error) and, with S = (side, T), assemble
+    """The one evaluator body: one oracle over the system's joint
+    (``_system_oracle``), from which it requires X's conditional independence
+    (with ``x``) and Markov class ``cls`` (named ``what`` in the error) and,
+    with S = (side, T), assembles
 
         bound(A) = H(U_A | U_{A^c}, S) - H(U_A | V, U_{A^c}, S) + sum_{l in A} own_l.
 
     With ``x``, V = X and own_l = I(Y_l; U_l | X, side, W, T); without, V = Y,
     all observations, and own_l = 0.  The entropies come from one lattice
-    walk over a table with axes (U_1..U_L, V, S).
+    walk over a table with axes (U_1..U_L, V, S), and the distortions from
+    the (sources, Z) marginal.
     """
     L = model.L
-    joint = build_full_joint(model, gamma, x)
-    gamma_class_residuals(joint, L, cls, tolerance).require(what)
     us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
     v, own_given = (ys, ()) if x is None else (("X",), ("X", "W"))
-    oracle = EntropyOracle(joint, ys + us + s + v + own_given)
+    keep = source_names(L) + us + (("W", "T", "Z", "X") if x else ("T", "Z"))
+    oracle = _system_oracle(model, gamma, x, keep)
+    if x is not None:
+        _chi_residual(oracle, L, tolerance).require("x (conditional-independence class)")
+    _class_residuals(oracle, L, cls, tolerance).require(what)
     # C-contiguous, U axes first, V and S one axis each: L + 2 axes to walk.
-    # On a transposed view the walk is several times slower.
-    table = np.ascontiguousarray(oracle.marginal(us + v + s))
-    table = table.reshape(table.shape[:L] + (-1, table.shape[-2] * table.shape[-1]))
-    h = _lattice_entropies(table)
+    h = _lattice_entropies(oracle.grouped([(u,) for u in us] + [v, s]))
     v_bit, s_bit = 1 << L, 1 << (L + 1)
     bounds = _conditional_entropies(h, L, s_bit) - _conditional_entropies(h, L, v_bit | s_bit)
     if own_given:
         own = [oracle.cmi([y], [u], own_given + s) for y, u in zip(ys, us)]
         members = (np.arange(1, 1 << L)[:, None] >> np.arange(L)) & 1
         bounds += members @ np.array(own)
-    distortions = expected_distortions(model, gamma, joint)
+    distortions = _distortions(model, oracle.marginal(source_names(L) + ("Z",)))
     return RegionConstraints(L, model.K, dict(enumerate(bounds.tolist(), start=1)), distortions)
 
 
@@ -221,11 +223,8 @@ def berger_yeung_bounds(
     pair = model.joint.marginalize(("Y0", "Y1")).table
     if pair.shape[0] != pair.shape[1] or float(pair.sum() - np.trace(pair)) > 1e-12:
         raise InfeasibleError("Berger-Yeung form requires Y1 = Y0 almost surely")
-    joint = build_full_joint(model, gamma)
-    gamma_class_residuals(joint, model.L, "bt_inner", tolerance).require(
-        "gamma (Berger-Tung inner class)"
-    )
-    oracle = EntropyOracle(joint, ("Y1", "Y2", "U2", "T"))
+    oracle = _system_oracle(model, gamma, None, source_names(2) + encoder_names(2) + ("T", "Z"))
+    _class_residuals(oracle, 2, "bt_inner", tolerance).require("gamma (Berger-Tung inner class)")
     r1 = oracle.h(["Y1", "U2", "T"]) - oracle.h(["U2", "T"])
     i2 = oracle.cmi(["Y2"], ["U2"], ["Y1", "T"])
     h1 = oracle.h(["Y1"])

@@ -178,6 +178,48 @@ def test_bounds_csv_format(tmp_path, capsys):
     assert out.splitlines()[0] == "subset,bound"
 
 
+
+def test_bounds_csv_bits_are_labelled_bits(tmp_path, capsys):
+    prefix = str(tmp_path / "erasure")
+    run(capsys, "info", "--dump", "erasure", "--L", "3", "--out", prefix)
+    argv = ["bounds", "--model", prefix + ".model.json", "--gamma", prefix + ".gamma.json",
+            "--x", prefix + ".x.json", "--kind", "new-outer", "--format", "csv"]
+    _, nats, _ = run(capsys, *argv)
+    code, bits, _ = run(capsys, *argv, "--bits")
+    assert code == 0
+    nats, bits = nats.splitlines(), bits.splitlines()
+    assert nats[0] == "subset,bound" and bits[0] == "subset,bound_bits"
+    assert len(bits) == len(nats) == 8
+    for row_nats, row_bits in zip(nats[1:], bits[1:]):
+        (subset, value), (subset_bits, value_bits) = row_nats.split(","), row_bits.split(",")
+        assert subset_bits == subset
+        assert float(value_bits) == float(value) / LN2
+
+
+@pytest.mark.parametrize("mode", [["--D", "0.6"], ["--curve", "4"]])
+def test_erasure_ceo_csv_bits_are_labelled_bits(capsys, mode):
+    argv = ["erasure-ceo", "--p", "0.5", "--L", "2", *mode, "--format", "csv"]
+    _, nats, _ = run(capsys, *argv)
+    code, bits, _ = run(capsys, *argv, "--bits")
+    assert code == 0
+    nats, bits = nats.splitlines(), bits.splitlines()
+    assert nats[0] == "D,L,sum_rate_nats" and bits[0] == "D,L,sum_rate_bits"
+    assert len(bits) == len(nats) == (2 if mode[0] == "--D" else 5)
+    for row_nats, row_bits in zip(nats[1:], bits[1:]):
+        *head, value = row_nats.split(",")
+        *head_bits, value_bits = row_bits.split(",")
+        assert head_bits == head
+        assert float(value_bits) == float(value) / LN2
+
+
+def test_erasure_ceo_curve_json_bits(capsys):
+    argv = ["erasure-ceo", "--p", "0.5", "--L", "2", "--curve", "4"]
+    nats = json.loads(run(capsys, *argv)[1])
+    bits = json.loads(run(capsys, *argv, "--bits")[1])
+    assert [set(row) for row in bits] == [{"D", "L", "sum_rate_bits"}] * 4
+    for row_nats, row_bits in zip(nats, bits):
+        assert row_bits["sum_rate_bits"] == pytest.approx(row_nats["sum_rate_nats"] / LN2, abs=1e-8)
+
 def test_malformed_json_exits_1_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"variables": [,]}')

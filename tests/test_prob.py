@@ -19,7 +19,8 @@ from mtsc_bounds import (
     entropy,
     mutual_information,
 )
-from mtsc_bounds.prob import EntropyOracle
+from mtsc_bounds import prob
+from mtsc_bounds.prob import EntropyOracle, _Support
 
 LN2 = math.log(2.0)
 
@@ -468,3 +469,99 @@ def test_oracle_reduces_to_keep_and_validates_names():
         EntropyOracle(joint, ("Q",))
     with pytest.raises(VariableError):
         oracle.cmi(("A",), ("A",))
+
+
+# ---------------------------------------------------------------------------
+# The support root: the nonzero cells, against the dense joint
+# ---------------------------------------------------------------------------
+
+
+def sparse_joint(rng, names, sizes, zero_frac):
+    """A random joint with about ``zero_frac`` of its cells exactly zero."""
+    probs = rng.random(int(np.prod(sizes)))
+    probs[rng.random(probs.size) < zero_frac] = 0.0
+    probs[rng.integers(probs.size)] = 1.0  # never all zero
+    return JointPmf(tuple(zip(names, sizes)), probs / probs.sum())
+
+
+def sparse_channel(rng, inputs, output, zero_frac):
+    rows = rng.random((int(np.prod([s for _, s in inputs])), output[1]))
+    rows[rng.random(rows.shape) < zero_frac] = 0.0
+    rows[np.arange(len(rows)), rng.integers(output[1], size=len(rows))] = 1.0
+    return Channel(inputs, output, rows / rows.sum(axis=1, keepdims=True))
+
+
+def random_built_joint(rng, zero_frac):
+    """A sparse joint times an independent pmf, extended by three kernels:
+    the dense joint and the support built the same way."""
+    base = sparse_joint(rng, ("A", "B"), [int(s) for s in rng.integers(1, 4, 2)], zero_frac)
+    other = sparse_joint(rng, ("C",), [int(rng.integers(1, 4))], zero_frac)
+    joint = base.product(other)
+    support = _Support.of(joint)
+    for name, inputs in (("D", ("A", "C")), ("E", ("D", "B")), ("F", ("E",))):
+        variables = tuple((n, joint.size_of(n)) for n in inputs)
+        channel = sparse_channel(rng, variables, (name, int(rng.integers(1, 4))), zero_frac)
+        joint, support = joint.extend(channel), support.extend(channel)
+    return joint, support
+
+
+@pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.7])
+def test_support_holds_the_nonzero_cells_bit_for_bit(zero_frac):
+    rng = np.random.default_rng(int(zero_frac * 10))
+    for _ in range(20):
+        joint, support = random_built_joint(rng, zero_frac)
+        cells = np.flatnonzero(joint.probs)
+        assert support.names == joint.names
+        assert np.array_equal(support.masses[support.masses > 0], joint.probs[cells])
+        kept = support.codes[:, support.masses > 0]
+        assert np.array_equal(kept, np.array(np.unravel_index(cells, joint.shape)))
+
+
+@pytest.mark.parametrize("dense_cells_per_row, small_table", [(0, 0), (4, 1 << 12), (10**9, 0)])
+def test_support_oracle_matches_the_dense_oracle(monkeypatch, dense_cells_per_row, small_table):
+    # (0, 0) groups every marginal by sorting and relabels every group of the
+    # grouped table; 10**9 sums every marginal into a dense table.
+    monkeypatch.setattr(prob, "_DENSE_CELLS_PER_ROW", dense_cells_per_row)
+    monkeypatch.setattr(prob, "_SMALL_TABLE", small_table)
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        joint, support = random_built_joint(rng, 0.3 * (trial % 3))
+        names = joint.names
+        got, want = EntropyOracle(support, names[1:]), EntropyOracle(joint, names[1:])
+        for _ in range(6):
+            role = rng.integers(4, size=len(names) - 1)  # A, B, C or left out
+            a, b, c = ([n for n, r in zip(names[1:], role) if r == k] for k in range(3))
+            if a and b:
+                assert got.cmi(a, b, c) == pytest.approx(want.cmi(a, b, c), abs=1e-12)
+            for s in (a, b + c, a + b + c):
+                assert got.h(s) == pytest.approx(want.h(s), abs=1e-12)
+        order = list(rng.permutation(names[1:4]))
+        assert np.allclose(got.marginal(order), want.marginal(order), rtol=0, atol=1e-15)
+        groups = [("B",), ("D", "C"), ("F", "E")]
+        tables = [o.grouped(groups) for o in (got, want)]
+        assert tables[0].flags.c_contiguous and tables[0].ndim == 3
+        for got_h, want_h in zip(*(prob._lattice_entropies(t) for t in tables)):
+            assert got_h == pytest.approx(want_h, abs=1e-12)
+    with pytest.raises(VariableError):
+        EntropyOracle(support, ("A", "Q"))
+    with pytest.raises(VariableError):
+        got.h(("A",))  # outside keep
+
+
+def test_support_keys_rank_tuples_past_the_int64_range():
+    # 5^40 tuples overflow a mixed-radix int64 key; the ranks still order
+    # the rows as their tuples do.
+    rng = np.random.default_rng(3)
+    codes = rng.integers(5, size=(40, 2000)).astype(np.uint8)
+    codes[:, 1000:] = codes[:, :1000]  # every tuple twice
+    variables = tuple((f"V{i}", 5) for i in range(40))
+    support = _Support(variables, codes, np.full(2000, 1 / 2000))
+    key, span = support.keys(n for n, _ in variables)
+    assert key.max() < span <= 1 << 62
+    tuples = [tuple(column) for column in codes.T.tolist()]
+    rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+    _, by_key = np.unique(key, return_inverse=True)
+    assert by_key.tolist() == [rank[t] for t in tuples]
+    # Within range the key is the mixed-radix index itself.
+    key, span = support.keys(["V3", "V1"])
+    assert span == 25 and np.array_equal(key, 5 * codes[3] + codes[1])

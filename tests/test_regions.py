@@ -19,6 +19,7 @@ from mtsc_bounds import (
     InfeasibleError,
     JointPmf,
     MarkovCheckError,
+    MarkovReport,
     RatePoint,
     RegionConstraints,
     SourceModel,
@@ -43,8 +44,8 @@ from mtsc_bounds import (
     x_channel_full_observation,
 )
 from mtsc_bounds.model import source_names
-from mtsc_bounds.prob import EntropyOracle, _sum_plogp
-from mtsc_bounds.regions import _InnerEvaluator, _locally_supermodular
+from mtsc_bounds.prob import EntropyOracle, _lattice_entropies, _sum_plogp
+from mtsc_bounds.regions import _conditional_entropies, _InnerEvaluator, _locally_supermodular
 
 LN2 = math.log(2.0)
 
@@ -390,6 +391,194 @@ def test_bt_inner_identity_holds_within_the_encoder_residuals():
     want, _ = per_mask_constraints("bt_inner", model, gamma)
     for mask in want:
         assert -1e-15 <= got[mask] - want[mask] <= slack
+
+
+# ---------------------------------------------------------------------------
+# The support path against the dense evaluator body it replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_class_residuals(joint, L, cls):
+    """The Markov check as it was on the dense joint, kept as a test-only oracle."""
+    sources = list(source_names(L))
+    us = [f"U{l}" for l in range(1, L + 1)]
+    shared = ["W", "T"] if cls == "outer" else ["T"]
+    oracle = EntropyOracle(joint, sources + us + shared + ["Z"])
+    residuals = [("shared_randomness_independent_of_sources", oracle.cmi(shared, sources))]
+    for l in range(1, L + 1):
+        others = [f"Y{i}" for i in range(L + 2) if i != l]
+        if cls in ("outer", "bt_inner"):
+            others = others + [u for u in us if u != f"U{l}"]
+        value = oracle.cmi([f"U{l}"], others, [f"Y{l}"] + shared)
+        residuals.append((f"encoder_{l}_markov", value))
+    left = [f"Y{i}" for i in range(L + 1)] + (["W"] if cls == "outer" else [])
+    residuals.append(("decoder_markov", oracle.cmi(left, ["Z"], us + [f"Y{L + 1}", "T"])))
+    return MarkovReport(tuple(residuals))
+
+
+def dense_chi_residual(model, x):
+    L = model.L
+    names = [f"Y{l}" for l in range(1, L + 2)] + ["X"]
+    oracle = EntropyOracle(model.joint.extend(x.kernel), names)
+    total = sum(
+        oracle.cmi([f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", f"Y{L + 1}"])
+        for l in range(2, L + 1)
+    )
+    return MarkovReport((("conditional_independence_given_x", total),))
+
+
+def dense_evaluate(model, gamma, x, cls):
+    """The evaluator body as it was: dense joint, its own Markov oracle, a
+    second oracle for the lattice table and the own terms, and the distortions
+    summed from the joint once more."""
+    L = model.L
+    if x is not None:
+        dense_chi_residual(model, x).require("x (conditional-independence class)")
+    joint = build_full_joint(model, gamma, x)
+    dense_class_residuals(joint, L, cls).require("gamma")
+    us = tuple(f"U{l}" for l in range(1, L + 1))
+    ys, s = source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
+    v, own_given = (ys, ()) if x is None else (("X",), ("X", "W"))
+    oracle = EntropyOracle(joint, ys + us + s + v + own_given)
+    table = np.ascontiguousarray(oracle.marginal(us + v + s))
+    table = table.reshape(table.shape[:L] + (-1, table.shape[-2] * table.shape[-1]))
+    h = _lattice_entropies(table)
+    v_bit, s_bit = 1 << L, 1 << (L + 1)
+    bounds = _conditional_entropies(h, L, s_bit) - _conditional_entropies(h, L, v_bit | s_bit)
+    if own_given:
+        own = [oracle.cmi([y], [u], own_given + s) for y, u in zip(ys, us)]
+        members = (np.arange(1, 1 << L)[:, None] >> np.arange(L)) & 1
+        bounds += members @ np.array(own)
+    return dict(enumerate(bounds.tolist(), start=1)), expected_distortions(model, gamma, joint)
+
+
+def sparsify(rng, rows):
+    """``rows`` with about a third of its entries zeroed (never a row's
+    largest) and renormalized: kernels and pmfs with exact zeros."""
+    rows = np.array(rows, dtype=float).reshape(-1, np.shape(rows)[-1])
+    zero = rng.random(rows.shape) < 0.35
+    zero[np.arange(len(rows)), rows.argmax(axis=1)] = False
+    rows[zero] = 0.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def sparse_system(rng, model, gamma):
+    """``gamma`` with exact zeros in (W, T) and in every kernel."""
+    wt = JointPmf(gamma.wt_pmf.variables, sparsify(rng, gamma.wt_pmf.probs[None]))
+    encoders = tuple(
+        Channel(k.inputs, k.output, sparsify(rng, k.rows)) for k in gamma.encoder_kernels
+    )
+    dec = gamma.decoder_kernel
+    return AuxSystem(wt, encoders, Channel(dec.inputs, dec.output, sparsify(rng, dec.rows)))
+
+
+def sparse_model(rng, model):
+    """``model`` with exact zeros in its source joint."""
+    joint = JointPmf(model.joint.variables, sparsify(rng, model.joint.probs[None]))
+    return SourceModel(model.L, model.K, joint, model.distortions, model.reproduction_sizes)
+
+
+EVALUATORS = {
+    "bt_inner": lambda model, gamma, x: bt_inner_constraints(model, gamma),
+    "bt_outer": lambda model, gamma, x: bt_outer_constraints(model, gamma),
+    "outer": lambda model, gamma, x: new_outer_constraints(model, x, gamma),
+}
+
+
+def assert_matches_dense(model, gamma, x):
+    """Every evaluator, class residual and the chi residual of the oracle the
+    evaluators use agree with the dense copies within 1e-12; where the dense
+    body raises a Markov error, the evaluator raises one on the same names."""
+    L = model.L
+    joint = build_full_joint(model, gamma, x)
+    keep = source_names(L) + tuple(f"U{l}" for l in range(1, L + 1)) + ("W", "T", "Z", "X")
+    oracle = mtsc_bounds.model._system_oracle(model, gamma, x, keep)
+    reports = [(mtsc_bounds.model._chi_residual(oracle, L, 1e-9), dense_chi_residual(model, x))]
+    for cls in ("outer", "bt_inner", "bt_outer"):
+        got = mtsc_bounds.model._class_residuals(oracle, L, cls, 1e-9)
+        reports.append((got, dense_class_residuals(joint, L, cls)))
+    for got, want in reports:
+        assert [n for n, _ in got.residuals] == [n for n, _ in want.residuals]
+        for (_, a), (_, b) in zip(got.residuals, want.residuals):
+            assert a == pytest.approx(b, abs=1e-12)
+    raised = 0
+    for cls, evaluate in EVALUATORS.items():
+        try:
+            want = dense_evaluate(model, gamma, x if cls == "outer" else None, cls)
+        except MarkovCheckError as exc:
+            with pytest.raises(MarkovCheckError) as got:
+                evaluate(model, gamma, x)
+            for failing in (False, True):
+                names = [
+                    [n for n, v in report.residuals if v > report.tolerance or not failing]
+                    for report in (got.value.report, exc.report)
+                ]
+                assert names[0] == names[1]
+            raised += 1
+            continue
+        got = evaluate(model, gamma, x)
+        for mask, bound in want[0].items():
+            assert got.subset_bounds[mask] == pytest.approx(max(0.0, bound), abs=1e-12), (cls, mask)
+        assert got.distortions == pytest.approx(want[1], abs=1e-12)
+    return raised
+
+
+@pytest.mark.parametrize("path", ["support", "sorted", "dense"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2])
+def test_evaluators_match_the_dense_body_on_either_root(monkeypatch, path, L, K):
+    # Each root is forced on every model, sparse or dense, so both are
+    # checked on both; the memory rule only picks between them.  "sorted"
+    # groups every large-looking marginal by sorting, as large models do.
+    forced = path != "dense"
+    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda model, gamma: forced)
+    if path == "sorted":
+        monkeypatch.setattr(mtsc_bounds.prob, "_DENSE_CELLS_PER_ROW", 0)
+        monkeypatch.setattr(mtsc_bounds.prob, "_SMALL_TABLE", 0)
+    rng = np.random.default_rng(1300 + 10 * L + K)
+    raised = 0
+    for trial in range(8):
+        w_size, t_size, side = (1 + (trial >> bit & 1) for bit in range(3))
+        if trial % 2:
+            model = random_admissible_model(rng, L, K, side)
+        else:
+            model = random_source_model(rng, L, K, side)  # X = Y0 is rarely admissible
+        u_sizes = [1 + (l + trial) % 3 for l in range(L)]
+        gamma = random_system(rng, model, w_size, t_size, u_sizes, w_blind=trial % 4 < 2)
+        x = x_channel_from_sources(model, ("Y0",))
+        raised += assert_matches_dense(model, gamma, x)
+        sparse = sparse_model(rng, model), sparse_system(rng, model, gamma)
+        raised += assert_matches_dense(*sparse, x)
+    # Outside their class: W-leaning encoders, X = Y0 on a random source.  A
+    # single encoder has no other description to lean on, and chi is empty.
+    assert raised >= 4 or L == 1
+
+
+def test_memory_rule_picks_the_support_only_where_it_is_smaller():
+    rule = mtsc_bounds.model._support_is_smaller
+    for L in (2, 6):
+        inst = casebook("erasure", p=0.5, L=L, D=0.6)
+        assert rule(inst.model, inst.gamma)  # 2^(L+1) of 2 * 3^L source cells
+    inst = casebook("toy")
+    assert not rule(inst.model, inst.gamma)  # every cell is positive
+
+
+@pytest.mark.parametrize("L, D", [(7, 0.3), (7, 0.6), (8, 0.3), (8, 0.6), (10, 0.3)])
+def test_new_outer_meets_the_erasure_sum_rate_past_the_dense_limit(L, D):
+    # The dense joint has 2 * 9^L cells (86 M at L = 8); the support 2 * 3^L.
+    inst = casebook("erasure", p=0.5, L=L, D=D)
+    got = new_outer_constraints(inst.model, inst.x, inst.gamma)
+    assert got.full_set == pytest.approx(erasure_sum_rate(ErasureParams(0.5, L, D)), abs=1e-12)
+    assert got.distortions[0] == pytest.approx(D, abs=1e-12)
+
+
+def test_berger_tung_bounds_meet_the_erasure_sum_rate_at_l7():
+    inst = casebook("erasure", p=0.5, L=7, D=0.6)
+    closed = erasure_sum_rate(ErasureParams(0.5, 7, 0.6))
+    for evaluate in (bt_inner_constraints, bt_outer_constraints):
+        got = evaluate(inst.model, inst.gamma)
+        assert got.full_set == pytest.approx(closed, abs=1e-12)
+        assert got.distortions[0] == pytest.approx(0.6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -909,11 +1098,21 @@ def test_optimizer_never_beats_the_erasure_closed_form(L, budget):
 
 
 def test_optimizer_bits_do_not_depend_on_the_hash_seed():
+    # The L = 5 evaluations run on the joint's support, whose group-bys are
+    # keyed by variable sets; a tolerance below 0 makes the Markov check
+    # report every residual.
     script = (
-        "from mtsc_bounds import casebook, optimize_bt_inner_sum_rate\n"
+        "from mtsc_bounds import *\n"
         "model = casebook('erasure', p=0.5, L=2, D=0.6).model\n"
         "res = optimize_bt_inner_sum_rate(model, [0.4], [3, 3], budget=10000, seed=1)\n"
         "print(res.constraints.full_set.hex())\n"
+        "inst = casebook('erasure', p=0.5, L=5, D=0.6)\n"
+        "got = new_outer_constraints(inst.model, inst.x, inst.gamma)\n"
+        "print([v.hex() for v in got.subset_bounds.values()], got.distortions[0].hex())\n"
+        "try:\n"
+        "    bt_inner_constraints(inst.model, inst.gamma, tolerance=-1.0)\n"
+        "except MarkovCheckError as exc:\n"
+        "    print([v.hex() for _, v in exc.report.residuals])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(mtsc_bounds.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
