@@ -260,24 +260,29 @@ def _cmd_gaussian(args) -> int:
         if not (args.witness and args.rates):
             raise _UsageError("membership mode needs both --witness and --rates")
         point = RatePoint(tuple(_floats(args.rates)), (args.D,))
-        ok = gaussian_region_contains(params, point, _floats(args.witness))
-        _emit(json.dumps({"contains": bool(ok)}), args.out)
+        ok = bool(gaussian_region_contains(params, point, _floats(args.witness)))
+        if args.format == "csv":
+            _emit(f"contains\n{json.dumps(ok)}\n", args.out)
+        else:
+            _emit(json.dumps({"contains": ok}), args.out)
         return 0
     rate = gaussian_min_sum_rate(params, args.D)
-    unit = "bits" if args.bits else "nats"
-    _emit(
-        json.dumps(
-            _round9(
-                {
-                    "sigma2": args.sigma2,
-                    "noise_vars": list(params.noise_vars),
-                    "D": args.D,
-                    f"min_sum_rate_{unit}": rate / (LN2 if args.bits else 1.0),
-                }
-            )
-        ),
-        args.out,
-    )
+    unit, scale = ("bits", LN2) if args.bits else ("nats", 1.0)
+    if args.format == "csv":
+        noise = ";".join(repr(v) for v in params.noise_vars)
+        _emit(
+            f"sigma2,noise_vars,D,min_sum_rate_{unit}\n"
+            f"{args.sigma2!r},{noise},{args.D!r},{rate / scale!r}\n",
+            args.out,
+        )
+        return 0
+    payload = {
+        "sigma2": args.sigma2,
+        "noise_vars": list(params.noise_vars),
+        "D": args.D,
+        f"min_sum_rate_{unit}": rate / scale,
+    }
+    _emit(json.dumps(_round9(payload)), args.out)
     return 0
 
 

@@ -321,30 +321,98 @@ def _sum_out(
     return tuple(n for n in names if n in keep), _sum_axes(table, summed)
 
 
+# A lattice node whose table has at most _BLOCK_TABLE cells, and whose
+# extension by its free axes at most _BLOCK_CELLS, is one block.  Below the
+# first limit numpy's per-call cost outweighs the summing; the second bounds
+# the block's memory.
+_BLOCK_TABLE = 1 << 11
+_BLOCK_CELLS = 1 << 16
+
+
 def _lattice_entropies(table: np.ndarray) -> np.ndarray:
     """H of every marginal of ``table``, indexed by the bitmask of the axes it
     keeps (bit i for axis i); entry 0, the empty marginal, is 0.
 
-    One depth-first walk of the subset lattice: a node sums one axis out of
-    its parent's table, and axes are dropped in increasing index order, so
-    each marginal is summed exactly once and at most ndim + 1 tables are
-    live at a time.
+    Size-1 axes are squeezed out first, since a marginal has the entropy of
+    its restriction to the other axes.  The rest is a depth-first walk of
+    the subset lattice: a node sums one axis out of its parent's table, and
+    axes are dropped in increasing index order, so each marginal is summed
+    exactly once and at most ndim + 1 tables are live at a time.  A node
+    whose table has at most ``_BLOCK_TABLE`` cells takes its whole
+    sub-lattice in one block (``_block_sums``) instead, as long as the
+    block's extended table has at most ``_BLOCK_CELLS`` cells.
     """
     n = table.ndim
-    out = np.zeros(1 << n)
+    wide = [a for a in range(n) if table.shape[a] > 1]
+    table = table.reshape([table.shape[a] for a in wide])
+    m = len(wide)
+    out = np.zeros(1 << m)
 
     def walk(t: np.ndarray, mask: int, first: int) -> None:
+        free = m - first  # t's last ``free`` axes, the ones it may still drop
+        # With one free axis a block makes more numpy calls than the walk.
+        if free > 1 and t.size <= _BLOCK_TABLE:
+            tail = t.shape[t.ndim - free :]
+            if t.size // math.prod(tail) * math.prod(k + 1 for k in tail) <= _BLOCK_CELLS:
+                # Axes first..m-1 are all in ``mask``, so each drop clears its bit.
+                out[mask - (np.arange(1 << free) << first)] = -_block_sums(t, free)
+                return
         out[mask] = _sum_plogp(t)
-        for a in range(first, n):
+        for a in range(first, m):
             child = mask & ~(1 << a)
             if child:
                 # ``t`` has the axes of ``mask`` in order; a follows those below it.
                 pos = (mask & ((1 << a) - 1)).bit_count()
                 walk(_sum_axes(t, (pos,)), child, a + 1)
 
-    if n:
-        walk(table, (1 << n) - 1, 0)
-    return out
+    if m:
+        walk(table, (1 << m) - 1, 0)
+    out[0] = 0.0  # a root block also summed the empty marginal
+    if m == n:
+        return out
+    # Bit j of the squeezed index is bit wide[j] of the mask.
+    masks = np.arange(1 << n)
+    index = np.zeros_like(masks)
+    for j, a in enumerate(wide):
+        index |= ((masks >> a) & 1) << j
+    return out[index]
+
+
+def _block_sums(table: np.ndarray, free: int) -> np.ndarray:
+    """sum m log m over each marginal of ``table`` that keeps its leading
+    axes and any subset of its last ``free`` (at least 1) axes, indexed by
+    the bitmask of the free axes it drops (bit j for the j-th free axis).
+
+    The "data cube" (Gray et al., 1997; Yates's factorial margins): each
+    free axis grows one slot that holds its sum, so one extended table holds
+    every such marginal.  m log m is taken once over it, and each free axis
+    then collapses to two slots: the sum of its first k slots (kept) and the
+    sum slot (dropped).  Every step views the table as (k, rest), with the
+    axis it works on in front, and writes it as (rest, k'), so the next axis
+    comes to the front and each sum runs over contiguous rows.
+    """
+    sizes = table.shape[table.ndim - free :]
+    cells = math.prod(sizes)
+    cube = table.reshape(-1, cells).T  # free axes in front, the leading ones last
+    for k in sizes:
+        rows = cube.reshape(k, -1)
+        cube = np.empty((rows.shape[1], k + 1))
+        cube[:, :k] = rows.T
+        np.add.reduce(rows, axis=0, out=cube[:, k])
+    del rows  # here and below: at most two extended-size tables live at once
+    # The leading axes are in front again: take m log m, then sum them out.
+    logs = np.maximum(cube, np.finfo(float).tiny)
+    np.log(logs, out=logs)  # finite, so a zero mass's term is 0
+    cube *= logs
+    del logs
+    cube = np.add.reduce(cube.reshape(table.size // cells, -1), axis=0)
+    for k in sizes:
+        rows = cube.reshape(k + 1, -1)
+        cube = np.empty((rows.shape[1], 2))
+        np.add.reduce(rows[:k], axis=0, out=cube[:, 0])
+        cube[:, 1] = rows[k]
+    # The first free axis is in front, on the highest bit; reverse the axes.
+    return cube.reshape((2,) * free).transpose().reshape(-1)
 
 
 class _Support:

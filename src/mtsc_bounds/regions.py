@@ -170,9 +170,9 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
         bound(A) = H(U_A | U_{A^c}, S) - H(U_A | V, U_{A^c}, S) + sum_{l in A} own_l.
 
     With ``x``, V = X and own_l = I(Y_l; U_l | X, side, W, T); without, V = Y,
-    all observations, and own_l = 0.  The entropies come from one lattice
-    walk over a table with axes (U_1..U_L, V, S), and the distortions from
-    the (sources, Z) marginal.
+    all observations, and own_l = 0.  The entropies come from the subset
+    lattice of one table with axes (U_1..U_L, V, S), and the distortions
+    from the (sources, Z) marginal.
     """
     L = model.L
     us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
@@ -182,7 +182,8 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     if x is not None:
         _chi_residual(oracle, L, tolerance).require("x (conditional-independence class)")
     _class_residuals(oracle, L, cls, tolerance).require(what)
-    # C-contiguous, U axes first, V and S one axis each: L + 2 axes to walk.
+    # C-contiguous, U axes first, V and S one axis each: a lattice over L + 2
+    # axes, of which a one-symbol S is squeezed out.
     h = _lattice_entropies(oracle.grouped([(u,) for u in us] + [v, s]))
     v_bit, s_bit = 1 << L, 1 << (L + 1)
     bounds = _conditional_entropies(h, L, s_bit) - _conditional_entropies(h, L, v_bit | s_bit)

@@ -112,6 +112,35 @@ def test_gaussian_ceo_membership(capsys):
     assert code == 0 and json.loads(out) == {"contains": False}
 
 
+def test_gaussian_ceo_csv_min_sum_rate(capsys):
+    argv = ["gaussian-ceo", "--sigma2", "1", "--noise", "1,0.5,2", "--D", "0.5", "--format", "csv"]
+    code, nats, _ = run(capsys, *argv)
+    assert code == 0
+    header, row = nats.splitlines()
+    assert header == "sigma2,noise_vars,D,min_sum_rate_nats"
+    sigma2, noise, D, rate = row.split(",")
+    assert (float(sigma2), noise, float(D)) == (1.0, "1.0;0.5;2.0", 0.5)
+    # The same value as the JSON output, at full precision.
+    want = json.loads(run(capsys, *argv[:-2])[1])["min_sum_rate_nats"]
+    assert float(rate) == pytest.approx(want, rel=1e-8)
+    code, bits, _ = run(capsys, *argv, "--bits")
+    assert code == 0
+    header_bits, row_bits = bits.splitlines()
+    assert header_bits == "sigma2,noise_vars,D,min_sum_rate_bits"
+    *head_bits, rate_bits = row_bits.split(",")
+    assert head_bits == [sigma2, noise, D]
+    assert float(rate_bits) == float(rate) / LN2
+
+
+def test_gaussian_ceo_csv_membership(capsys):
+    common = ["gaussian-ceo", "--sigma2", "1", "--noise", "1,1", "--D", "0.5",
+              "--witness", f"{0.5 * LN2},{0.5 * LN2}", "--format", "csv"]
+    code, out, _ = run(capsys, *common, "--rates", f"{0.75 * LN2},{0.75 * LN2}")
+    assert code == 0 and out == "contains\ntrue\n"
+    code, out, _ = run(capsys, *common, "--rates", "0.4,0.4")
+    assert code == 0 and out == "contains\nfalse\n"
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -565,3 +565,87 @@ def test_support_keys_rank_tuples_past_the_int64_range():
     # Within range the key is the mixed-radix index itself.
     key, span = support.keys(["V3", "V1"])
     assert span == 25 and np.array_equal(key, 5 * codes[3] + codes[1])
+
+
+# ---------------------------------------------------------------------------
+# Subset-lattice entropies
+# ---------------------------------------------------------------------------
+
+
+def walk_lattice_entropies(table):
+    """The lattice entropies as one depth-first walk, one marginal per node:
+    the reference for the blocked version."""
+    n = table.ndim
+    out = np.zeros(1 << n)
+
+    def walk(t, mask, first):
+        out[mask] = prob._sum_plogp(t)
+        for a in range(first, n):
+            child = mask & ~(1 << a)
+            if child:
+                pos = (mask & ((1 << a) - 1)).bit_count()
+                walk(prob._sum_axes(t, (pos,)), child, a + 1)
+
+    if n:
+        walk(table, (1 << n) - 1, 0)
+    return out
+
+
+def random_lattice_table(rng, n):
+    """A pmf table with n axes: mostly alphabets 1 to 3, some up to 300,
+    exact zeros, and now and then an all-zero slice."""
+    shape = [
+        int(rng.integers(4, 301)) if rng.random() < 0.15 else int(rng.integers(1, 4))
+        for _ in range(n)
+    ]
+    while math.prod(shape) > 1 << 14:
+        shape[int(np.argmax(shape))] //= 2
+    table = np.array(rng.random(shape) * (rng.random(shape) < 0.7))  # 0-d for n = 0
+    wide = [a for a in range(n) if shape[a] > 1]
+    if wide and rng.random() < 0.5:
+        a = int(rng.choice(wide))
+        index = [slice(None)] * n
+        index[a] = int(rng.integers(shape[a]))
+        table[tuple(index)] = 0.0
+    if table.sum() == 0.0:
+        table[(0,) * n] = 1.0
+    return table / table.sum()
+
+
+@pytest.mark.parametrize(
+    "block_table, block_cells",
+    [(0, 0), (prob._BLOCK_TABLE, prob._BLOCK_CELLS), (10**12, 10**12)],
+    ids=["walk", "default", "one-block"],
+)
+def test_lattice_entropies_match_the_walk(monkeypatch, block_table, block_cells):
+    # (0, 0) walks every node; 10**12 takes the whole lattice as one block.
+    monkeypatch.setattr(prob, "_BLOCK_TABLE", block_table)
+    monkeypatch.setattr(prob, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(11)
+    for n in range(13):
+        for _ in range(4 if n < 10 else 2):
+            table = random_lattice_table(rng, n)
+            got = prob._lattice_entropies(table)
+            assert got[0] == 0.0
+            assert np.abs(got - walk_lattice_entropies(table)).max() <= 1e-12
+    # A long axis next to short ones; size-1 axes first, last and between.
+    for shape in [(300, 2, 3), (2, 300, 1, 2), (1, 2, 1, 3, 2, 1), (1,) * 5, (3, 1, 257)]:
+        table = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+        got = prob._lattice_entropies(table)
+        assert got[0] == 0.0
+        assert np.abs(got - walk_lattice_entropies(table)).max() <= 1e-12
+
+
+def test_lattice_entropies_peak_memory_on_eleven_bits():
+    # The block limits keep the extended tables small: a whole-lattice
+    # block on 11 bits (3^11 cells) peaks at about 2.7 MB.
+    import tracemalloc
+
+    table = np.random.default_rng(5).dirichlet(np.ones(1 << 11)).reshape((2,) * 11)
+    tracemalloc.start()
+    try:
+        prob._lattice_entropies(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -799,6 +799,35 @@ def test_slepian_wolf_lattice_matches_per_mask_oracle(L):
             assert got.subset_bounds[mask] == pytest.approx(max(0.0, want), abs=1e-12)
 
 
+def test_slepian_wolf_at_l14_matches_the_product_form():
+    # Y0 a uniform bit and Y_l = Y0 xor N_l, P(N_l = 1) = eps_l: the marginal
+    # on any set K of observations is p(y_K) = sum_y0 p(y0) prod_K p(y_l | y0),
+    # built here mask by mask without summing the joint.
+    L = 14
+    eps = np.random.default_rng(14).uniform(0.05, 0.45, L)
+    joint = JointPmf((("Y0", 2),), np.array([0.5, 0.5]))
+    for l, e in enumerate(eps, start=1):
+        rows = np.array([[1.0 - e, e], [e, 1.0 - e]])
+        joint = joint.extend(Channel((("Y0", 2),), (f"Y{l}", 2), rows))
+    joint = joint.product(JointPmf(((f"Y{L + 1}", 1),), np.array([1.0])))
+    model = SourceModel(L, 1, joint, (np.zeros(joint.shape + (2,)),), (2,))
+    h = np.zeros(1 << L)  # h[K] = H(Y_K), bit l-1 for Y_l
+
+    def extend(tables, mask, first):
+        if mask:
+            h[mask] = _sum_plogp(tables[0] + tables[1])
+        for l in range(first, L):
+            given = [np.array([1.0 - eps[l], eps[l]]), np.array([eps[l], 1.0 - eps[l]])]
+            extend([np.multiply.outer(t, g) for t, g in zip(tables, given)], mask | 1 << l, l + 1)
+
+    extend([np.array(0.5), np.array(0.5)], 0, 0)
+    bounds = slepian_wolf_bounds(model).subset_bounds
+    masks = np.arange(1, 1 << L)
+    got = np.array([bounds[mask] for mask in masks.tolist()])
+    want = np.maximum(0.0, h[-1] - h[((1 << L) - 1) ^ masks])
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def lossless_component_model(copula):
     # Y1 is the hidden variable itself (reproduced losslessly in the limit).
     cop = np.asarray(copula, float)
