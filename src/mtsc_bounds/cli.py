@@ -171,7 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--cardinalities", required=True, help="comma-separated |U_l|")
     p_opt.add_argument("--budget", type=int, required=True)
     p_opt.add_argument("--seed", type=int, required=True)
-    p_opt.add_argument("--restarts", type=int, default=4)
+    p_opt.add_argument(
+        "--restarts", type=int, default=4,
+        help="search restarts; they share --budget in order, and each begins only while "
+        "budget remains",
+    )
     p_opt.add_argument("--format", choices=("json", "csv"), default="json")
     p_opt.add_argument("--out")
     return parser

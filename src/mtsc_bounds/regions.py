@@ -10,7 +10,9 @@ is evaluated on its support, new-outer on the erasure casebook up to L = 10.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ from .model import (
     _chi_residual,
     _class_residuals,
     _distortions,
+    _support_is_smaller,
     _system_oracle,
     encoder_names,
     source_names,
@@ -338,7 +341,12 @@ def inner_bound_cardinalities(model: SourceModel) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Outcome of a sum-rate search; infeasible caps are reported, not fatal."""
+    """Outcome of a sum-rate search; infeasible caps are reported, not fatal.
+
+    ``evaluations`` counts the kernel sets evaluated, at most the budget, and
+    ``restarts`` the restarts that ran: a restart begins only while budget
+    remains.
+    """
 
     feasible: bool
     sum_rate: float
@@ -350,7 +358,13 @@ class OptimizeResult:
     message: str
 
 
-_MAX_OPTIMIZE_L = 7  # set by the dense bt_inner_constraints check; see __init__
+# The optimizer's best point is checked with bt_inner_constraints; a model
+# whose check would build a table of more cells than this is refused.
+_MAX_CHECK_CELLS = 1 << 25
+_ONE_CELL_WT = JointPmf((("W", 1), ("T", 1)), np.array([1.0]))
+_ROUNDS = 60  # slope updates per restart
+_ITERS = 150  # mirror-descent steps of a restart's first and last solve
+_TOL = 1e-12  # relative improvement below which a solve stops
 
 
 @dataclass(frozen=True)
@@ -386,18 +400,26 @@ class _InnerEvaluator:
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
         self.model = model
         self.L = model.L
-        if self.L > _MAX_OPTIMIZE_L:
-            raise ValueError(
-                f"the optimizer supports L <= {_MAX_OPTIMIZE_L}, got L={self.L}: its result is "
-                f"checked with bt_inner_constraints, whose dense joint has about 29 M cells "
-                f"(2*9^7*3) on the erasure casebook at L = 7"
-            )
         self.cards = tuple(int(c) for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
         src = model.joint.table  # axes: y0, y1..yL, side
         p_obs = src.sum(axis=0)  # axes: y1..yL, side
+        # The check's largest table, by the rule that picks its root (the rule
+        # reads only the system's (W, T), here one cell): on a dense source the
+        # joint of sources, U and Z; otherwise the lattice table over (U,
+        # occurring Y, side).
+        if _support_is_smaller(model, SimpleNamespace(wt_pmf=_ONE_CELL_WT)):
+            what, cells = "lattice table", np.count_nonzero(p_obs.sum(axis=-1)) * p_obs.shape[-1]
+        else:
+            what, cells = "dense joint", src.size * model.z_size
+        cells *= math.prod(self.cards)
+        if cells > _MAX_CHECK_CELLS:
+            raise ValueError(
+                f"the optimizer's result is checked with bt_inner_constraints, whose {what} "
+                f"would have {cells:,} cells here, over the cap of {_MAX_CHECK_CELLS:,}"
+            )
         blocks = [p_obs[..., None]] + [(src[..., None] * d).sum(axis=0) for d in model.distortions]
         self.table = np.concatenate(blocks, axis=-1)
         ends = np.cumsum((1,) + model.reproduction_sizes).tolist()
@@ -530,7 +552,6 @@ class _InnerEvaluator:
         return Channel.deterministic(inputs, ("Z", self.model.z_size), decode)
 
     def as_aux_system(self, point: _Point) -> AuxSystem:
-        wt = JointPmf((("W", 1), ("T", 1)), np.array([1.0]))
         encoders = tuple(
             Channel(
                 ((f"Y{l}", self.y_sizes[l - 1]), ("W", 1), ("T", 1)),
@@ -539,31 +560,35 @@ class _InnerEvaluator:
             )
             for l in range(1, self.L + 1)
         )
-        return AuxSystem(wt, encoders, self.bayes_decoder(point))
+        return AuxSystem(_ONE_CELL_WT, encoders, self.bayes_decoder(point))
 
 
 class _SearchState:
-    """Budget accounting plus the best feasible point seen so far."""
+    """The one budget that every restart draws on, in order, and the best
+    feasible point seen so far with the restart that found it; a later point
+    must be better by more than 1e-12, so earlier restarts win ties."""
 
     def __init__(self, caps, budget):
         self.caps = caps
         self.budget = budget
         self.evals = 0
+        self.restart = 0  # the restart now running
         self.best: Optional[_Point] = None
+        self.best_restart = None
 
     def note(self, point: _Point):
         self.evals += 1
         if all(d <= c + FEASIBILITY_SLACK for d, c in zip(point.dists, self.caps)) and (
             self.best is None or point.rate < self.best.rate - 1e-12
         ):
-            self.best = point
+            self.best, self.best_restart = point, self.restart
 
     @property
     def exhausted(self):
         return self.evals >= self.budget
 
 
-def _md_minimize(evaluator, kernels, slopes, state, max_iters=150, tol=1e-12) -> _Point:
+def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
     """Mirror descent (exponentiated gradient) on rate + slopes . dists over
     the product of row simplices: K <- K exp(-t G) renormalized per row.
 
@@ -611,12 +636,12 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters=150, tol=1e-12) ->
         improvement = point.value - trial.value
         point = trial
         step = min(step * 1.6, 1e8)
-        if improvement <= tol * max(1.0, abs(point.value)):
+        if improvement <= _TOL * max(1.0, abs(point.value)):
             break
     return point
 
 
-def _slope_search(evaluator, kernels, state, rounds=60, iters=150):
+def _slope_search(evaluator, kernels, state):
     """Per-distortion Lagrange slope bracketing and bisection around the caps.
 
     Slopes start high (hard, structured solutions) and walk down toward the
@@ -624,7 +649,8 @@ def _slope_search(evaluator, kernels, state, rounds=60, iters=150):
     the bracket and descends.  Solves warm-start from the most recent
     all-feasible solution ("anchor"): low-slope regimes have degenerate
     optima (maximum distortion, zero rate) whose kernels would poison later
-    warm starts.  ``state`` keeps the best feasible point visited anywhere.
+    warm starts.  ``state`` keeps the best feasible point visited anywhere;
+    the final polish at the bracketed slopes runs only while budget remains.
     """
     eps = evaluator.seed_mass
 
@@ -639,9 +665,9 @@ def _slope_search(evaluator, kernels, state, rounds=60, iters=150):
     slopes = np.full(K, 64.0)
     lo = np.zeros(K)
     hi = np.full(K, np.inf)
-    point = _md_minimize(evaluator, soften(kernels), slopes, state, max_iters=iters)
+    point = _md_minimize(evaluator, soften(kernels), slopes, state, _ITERS)
     anchor = point.kernels
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         if state.exhausted:
             break
         dists = point.dists
@@ -667,9 +693,10 @@ def _slope_search(evaluator, kernels, state, rounds=60, iters=150):
                     moved = True
         if not moved or bool(np.any(slopes > 1e14)):
             break
-        point = _md_minimize(evaluator, soften(anchor), slopes, state, max_iters=iters // 2)
-    final = np.where(np.isfinite(hi), hi, slopes)
-    _md_minimize(evaluator, soften(anchor), final, state, max_iters=iters)
+        point = _md_minimize(evaluator, soften(anchor), slopes, state, _ITERS // 2)
+    if not state.exhausted:
+        final = np.where(np.isfinite(hi), hi, slopes)
+        _md_minimize(evaluator, soften(anchor), final, state, _ITERS)
 
 
 def optimize_bt_inner_sum_rate(
@@ -687,10 +714,13 @@ def optimize_bt_inner_sum_rate(
     evaluation; each restart runs a Lagrangian slope search (mirror descent
     inside, slope bracketing/bisection outside) against the distortion caps.
     The first restart starts from softened copy kernels, the rest from
-    random kernels.  ``budget`` caps the total number of model evaluations.
-    The result is an upper estimate of the inner-bound optimum: every
-    reported point is achievable.  Deterministic given ``seed``; restarts
-    merge by (sum_rate, restart index).
+    random kernels.  ``budget`` caps the total number of model evaluations
+    exactly: the restarts share it in order, restart 0 first, and a restart
+    begins only while some remains.  The result is an upper estimate of the
+    inner-bound optimum: every reported point is achievable.  Deterministic
+    given ``seed``; of equal points the earliest wins.  Raises
+    ``ValueError`` when the check of the result would build a table of more
+    than 2^25 cells.
     """
     caps = tuple(float(c) for c in distortion_caps)
     if len(caps) != model.K:
@@ -700,41 +730,28 @@ def optimize_bt_inner_sum_rate(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     evaluator = _InnerEvaluator(model, cardinalities)
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    per_restart = max(1, budget // restarts)
-    states = []
-    for i in range(restarts):
-        rng = np.random.default_rng(seeds[i])
+    state = _SearchState(caps, budget)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        if state.exhausted:
+            break
+        state.restart = i
+        rng = np.random.default_rng(child)
         kernels = evaluator.identity_kernels() if i == 0 else evaluator.random_kernels(rng)
-        state = _SearchState(caps, per_restart)
         _slope_search(evaluator, kernels, state)
-        states.append(state)
 
-    total_evals = sum(s.evals for s in states)
-    best_idx, best = None, None
-    for i, state in enumerate(states):
-        if state.best is not None and (best is None or state.best.rate < best.rate - 1e-12):
-            best_idx, best = i, state.best
-    if best is None:
-        return OptimizeResult(
-            feasible=False,
-            sum_rate=float("inf"),
-            gamma=None,
-            constraints=None,
-            distortions=(),
-            evaluations=total_evals,
-            restarts=restarts,
-            message=f"no system met caps {caps} within budget {budget}",
-        )
-    gamma = evaluator.as_aux_system(best)
-    constraints = bt_inner_constraints(model, gamma)
+    gamma = constraints = None
+    sum_rate, message = float("inf"), f"no system met caps {caps} within budget {budget}"
+    if state.best is not None:
+        gamma = evaluator.as_aux_system(state.best)
+        constraints = bt_inner_constraints(model, gamma)
+        sum_rate, message = constraints.full_set, f"best restart {state.best_restart}"
     return OptimizeResult(
-        feasible=True,
-        sum_rate=constraints.full_set,
+        feasible=gamma is not None,
+        sum_rate=sum_rate,
         gamma=gamma,
         constraints=constraints,
-        distortions=constraints.distortions,
-        evaluations=total_evals,
-        restarts=restarts,
-        message=f"best restart {best_idx}",
+        distortions=constraints.distortions if constraints else (),
+        evaluations=state.evals,
+        restarts=state.restart + 1,
+        message=message,
     )

@@ -331,10 +331,10 @@ def test_optimize_zero_restarts_exits_1(tmp_path, capsys):
 def test_optimize_beyond_the_encoder_limit_exits_1(tmp_path, capsys):
     prefix = str(tmp_path / "er")
     run(capsys, "info", "--dump", "erasure", "--out", prefix,
-        "--p", "0.5", "--L", "8", "--D", "0.6")
+        "--p", "0.5", "--L", "10", "--D", "0.6")
     code, _, err = run(
         capsys, "optimize", "--model", prefix + ".model.json", "--caps", "0.6",
-        "--cardinalities", ",".join(["3"] * 8), "--budget", "100", "--seed", "1",
+        "--cardinalities", ",".join(["3"] * 10), "--budget", "100", "--seed", "1",
     )
     assert code == 1
-    assert "L <= 7" in err and "L=8" in err
+    assert "120,873,303 cells" in err and "cap of 33,554,432" in err

@@ -1071,8 +1071,9 @@ def test_optimizer_gradient_matches_finite_differences():
                     assert fd == pytest.approx(want, abs=1e-6)
 
 
-@pytest.mark.parametrize("budget", [10_000, 800])
+@pytest.mark.parametrize("budget", [10_000, 800, 400, 40, 1])
 def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
+    # 400, 40 and 1 run out inside restart 0, the others in later restarts.
     calls = []
     point = _InnerEvaluator.point
 
@@ -1122,8 +1123,35 @@ def test_optimizer_deterministic_given_seed():
 def test_optimizer_never_beats_the_erasure_closed_form(L, budget):
     inst = casebook("erasure", p=0.5, L=L, D=0.6)
     res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * L, budget=budget, seed=L)
+    closed = erasure_sum_rate(ErasureParams(0.5, L, 0.6))
     assert res.feasible
-    assert res.sum_rate >= erasure_sum_rate(ErasureParams(0.5, L, 0.6)) - 1e-9
+    assert closed - 1e-9 <= res.sum_rate <= closed + 1e-3
+
+
+def test_optimizer_meets_the_erasure_closed_form_at_l8():
+    # The check of the result takes the support path, whose lattice table
+    # has 3^8 * 511 cells, under the optimizer's cap.
+    inst = casebook("erasure", p=0.5, L=8, D=0.6)
+    res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * 8, budget=1000, seed=8)
+    closed = erasure_sum_rate(ErasureParams(0.5, 8, 0.6))
+    assert res.feasible and res.evaluations <= 1000
+    assert closed - 1e-9 <= res.sum_rate <= closed + 1e-6
+
+
+def test_optimizer_refuses_a_check_over_its_cell_cap():
+    # A dense source checks its result on the dense joint of 2 * 3^7 source
+    # cells, prod |U_l| and |Z| = 3: 28.7 M cells for |U_l| = 3 at L = 7.
+    rng = np.random.default_rng(7)
+    sizes = (2,) + (3,) * 7 + (1,)
+    joint = JointPmf(tuple(zip(source_names(7), sizes)), rng.dirichlet(np.ones(2 * 3**7)))
+    model = SourceModel(7, 1, joint, (rng.uniform(size=sizes + (3,)),), (3,))
+    assert _InnerEvaluator(model, [3] * 7).L == 7
+    with pytest.raises(ValueError, match="dense joint would have 38,263,752 cells"):
+        _InnerEvaluator(model, [3] * 6 + [4])
+    # Erasure L = 10: the lattice table has 3^10 * 2047 cells.
+    inst = casebook("erasure", p=0.5, L=10, D=0.6)
+    with pytest.raises(ValueError, match="lattice table would have 120,873,303 cells"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * 10, budget=10, seed=0)
 
 
 def test_optimizer_bits_do_not_depend_on_the_hash_seed():
