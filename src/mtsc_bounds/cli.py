@@ -1,8 +1,9 @@
 """Command-line interface: reproduce the worked numbers and emit bound data.
 
 Exit codes: 0 on success or PASS, 2 on FAIL (including Markov-check
-failures), 1 on usage or I/O errors.  All numeric output is in nats with 9
-significant digits; ``--bits`` divides displayed rates by log 2.
+failures), 1 on usage or I/O errors.  Numeric output is in nats, with 9
+significant digits outside CSV and ``optimize``'s JSON, which keep every digit;
+``--bits`` divides displayed rates by log 2.
 """
 
 from __future__ import annotations
@@ -413,7 +414,7 @@ def _cmd_optimize(args) -> int:
         "message": result.message,
         "constraints": result.constraints.to_json() if result.constraints else None,
     }
-    _emit(json.dumps(_round9(payload), indent=2), args.out)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 

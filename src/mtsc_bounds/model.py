@@ -18,6 +18,7 @@ Distortion index ``k`` is 0-based throughout this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -27,6 +28,7 @@ from .errors import AlphabetMismatchError, MarkovCheckError, VariableError
 from .prob import Channel, EntropyOracle, JointPmf, _code_dtype, _Support
 
 MARKOV_TOL = 1e-9  # pass tolerance for Markov residuals, in nats
+_MAX_TABLE_CELLS = 1 << 25  # the most cells a bound evaluation's table may have
 
 GAMMA_CLASSES = ("outer", "bt_inner", "bt_outer")
 
@@ -310,16 +312,36 @@ def _kernels(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> tup
     return gamma.encoder_kernels + (gamma.decoder_kernel,) + ((x.kernel,) if x is not None else ())
 
 
-def _support_is_smaller(model: SourceModel, gamma: AuxSystem) -> bool:
+def _support_is_smaller(model: SourceModel, wt_pmf: JointPmf) -> bool:
     """Whether the nonzero cells of sources x (W, T), one code per variable
     plus a mass each, take less memory than its dense table.  Extending by a
     kernel never raises the nonzero fraction, so a model that fails this
     loses nothing by the dense build."""
-    src, wt = model.joint.probs, gamma.wt_pmf.probs
-    variables = model.joint.variables + gamma.wt_pmf.variables
+    src, wt = model.joint.probs, wt_pmf.probs
+    variables = model.joint.variables + wt_pmf.variables
     row_bytes = len(variables) * _code_dtype(s for _, s in variables).itemsize + 8
     rows = np.count_nonzero(src) * np.count_nonzero(wt)
     return rows * row_bytes < src.size * wt.size * 8
+
+
+def _check_cells(model: SourceModel, wt_pmf: JointPmf, u_sizes, x_size=None) -> None:
+    """Refuse, by ``ValueError``, a bound evaluation of a system with (W, T)
+    pmf ``wt_pmf`` and encoder alphabets ``u_sizes`` whose largest table, on
+    the root ``_support_is_smaller`` picks, would exceed ``_MAX_TABLE_CELLS``:
+    the dense joint, or on the support the lattice table over (U, V, side,
+    T), whose V is X (``x_size`` symbols) or the observation tuples that occur."""
+    src, v = model.joint, x_size or 1
+    if _support_is_smaller(model, wt_pmf):
+        v = x_size or np.count_nonzero(src._summed(source_names(model.L)[1:-1])[1])
+        what, cells = "lattice table", src.shape[-1] * wt_pmf.shape[-1]
+    else:
+        what, cells = "dense joint", src.probs.size * wt_pmf.probs.size * model.z_size
+    cells *= v * math.prod(u_sizes)
+    if cells > _MAX_TABLE_CELLS:
+        raise ValueError(
+            f"the bound evaluation's {what} would have {cells:,} cells, "
+            f"over the cap of {_MAX_TABLE_CELLS:,}"
+        )
 
 
 def _system_oracle(
@@ -331,7 +353,7 @@ def _system_oracle(
     kernel entries in, when that is smaller than the dense table
     (``_support_is_smaller``); otherwise it is the dense joint itself.
     """
-    if not _support_is_smaller(model, gamma):
+    if not _support_is_smaller(model, gamma.wt_pmf):
         return EntropyOracle(build_full_joint(model, gamma, x), keep)
     support = _Support.of(model.joint.product(gamma.wt_pmf))
     for kernel in _kernels(model, gamma, x):
@@ -350,8 +372,6 @@ def gamma_class_residuals(
     validate hand-entered or optimizer-produced systems; kernel-built joints
     pass by construction.
     """
-    if cls not in GAMMA_CLASSES:
-        raise ValueError(f"cls must be one of {GAMMA_CLASSES}, got {cls!r}")
     shared = ["W", "T"] if cls == "outer" else ["T"]
     oracle = EntropyOracle(joint, list(source_names(L) + encoder_names(L)) + shared + ["Z"])
     return _class_residuals(oracle, L, cls, tolerance)
@@ -359,6 +379,8 @@ def gamma_class_residuals(
 
 def _class_residuals(oracle: EntropyOracle, L: int, cls: str, tolerance: float) -> MarkovReport:
     """``gamma_class_residuals`` read from an oracle over the joint."""
+    if cls not in GAMMA_CLASSES:
+        raise ValueError(f"cls must be one of {GAMMA_CLASSES}, got {cls!r}")
     sources = list(source_names(L))
     side = f"Y{L + 1}"
     us = list(encoder_names(L))
@@ -391,15 +413,12 @@ def _class_residuals(oracle: EntropyOracle, L: int, cls: str, tolerance: float) 
 
 
 def check_gamma_class(
-    model: SourceModel,
-    gamma: AuxSystem,
-    cls: str,
-    x: Optional[XChannel] = None,
-    tolerance: float = MARKOV_TOL,
+    model: SourceModel, gamma: AuxSystem, cls: str, tolerance: float = MARKOV_TOL
 ) -> MarkovReport:
-    """Markov report of a kernel-built system against class ``cls``."""
-    joint = build_full_joint(model, gamma, x)
-    return gamma_class_residuals(joint, model.L, cls, tolerance)
+    """Markov report of a kernel-built system against class ``cls``, read
+    from the evaluators' oracle over its joint (``_system_oracle``)."""
+    keep = source_names(model.L) + encoder_names(model.L) + ("W", "T", "Z")
+    return _class_residuals(_system_oracle(model, gamma, None, keep), model.L, cls, tolerance)
 
 
 def chi_residual(joint: JointPmf, L: int, tolerance: float = MARKOV_TOL) -> MarkovReport:
@@ -430,11 +449,12 @@ def expected_distortions(
     """Exact E[d_k(Y0, Y, Y_{L+1}, Z_k)] for every k, under the built joint.
 
     ``joint``, when given, is ``build_full_joint(model, gamma[, x])``, which
-    has the sources and Z in this order.
+    has the sources and Z in this order; else the evaluators' oracle is read.
     """
+    names = source_names(model.L) + ("Z",)
     if joint is None:
-        joint = build_full_joint(model, gamma)
-    return _distortions(model, joint._summed(source_names(model.L) + ("Z",))[1])
+        return _distortions(model, _system_oracle(model, gamma, None, names).marginal(names))
+    return _distortions(model, joint._summed(names)[1])
 
 
 def _distortions(model: SourceModel, table: np.ndarray) -> tuple[float, ...]:

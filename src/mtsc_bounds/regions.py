@@ -2,17 +2,15 @@
 
 Subsets A of encoders {1..L} are encoded as bitmasks (bit l-1 set means
 encoder l is in A), so a constraint set holds 2^L - 1 subset rate lower
-bounds plus the K expected distortions.  The representation caps L at 16.
-A model with a dense joint is capped at about 6 by its cost; a sparse one
-is evaluated on its support, new-outer on the erasure casebook up to L = 10.
+bounds plus the K expected distortions.  The representation caps L at 16
+and the 2^25-cell table cap a dense model at about 6; a sparse one is
+evaluated on its support, new-outer on the erasure casebook up to L = 10.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,10 +21,10 @@ from .model import (
     AuxSystem,
     SourceModel,
     XChannel,
+    _check_cells,
     _chi_residual,
     _class_residuals,
     _distortions,
-    _support_is_smaller,
     _system_oracle,
     encoder_names,
     source_names,
@@ -166,9 +164,9 @@ def new_outer_constraints(
 
 def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     """The one evaluator body: one oracle over the system's joint
-    (``_system_oracle``), from which it requires X's conditional independence
-    (with ``x``) and Markov class ``cls`` (named ``what`` in the error) and,
-    with S = (side, T), assembles
+    (``_system_oracle``, under ``_check_cells``'s cap), from which it requires
+    X's conditional independence (with ``x``) and Markov class ``cls`` (named
+    ``what`` in the error) and, with S = (side, T), assembles
 
         bound(A) = H(U_A | U_{A^c}, S) - H(U_A | V, U_{A^c}, S) + sum_{l in A} own_l.
 
@@ -181,6 +179,8 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
     v, own_given = (ys, ()) if x is None else (("X",), ("X", "W"))
     keep = source_names(L) + us + (("W", "T", "Z", "X") if x else ("T", "Z"))
+    u_sizes = [k.output[1] for k in gamma.encoder_kernels]
+    _check_cells(model, gamma.wt_pmf, u_sizes, x and x.kernel.output[1])
     oracle = _system_oracle(model, gamma, x, keep)
     if x is not None:
         _chi_residual(oracle, L, tolerance).require("x (conditional-independence class)")
@@ -358,9 +358,6 @@ class OptimizeResult:
     message: str
 
 
-# The optimizer's best point is checked with bt_inner_constraints; a model
-# whose check would build a table of more cells than this is refused.
-_MAX_CHECK_CELLS = 1 << 25
 _ONE_CELL_WT = JointPmf((("W", 1), ("T", 1)), np.array([1.0]))
 _ROUNDS = 60  # slope updates per restart
 _ITERS = 150  # mirror-descent steps of a restart's first and last solve
@@ -403,23 +400,11 @@ class _InnerEvaluator:
         self.cards = tuple(int(c) for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
+        # The result is checked with bt_inner_constraints, under its table cap.
+        _check_cells(model, _ONE_CELL_WT, self.cards)
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
         src = model.joint.table  # axes: y0, y1..yL, side
         p_obs = src.sum(axis=0)  # axes: y1..yL, side
-        # The check's largest table, by the rule that picks its root (the rule
-        # reads only the system's (W, T), here one cell): on a dense source the
-        # joint of sources, U and Z; otherwise the lattice table over (U,
-        # occurring Y, side).
-        if _support_is_smaller(model, SimpleNamespace(wt_pmf=_ONE_CELL_WT)):
-            what, cells = "lattice table", np.count_nonzero(p_obs.sum(axis=-1)) * p_obs.shape[-1]
-        else:
-            what, cells = "dense joint", src.size * model.z_size
-        cells *= math.prod(self.cards)
-        if cells > _MAX_CHECK_CELLS:
-            raise ValueError(
-                f"the optimizer's result is checked with bt_inner_constraints, whose {what} "
-                f"would have {cells:,} cells here, over the cap of {_MAX_CHECK_CELLS:,}"
-            )
         blocks = [p_obs[..., None]] + [(src[..., None] * d).sum(axis=0) for d in model.distortions]
         self.table = np.concatenate(blocks, axis=-1)
         ends = np.cumsum((1,) + model.reproduction_sizes).tolist()
@@ -533,23 +518,15 @@ class _InnerEvaluator:
         return grads
 
     def bayes_decoder(self, point: _Point) -> Channel:
-        side_size = len(self.ln_ps1)
-        choices = [  # axes (side, u1..uL)
-            c.argmin(axis=1).reshape((side_size,) + self.cards) for c in point.costs
-        ]
-        rep = self.model.reproduction_sizes
-
-        def decode(*args):
-            us = args[: self.L]
-            y_side = args[self.L]
-            zs = [int(c[(y_side,) + us]) for c in choices]
-            return int(np.ravel_multi_index(zs, rep))
-
-        inputs = tuple((f"U{l}", self.cards[l - 1]) for l in range(1, self.L + 1)) + (
-            (f"Y{self.L + 1}", side_size),
-            ("T", 1),
-        )
-        return Channel.deterministic(inputs, ("Z", self.model.z_size), decode)
+        """The deterministic Bayes decoder of ``point``: one one-hot row per
+        input tuple (u1..uL, side, T), each measure's argmin over (u, side)."""
+        choices = [c.argmin(axis=1).T.reshape(-1) for c in point.costs]  # (u, side) rows
+        z = np.ravel_multi_index(choices, self.model.reproduction_sizes)
+        rows = np.zeros((z.size, self.model.z_size))
+        rows[np.arange(z.size), z] = 1.0
+        inputs = [(f"U{l}", n) for l, n in enumerate(self.cards, start=1)]
+        inputs += [(f"Y{self.L + 1}", len(self.ln_ps1)), ("T", 1)]
+        return Channel(inputs, ("Z", self.model.z_size), rows)
 
     def as_aux_system(self, point: _Point) -> AuxSystem:
         encoders = tuple(

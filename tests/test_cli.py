@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from mtsc_bounds import __version__
+import mtsc_bounds
+from mtsc_bounds import SourceModel, __version__, optimize_bt_inner_sum_rate
 from mtsc_bounds.cli import main
 
 LN2 = math.log(2.0)
@@ -326,6 +330,43 @@ def test_optimize_zero_restarts_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "restarts" in err
+
+
+def test_bounds_over_the_table_cap_exit_1(tmp_path, capsys):
+    # Erasure L = 10: the Berger-Tung lattice table over (U, occurring Y)
+    # would have 3^10 * 2047 cells.  Run as a process, so that stderr shows
+    # whatever escapes main.
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix,
+        "--p", "0.5", "--L", "10", "--D", "0.3")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtsc_bounds.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for kind in ("bt-inner", "bt-outer"):
+        done = subprocess.run(
+            [sys.executable, "-m", "mtsc_bounds.cli", "bounds", "--model", prefix + ".model.json",
+             "--gamma", prefix + ".gamma.json", "--kind", kind],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert done.returncode == 1, (kind, done.stderr)
+        assert "120,873,303 cells" in done.stderr and "cap of 33,554,432" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+def test_optimize_json_is_in_full_precision(tmp_path, capsys):
+    # Above 1 nat, 9 significant digits would move the sum rate by up to 5e-9,
+    # more than the 1e-9 a result may sit below the closed form.
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix,
+        "--p", "0.5", "--L", "3", "--D", "0.6")
+    code, out, _ = run(
+        capsys, "optimize", "--model", prefix + ".model.json", "--caps", "0.4",
+        "--cardinalities", "3,3,3", "--budget", "1000", "--seed", "1",
+    )
+    model = SourceModel.from_json(json.loads(Path(prefix + ".model.json").read_text()))
+    result = optimize_bt_inner_sum_rate(model, [0.4], [3, 3, 3], budget=1000, seed=1)
+    assert code == 0 and result.sum_rate > 1.0
+    assert float(f"{result.sum_rate:.9g}") != result.sum_rate
+    assert json.loads(out)["sum_rate_nats"] == result.sum_rate
 
 
 def test_optimize_beyond_the_encoder_limit_exits_1(tmp_path, capsys):

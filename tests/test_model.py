@@ -146,6 +146,24 @@ def test_kernel_built_systems_pass_their_classes():
     assert check_gamma_class(appc.model, appc.gamma, "bt_outer").worst <= 1e-12
 
 
+def test_public_checks_read_the_support_past_the_dense_limit():
+    # The dense joint at erasure L = 8 has 2 * 9^8 * 3 cells, 1.9 GiB; the
+    # evaluators' oracle reads its support of 2 * 3^8 rows instead.
+    er = casebook("erasure", p=0.5, L=8, D=0.6)
+    for cls in ("outer", "bt_inner", "bt_outer"):
+        assert check_gamma_class(er.model, er.gamma, cls).worst <= 1e-12
+    assert expected_distortions(er.model, er.gamma)[0] == pytest.approx(0.6, abs=1e-12)
+
+
+def test_unknown_class_name_is_refused_by_both_checks():
+    toy = casebook("toy")
+    joint = build_full_joint(toy.model, toy.gamma)
+    with pytest.raises(ValueError, match="cls must be one of"):
+        check_gamma_class(toy.model, toy.gamma, "inner")
+    with pytest.raises(ValueError, match="cls must be one of"):
+        gamma_class_residuals(joint, toy.model.L, "inner")
+
+
 def test_shared_selector_fails_inner_class():
     # The randomized coordinate selector correlates U1 and U2 beyond what the
     # inner class allows; the correlated on/off pair construction likewise.

@@ -487,20 +487,24 @@ EVALUATORS = {
 
 def assert_matches_dense(model, gamma, x):
     """Every evaluator, class residual and the chi residual of the oracle the
-    evaluators use agree with the dense copies within 1e-12; where the dense
-    body raises a Markov error, the evaluator raises one on the same names."""
+    evaluators use, and the public class check and distortions, agree with
+    the dense copies within 1e-12; where the dense body raises a Markov
+    error, the evaluator raises one on the same names."""
     L = model.L
     joint = build_full_joint(model, gamma, x)
     keep = source_names(L) + tuple(f"U{l}" for l in range(1, L + 1)) + ("W", "T", "Z", "X")
     oracle = mtsc_bounds.model._system_oracle(model, gamma, x, keep)
     reports = [(mtsc_bounds.model._chi_residual(oracle, L, 1e-9), dense_chi_residual(model, x))]
     for cls in ("outer", "bt_inner", "bt_outer"):
-        got = mtsc_bounds.model._class_residuals(oracle, L, cls, 1e-9)
-        reports.append((got, dense_class_residuals(joint, L, cls)))
+        want = dense_class_residuals(joint, L, cls)
+        reports.append((mtsc_bounds.model._class_residuals(oracle, L, cls, 1e-9), want))
+        reports.append((check_gamma_class(model, gamma, cls), want))
     for got, want in reports:
         assert [n for n, _ in got.residuals] == [n for n, _ in want.residuals]
         for (_, a), (_, b) in zip(got.residuals, want.residuals):
             assert a == pytest.approx(b, abs=1e-12)
+    want = expected_distortions(model, gamma, joint)
+    assert expected_distortions(model, gamma) == pytest.approx(want, abs=1e-12)
     raised = 0
     for cls, evaluate in EVALUATORS.items():
         try:
@@ -558,9 +562,9 @@ def test_memory_rule_picks_the_support_only_where_it_is_smaller():
     rule = mtsc_bounds.model._support_is_smaller
     for L in (2, 6):
         inst = casebook("erasure", p=0.5, L=L, D=0.6)
-        assert rule(inst.model, inst.gamma)  # 2^(L+1) of 2 * 3^L source cells
+        assert rule(inst.model, inst.gamma.wt_pmf)  # 2^(L+1) of 2 * 3^L source cells
     inst = casebook("toy")
-    assert not rule(inst.model, inst.gamma)  # every cell is positive
+    assert not rule(inst.model, inst.gamma.wt_pmf)  # every cell is positive
 
 
 @pytest.mark.parametrize("L, D", [(7, 0.3), (7, 0.6), (8, 0.3), (8, 0.6), (10, 0.3)])
@@ -1152,6 +1156,34 @@ def test_optimizer_refuses_a_check_over_its_cell_cap():
     inst = casebook("erasure", p=0.5, L=10, D=0.6)
     with pytest.raises(ValueError, match="lattice table would have 120,873,303 cells"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * 10, budget=10, seed=0)
+
+
+def per_row_decoder(ev, point):
+    """The optimizer's former decoder build, one callback per input tuple,
+    kept as a test-only oracle."""
+    side_size = len(ev.ln_ps1)
+    choices = [c.argmin(axis=1).reshape((side_size,) + ev.cards) for c in point.costs]
+
+    def decode(*args):
+        zs = [int(c[(args[ev.L],) + args[: ev.L]]) for c in choices]
+        return int(np.ravel_multi_index(zs, ev.model.reproduction_sizes))
+
+    inputs = tuple((f"U{l}", n) for l, n in enumerate(ev.cards, start=1))
+    inputs += ((f"Y{ev.L + 1}", side_size), ("T", 1))
+    return Channel.deterministic(inputs, ("Z", ev.model.z_size), decode)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2])
+def test_bayes_decoder_matches_the_per_row_build(L, K):
+    rng = np.random.default_rng(1500 + 10 * L + K)
+    for side in (1, 2, 3):
+        model = random_source_model(rng, L, K, side)
+        ev = _InnerEvaluator(model, [1 + (l + side) % 3 for l in range(L)])
+        point = ev.point(zeroed_kernels(rng, ev), np.ones(K))
+        got, want = ev.bayes_decoder(point), per_row_decoder(ev, point)
+        assert (got.inputs, got.output) == (want.inputs, want.output)
+        assert np.array_equal(got.rows, want.rows)
 
 
 def test_optimizer_bits_do_not_depend_on_the_hash_seed():
