@@ -329,10 +329,12 @@ def _check_cells(model: SourceModel, wt_pmf: JointPmf, u_sizes, x_size=None) -> 
     pmf ``wt_pmf`` and encoder alphabets ``u_sizes`` whose largest table, on
     the root ``_support_is_smaller`` picks, would exceed ``_MAX_TABLE_CELLS``:
     the dense joint, or on the support the lattice table over (U, V, side,
-    T), whose V is X (``x_size`` symbols) or the observation tuples that occur."""
+    T), whose V is X (``x_size`` symbols), none when W is trivial, or else
+    every observation tuple."""
     src, v = model.joint, x_size or 1
     if _support_is_smaller(model, wt_pmf):
-        v = x_size or np.count_nonzero(src._summed(source_names(model.L)[1:-1])[1])
+        if not x_size and wt_pmf.size_of("W") > 1:
+            v = math.prod(src.shape[1:-1])
         what, cells = "lattice table", src.shape[-1] * wt_pmf.shape[-1]
     else:
         what, cells = "dense joint", src.probs.size * wt_pmf.probs.size * model.z_size

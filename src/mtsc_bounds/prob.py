@@ -584,26 +584,16 @@ class EntropyOracle:
 
     def grouped(self, groups: Sequence[Sequence[Name]]) -> np.ndarray:
         """The marginal on the variables of ``groups``, as a C-contiguous
-        table with one axis per group.  A group of several variables is one
-        axis over their tuples, row-major: every tuple, unless the table
-        would be larger than a support root's dense tables, in which case
-        only the tuples that occur.  Either way each marginal of the table
-        has the entropy of the variables it stands for."""
+        table with one axis per group; a group of several variables is one
+        axis over all their tuples, row-major.  From a support root, a table
+        larger than its dense tables is counted from the cells, not cached."""
+        names = [n for g in groups for n in g]
         sizes = [math.prod(self._sizes[n] for n in g) for g in groups]
         support = self._support
         if support is None or math.prod(sizes) <= self._dense_limit():
-            table = np.ascontiguousarray(self.marginal([n for g in groups for n in g]))
-            return table.reshape(sizes)
-        key, shape = np.zeros(support.rows, np.int64), []
-        for group in groups:
-            k, size = support.keys(group)
-            if len(group) > 1:
-                occurring, k = np.unique(k, return_inverse=True)
-                size = occurring.size
-            key *= size
-            key += k
-            shape.append(size)
-        return np.bincount(key, weights=support.masses, minlength=math.prod(shape)).reshape(shape)
+            return np.ascontiguousarray(self.marginal(names)).reshape(sizes)
+        key, span = support.keys(names)
+        return np.bincount(key, weights=support.masses, minlength=span).reshape(sizes)
 
     def h(self, names: Iterable[Name]) -> float:
         """H(S) in nats; 0 for the empty set."""

@@ -4,7 +4,8 @@ Subsets A of encoders {1..L} are encoded as bitmasks (bit l-1 set means
 encoder l is in A), so a constraint set holds 2^L - 1 subset rate lower
 bounds plus the K expected distortions.  The representation caps L at 16
 and the 2^25-cell table cap a dense model at about 6; a sparse one is
-evaluated on its support, new-outer on the erasure casebook up to L = 10.
+evaluated on its support, every evaluator on the erasure casebook up to
+L = 10.
 """
 
 from __future__ import annotations
@@ -170,14 +171,16 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
 
         bound(A) = H(U_A | U_{A^c}, S) - H(U_A | V, U_{A^c}, S) + sum_{l in A} own_l.
 
-    With ``x``, V = X and own_l = I(Y_l; U_l | X, side, W, T); without, V = Y,
-    all observations, and own_l = 0.  The entropies come from the subset
-    lattice of one table with axes (U_1..U_L, V, S), and the distortions
-    from the (sources, Z) marginal.
+    With ``x``, V = X and own_l = I(Y_l; U_l | X, side, W, T).  Without, V = Y,
+    all observations, and own_l = 0, unless W is trivial: then the kernels
+    draw the U_l independently given (Y, S), so H(U_A | Y, U_{A^c}, S) is
+    sum_{l in A} H(U_l | Y_l, T), and there is no V axis and own_l is
+    -H(U_l | Y_l, T).  The entropies come from the subset lattice of one
+    table with axes (U_1..U_L[, V], S), and the distortions from the
+    (sources, Z) marginal.
     """
     L = model.L
     us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
-    v, own_given = (ys, ()) if x is None else (("X",), ("X", "W"))
     keep = source_names(L) + us + (("W", "T", "Z", "X") if x else ("T", "Z"))
     u_sizes = [k.output[1] for k in gamma.encoder_kernels]
     _check_cells(model, gamma.wt_pmf, u_sizes, x and x.kernel.output[1])
@@ -185,15 +188,23 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     if x is not None:
         _chi_residual(oracle, L, tolerance).require("x (conditional-independence class)")
     _class_residuals(oracle, L, cls, tolerance).require(what)
-    # C-contiguous, U axes first, V and S one axis each: a lattice over L + 2
-    # axes, of which a one-symbol S is squeezed out.
-    h = _lattice_entropies(oracle.grouped([(u,) for u in us] + [v, s]))
-    v_bit, s_bit = 1 << L, 1 << (L + 1)
-    bounds = _conditional_entropies(h, L, s_bit) - _conditional_entropies(h, L, v_bit | s_bit)
-    if own_given:
-        own = [oracle.cmi([y], [u], own_given + s) for y, u in zip(ys, us)]
+    if x is not None:
+        v, own = [("X",)], lambda y, u: oracle.cmi([y], [u], ("X", "W") + s)
+    elif gamma.wt_pmf.size_of("W") == 1:
+        # Both entropies are cached by the encoder Markov check.
+        v, own = [], lambda y, u: oracle.h([y, "T"]) - oracle.h([y, u, "T"])
+    else:
+        v, own = [ys], None
+    # C-contiguous, U axes first, V and S one axis each: a lattice over at
+    # most L + 2 axes, of which a one-symbol S is squeezed out.
+    h = _lattice_entropies(oracle.grouped([(u,) for u in us] + v + [s]))
+    s_bit = 1 << (L + len(v))
+    bounds = _conditional_entropies(h, L, s_bit)
+    if v:
+        bounds -= _conditional_entropies(h, L, (1 << L) | s_bit)
+    if own:
         members = (np.arange(1, 1 << L)[:, None] >> np.arange(L)) & 1
-        bounds += members @ np.array(own)
+        bounds += members @ np.array([own(y, u) for y, u in zip(ys, us)])
     distortions = _distortions(model, oracle.marginal(source_names(L) + ("Z",)))
     return RegionConstraints(L, model.K, dict(enumerate(bounds.tolist(), start=1)), distortions)
 

@@ -7,10 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mtsc_bounds
-from mtsc_bounds import SourceModel, __version__, optimize_bt_inner_sum_rate
+from mtsc_bounds import (
+    AuxSystem,
+    Channel,
+    JointPmf,
+    SourceModel,
+    __version__,
+    optimize_bt_inner_sum_rate,
+)
 from mtsc_bounds.cli import main
 
 LN2 = math.log(2.0)
@@ -333,12 +341,22 @@ def test_optimize_zero_restarts_exits_1(tmp_path, capsys):
 
 
 def test_bounds_over_the_table_cap_exit_1(tmp_path, capsys):
-    # Erasure L = 10: the Berger-Tung lattice table over (U, occurring Y)
-    # would have 3^10 * 2047 cells.  Run as a process, so that stderr shows
-    # whatever escapes main.
+    # The erasure system at L = 8 with a uniform binary W that the encoders
+    # ignore: with W not trivial the Berger-Tung lattice table keeps its
+    # V = Y axis, over all 3^8 observation tuples, so it would have 9^8
+    # cells.  Run as a process, so that stderr shows whatever escapes main.
     prefix = str(tmp_path / "er")
     run(capsys, "info", "--dump", "erasure", "--out", prefix,
-        "--p", "0.5", "--L", "10", "--D", "0.3")
+        "--p", "0.5", "--L", "8", "--D", "0.3")
+    gamma = mtsc_bounds.casebook("erasure", p=0.5, L=8, D=0.3).gamma
+    encoders = tuple(
+        Channel((k.inputs[0], ("W", 2), ("T", 1)), k.output, np.repeat(k.rows, 2, axis=0))
+        for k in gamma.encoder_kernels
+    )
+    wt = JointPmf((("W", 2), ("T", 1)), np.array([0.5, 0.5]))
+    Path(prefix + ".gamma.json").write_text(
+        json.dumps(AuxSystem(wt, encoders, gamma.decoder_kernel).to_json())
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(mtsc_bounds.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     for kind in ("bt-inner", "bt-outer"):
@@ -348,7 +366,7 @@ def test_bounds_over_the_table_cap_exit_1(tmp_path, capsys):
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         )
         assert done.returncode == 1, (kind, done.stderr)
-        assert "120,873,303 cells" in done.stderr and "cap of 33,554,432" in done.stderr
+        assert "43,046,721 cells" in done.stderr and "cap of 33,554,432" in done.stderr
         assert "Traceback" not in done.stderr
 
 
@@ -370,12 +388,14 @@ def test_optimize_json_is_in_full_precision(tmp_path, capsys):
 
 
 def test_optimize_beyond_the_encoder_limit_exits_1(tmp_path, capsys):
+    # The result's check reads a lattice table over (U_1..U_10, side, T):
+    # 6^10 cells for |U_l| = 6.
     prefix = str(tmp_path / "er")
     run(capsys, "info", "--dump", "erasure", "--out", prefix,
         "--p", "0.5", "--L", "10", "--D", "0.6")
     code, _, err = run(
         capsys, "optimize", "--model", prefix + ".model.json", "--caps", "0.6",
-        "--cardinalities", ",".join(["3"] * 10), "--budget", "100", "--seed", "1",
+        "--cardinalities", ",".join(["6"] * 10), "--budget", "100", "--seed", "1",
     )
     assert code == 1
-    assert "120,873,303 cells" in err and "cap of 33,554,432" in err
+    assert "60,466,176 cells" in err and "cap of 33,554,432" in err

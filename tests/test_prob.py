@@ -519,8 +519,8 @@ def test_support_holds_the_nonzero_cells_bit_for_bit(zero_frac):
 
 @pytest.mark.parametrize("dense_cells_per_row, small_table", [(0, 0), (4, 1 << 12), (10**9, 0)])
 def test_support_oracle_matches_the_dense_oracle(monkeypatch, dense_cells_per_row, small_table):
-    # (0, 0) groups every marginal by sorting and relabels every group of the
-    # grouped table; 10**9 sums every marginal into a dense table.
+    # (0, 0) groups every marginal by sorting and counts the grouped table
+    # from the support's cells; 10**9 sums every marginal into a dense table.
     monkeypatch.setattr(prob, "_DENSE_CELLS_PER_ROW", dense_cells_per_row)
     monkeypatch.setattr(prob, "_SMALL_TABLE", small_table)
     rng = np.random.default_rng(7)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,6 +559,41 @@ def test_evaluators_match_the_dense_body_on_either_root(monkeypatch, path, L, K)
     assert raised >= 4 or L == 1
 
 
+@pytest.mark.parametrize("path", ["support", "sorted", "dense"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_berger_tung_bounds_drop_the_v_axis_when_w_is_trivial(monkeypatch, path, L):
+    # With |W| = 1 the lattice table has the U axes and S = (side, T) only,
+    # and the own terms -H(U_l | Y_l, T) stand in for its V = Y axis; the
+    # bounds still agree with the V = Y body, on either root.
+    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda model, wt: path != "dense")
+    if path == "sorted":
+        monkeypatch.setattr(mtsc_bounds.prob, "_DENSE_CELLS_PER_ROW", 0)
+        monkeypatch.setattr(mtsc_bounds.prob, "_SMALL_TABLE", 0)
+    shapes = []
+
+    def spy(table):
+        shapes.append(table.shape)
+        return _lattice_entropies(table)
+
+    monkeypatch.setattr(mtsc_bounds.regions, "_lattice_entropies", spy)
+    rng = np.random.default_rng(1400 + L)
+    for trial in range(8):
+        t_size, side, K = (1 + (trial >> bit & 1) for bit in range(3))
+        model = random_source_model(rng, L, K, side)
+        u_sizes = [1 + (l + trial) % 3 for l in range(L)]
+        gamma = random_system(rng, model, 1, t_size, u_sizes, w_blind=True)
+        if trial % 3 == 0:
+            model, gamma = sparse_model(rng, model), sparse_system(rng, model, gamma)
+        for cls in ("bt_inner", "bt_outer"):
+            shapes.clear()
+            got = EVALUATORS[cls](model, gamma, None)
+            assert shapes == [tuple(u_sizes) + (side * t_size,)]
+            want, distortions = dense_evaluate(model, gamma, None, cls)
+            for mask, bound in want.items():
+                assert got.subset_bounds[mask] == pytest.approx(max(0.0, bound), abs=1e-12), mask
+            assert got.distortions == pytest.approx(distortions, abs=1e-12)
+
+
 def test_memory_rule_picks_the_support_only_where_it_is_smaller():
     rule = mtsc_bounds.model._support_is_smaller
     for L in (2, 6):
@@ -583,6 +619,24 @@ def test_berger_tung_bounds_meet_the_erasure_sum_rate_at_l7():
         got = evaluate(inst.model, inst.gamma)
         assert got.full_set == pytest.approx(closed, abs=1e-12)
         assert got.distortions[0] == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [9, 10])
+def test_berger_tung_bounds_meet_the_erasure_sum_rate_at_l9_and_l10(L):
+    # With W trivial the lattice table is over (U, side, T): 3^L cells, not
+    # the 3^L (2^(L+1) - 1) of a V = Y axis over the occurring observations.
+    inst = casebook("erasure", p=0.5, L=L, D=0.3)
+    closed = erasure_sum_rate(ErasureParams(0.5, L, 0.3))
+    for evaluate in (bt_inner_constraints, bt_outer_constraints):
+        tracemalloc.start()
+        try:
+            got = evaluate(inst.model, inst.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.full_set == pytest.approx(closed, abs=1e-12)
+        assert got.distortions[0] == pytest.approx(0.3, abs=1e-12)
+        assert peak < 50e6, (evaluate.__name__, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -1152,10 +1206,12 @@ def test_optimizer_refuses_a_check_over_its_cell_cap():
     assert _InnerEvaluator(model, [3] * 7).L == 7
     with pytest.raises(ValueError, match="dense joint would have 38,263,752 cells"):
         _InnerEvaluator(model, [3] * 6 + [4])
-    # Erasure L = 10: the lattice table has 3^10 * 2047 cells.
+    # Erasure L = 10: with W trivial the lattice table is over (U, side, T),
+    # 3^10 cells for |U_l| = 3 and 6^10 for |U_l| = 6.
     inst = casebook("erasure", p=0.5, L=10, D=0.6)
-    with pytest.raises(ValueError, match="lattice table would have 120,873,303 cells"):
-        optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * 10, budget=10, seed=0)
+    assert _InnerEvaluator(inst.model, [3] * 10).L == 10
+    with pytest.raises(ValueError, match="lattice table would have 60,466,176 cells"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [6] * 10, budget=10, seed=0)
 
 
 def per_row_decoder(ev, point):
