@@ -102,7 +102,7 @@ def _load(cls, path: str):
         return cls.from_json(payload)
     except KeyError as exc:
         raise _UsageError(f"{path}: missing field {exc.args[0]!r} in {cls.__name__}")
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: int() of an infinite number
         raise _UsageError(f"{path}: malformed {cls.__name__}: {exc}")
 
 

@@ -25,10 +25,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import AlphabetMismatchError, MarkovCheckError, VariableError
-from .prob import Channel, EntropyOracle, JointPmf, _code_dtype, _Support
+from .prob import Channel, EntropyOracle, JointPmf, _code_dtype, _refuse_over_cap, _Support
+from .prob import _MAX_TABLE_CELLS
 
 MARKOV_TOL = 1e-9  # pass tolerance for Markov residuals, in nats
-_MAX_TABLE_CELLS = 1 << 25  # the most cells a bound evaluation's table may have
 
 GAMMA_CLASSES = ("outer", "bt_inner", "bt_outer")
 
@@ -324,28 +324,6 @@ def _support_is_smaller(model: SourceModel, wt_pmf: JointPmf) -> bool:
     return rows * row_bytes < src.size * wt.size * 8
 
 
-def _check_cells(model: SourceModel, wt_pmf: JointPmf, u_sizes, x_size=None) -> None:
-    """Refuse, by ``ValueError``, a bound evaluation of a system with (W, T)
-    pmf ``wt_pmf`` and encoder alphabets ``u_sizes`` whose largest table, on
-    the root ``_support_is_smaller`` picks, would exceed ``_MAX_TABLE_CELLS``:
-    the dense joint, or on the support the lattice table over (U, V, side,
-    T), whose V is X (``x_size`` symbols), none when W is trivial, or else
-    every observation tuple."""
-    src, v = model.joint, x_size or 1
-    if _support_is_smaller(model, wt_pmf):
-        if not x_size and wt_pmf.size_of("W") > 1:
-            v = math.prod(src.shape[1:-1])
-        what, cells = "lattice table", src.shape[-1] * wt_pmf.shape[-1]
-    else:
-        what, cells = "dense joint", src.probs.size * wt_pmf.probs.size * model.z_size
-    cells *= v * math.prod(u_sizes)
-    if cells > _MAX_TABLE_CELLS:
-        raise ValueError(
-            f"the bound evaluation's {what} would have {cells:,} cells, "
-            f"over the cap of {_MAX_TABLE_CELLS:,}"
-        )
-
-
 def _system_oracle(
     model: SourceModel, gamma: AuxSystem, x: Optional[XChannel], keep: Iterable[str]
 ) -> EntropyOracle:
@@ -353,14 +331,30 @@ def _system_oracle(
 
     Its root is the joint's support, built by multiplying only the positive
     kernel entries in, when that is smaller than the dense table
-    (``_support_is_smaller``); otherwise it is the dense joint itself.
+    (``_support_is_smaller``); otherwise it is the dense joint itself.  Either
+    root is refused over the table cap before it is built.  The support has
+    at most its start cells times every output alphabet size cells, and only
+    a bound over the cap is refined: every kernel but the decoder reads only
+    the sources and (W, T), so each start cell splits into the product of
+    those kernels' positive entries in its rows, times at most (for a
+    deterministic decoder, exactly) the decoder's largest.
     """
-    if not _support_is_smaller(model, gamma.wt_pmf):
-        return EntropyOracle(build_full_joint(model, gamma, x), keep)
-    support = _Support.of(model.joint.product(gamma.wt_pmf))
-    for kernel in _kernels(model, gamma, x):
-        support = support.extend(kernel)
-    return EntropyOracle(support, keep)
+    kernels = _kernels(model, gamma, x)
+    root = model.joint.product(gamma.wt_pmf)
+    if _support_is_smaller(model, gamma.wt_pmf):
+        root = _Support.of(root)
+        cells = root.rows * math.prod(k.output[1] for k in kernels)
+        if cells > _MAX_TABLE_CELLS:
+            rows = np.ones(root.rows)  # floats: exact below 2^53, with no int64 overflow
+            for k in gamma.encoder_kernels + ((x.kernel,) if x is not None else ()):
+                rows *= np.count_nonzero(k.rows, axis=1)[root.keys(n for n, _ in k.inputs)[0]]
+            cells = int(rows.sum() * np.count_nonzero(gamma.decoder_kernel.rows, axis=1).max())
+        _refuse_over_cap(cells, "joint's support")
+    else:
+        _refuse_over_cap(root.probs.size * math.prod(k.output[1] for k in kernels), "dense joint")
+    for kernel in kernels:
+        root = root.extend(kernel)
+    return EntropyOracle(root, keep)
 
 
 def gamma_class_residuals(
@@ -708,6 +702,7 @@ def casebook(
             raise ValueError(f"need 0 < p < 1, got p={p}")
         if not p**L <= D <= 1.0:
             raise ValueError(f"need p^L <= D <= 1, got D={D} with p^L={p**L}")
+        _refuse_over_cap(2 * 3**L * 3, "erasure casebook's distortion table")
         model = _erasure_model(p, L, lam)
         return CasebookInstance(model, _erasure_gamma(p, L, D), x_channel_from_sources(model, ("Y0",)))
     raise ValueError(f"unknown casebook instance {name!r}")

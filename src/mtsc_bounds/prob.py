@@ -24,7 +24,6 @@ region or report builds for itself and never shares.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -478,6 +477,15 @@ def _code_dtype(sizes: Iterable[int]) -> np.dtype:
 
 
 _MAX_KEY = 1 << 62
+_MAX_TABLE_CELLS = 1 << 25  # the most cells of any table built for a system
+
+
+def _refuse_over_cap(cells: int, what: str) -> None:
+    """Raise ``ValueError`` when ``what`` would have over ``_MAX_TABLE_CELLS`` cells."""
+    if cells > _MAX_TABLE_CELLS:
+        cap = _MAX_TABLE_CELLS
+        raise ValueError(f"the {what} would have {cells:,} cells, over the cap of {cap:,}")
+
 
 # From a support root, a marginal with at most this many cells per support
 # row, or at most _SMALL_TABLE cells, is summed into a dense table and kept;
@@ -494,19 +502,20 @@ class EntropyOracle:
     The root is a dense ``JointPmf``, summed once down to the variables in
     ``keep``, or a ``_Support``.  From a support root a marginal is one
     group-by of the cells on their key over S: a ``bincount`` into a dense
-    table, or, for an entropy whose table would be large, into the masses of
-    the tuples that occur (``_DENSE_CELLS_PER_ROW``, ``_SMALL_TABLE``).  A
-    marginal is summed instead from the smallest cached table that contains
-    it, whenever that table is cheaper to sum than a group-by.  Tables are
-    not validated again, since the joint was at construction.  H(S) is
-    cached by ``frozenset(S)``.  An oracle holds every table it has summed,
-    so it is made for one bound, region or report and dropped when that
-    returns.
+    table, refused over ``_MAX_TABLE_CELLS`` cells, or, for an entropy whose
+    table would be large, into the masses of the tuples that occur
+    (``_DENSE_CELLS_PER_ROW``, ``_SMALL_TABLE``).  A marginal is summed
+    instead from the smallest cached table that contains it, whenever that
+    table is cheaper to sum than a group-by.  Tables are not validated
+    again, since the joint was at construction.  H(S) is cached by
+    ``frozenset(S)``.  An oracle holds every table it has summed, except,
+    from a support root, a CMI's table over A, B, C of over ``_SMALL_TABLE``
+    cells, so it is made for one bound, region or report and dropped when
+    that returns.
     """
 
     def __init__(self, joint: JointPmf | _Support, keep: Iterable[Name]):
         self._tables: dict[frozenset, np.ndarray] = {}
-        self._by_size: list[tuple[int, frozenset]] = []  # ascending cells
         if isinstance(joint, _Support):
             keep = set(keep)
             if not keep:
@@ -519,35 +528,28 @@ class EntropyOracle:
             names, table = joint._summed(keep)
             self._support = None
             variables = list(zip(names, table.shape))
-            self._cache(frozenset(names), table)
+            self._tables[frozenset(names)] = table
         # Every table keeps the axes of ``_order`` that it has, in this order.
         self._order = tuple(n for n, _ in variables)
         self._names = frozenset(self._order)
         self._sizes = dict(variables)
         self._h: dict[frozenset, float] = {}
 
-    def _cache(self, s: frozenset, table: np.ndarray) -> np.ndarray:
-        self._tables[s] = table
-        bisect.insort(self._by_size, (table.size, s), key=lambda t: t[0])
-        return table
-
     def _superset(self, s: frozenset) -> Optional[frozenset]:
         """The smallest cached variable set that contains ``s``, if any."""
         # A proper superset of S has at least cells(S) times the least
         # alphabet size outside S cells, so a cached S + {v} with v of that
-        # size is a smallest one; only when there is none, scan by size.
-        # Candidates go in the joint's variable order, not frozenset (string
-        # hash) order, so the table chosen, and every last bit, is the same
-        # in every process.
+        # size is a smallest one; only when there is none, scan them all (of
+        # equal sizes, the first cached wins).  Candidates go in the joint's
+        # variable order, not frozenset (string hash) order, so the table
+        # chosen, and every last bit, is the same in every process.
         outside = [v for v in self._order if v not in s]
         least = min((self._sizes[v] for v in outside), default=0)
         for v in outside:
             if self._sizes[v] == least and (s | {v}) in self._tables:
                 return s | {v}
-        for _, have in self._by_size:
-            if s <= have:
-                return have
-        return None
+        have = [t for t in self._tables if s <= t]
+        return min(have, key=lambda t: self._tables[t].size, default=None)
 
     def _masses(self, s: frozenset, dense: bool = True) -> np.ndarray:
         """The marginal on ``s``: a cached table with the axes of ``s`` in
@@ -564,18 +566,24 @@ class EntropyOracle:
             support is None or self._tables[have].size <= max(support.rows * len(s), _SMALL_TABLE)
         ):
             names = tuple(n for n in self._order if n in have)
-            return self._cache(s, _sum_out(names, self._tables[have], s)[1])
+            return self._tables.setdefault(s, _sum_out(names, self._tables[have], s)[1])
         names = tuple(n for n in self._order if n in s)
         shape = [self._sizes[n] for n in names]
-        key, span = support.keys(names)
         if not dense and math.prod(shape) > self._dense_limit():
-            return np.bincount(np.unique(key, return_inverse=True)[1], weights=support.masses)
-        table = np.bincount(key, weights=support.masses, minlength=span).reshape(shape)
-        return self._cache(s, table)
+            key = np.unique(support.keys(names)[0], return_inverse=True)[1]
+            return np.bincount(key, weights=support.masses)
+        return self._tables.setdefault(s, self._counted(names).reshape(shape))
 
     def _dense_limit(self) -> int:
         """The most cells a support root sums into a dense table for an entropy."""
-        return max(_DENSE_CELLS_PER_ROW * self._support.rows, _SMALL_TABLE)
+        return min(max(_DENSE_CELLS_PER_ROW * self._support.rows, _SMALL_TABLE), _MAX_TABLE_CELLS)
+
+    def _counted(self, names: Sequence[Name]) -> np.ndarray:
+        """The flat table over ``names``, row-major, counted from the support's
+        cells; refused over the table cap."""
+        _refuse_over_cap(math.prod(self._sizes[n] for n in names), "table over " + ", ".join(names))
+        key, span = self._support.keys(names)
+        return np.bincount(key, weights=self._support.masses, minlength=span)
 
     def marginal(self, names: Sequence[Name]) -> np.ndarray:
         """The marginal on ``names``, axes in that order: a view of a cached table."""
@@ -589,11 +597,9 @@ class EntropyOracle:
         larger than its dense tables is counted from the cells, not cached."""
         names = [n for g in groups for n in g]
         sizes = [math.prod(self._sizes[n] for n in g) for g in groups]
-        support = self._support
-        if support is None or math.prod(sizes) <= self._dense_limit():
+        if self._support is None or math.prod(sizes) <= self._dense_limit():
             return np.ascontiguousarray(self.marginal(names)).reshape(sizes)
-        key, span = support.keys(names)
-        return np.bincount(key, weights=support.masses, minlength=span).reshape(sizes)
+        return self._counted(names).reshape(sizes)
 
     def h(self, names: Iterable[Name]) -> float:
         """H(S) in nats; 0 for the empty set."""
@@ -621,8 +627,13 @@ class EntropyOracle:
             if overlap:
                 raise VariableError(f"{left} and {right} overlap: {sorted(overlap)}")
         # H(A,B,C) first, so that the smaller marginals are summed from it.
-        h_abc = self.h(a | b | c)
-        return self.h(a | c) + self.h(b | c) - h_abc - self.h(c)
+        abc = a | b | c
+        h_abc = self.h(abc)
+        value = self.h(a | c) + self.h(b | c) - h_abc - self.h(c)
+        # From a support root a large table over A, B, C is dropped once used; CMIs seldom share it.
+        if self._support is not None and math.prod(self._sizes[n] for n in abc) > _SMALL_TABLE:
+            self._tables.pop(abc, None)
+        return value
 
 
 def entropy(joint: JointPmf, variables: Iterable[Name], given: Iterable[Name] = ()) -> float:

@@ -11,6 +11,7 @@ L = 10.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -22,15 +23,15 @@ from .model import (
     AuxSystem,
     SourceModel,
     XChannel,
-    _check_cells,
     _chi_residual,
     _class_residuals,
     _distortions,
+    _support_is_smaller,
     _system_oracle,
     encoder_names,
     source_names,
 )
-from .prob import Channel, JointPmf, _lattice_entropies, _sum_plogp
+from .prob import Channel, JointPmf, _lattice_entropies, _refuse_over_cap, _sum_plogp
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 
@@ -165,7 +166,7 @@ def new_outer_constraints(
 
 def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     """The one evaluator body: one oracle over the system's joint
-    (``_system_oracle``, under ``_check_cells``'s cap), from which it requires
+    (``_system_oracle``, under the table cap), from which it requires
     X's conditional independence (with ``x``) and Markov class ``cls`` (named
     ``what`` in the error) and, with S = (side, T), assembles
 
@@ -182,8 +183,6 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     L = model.L
     us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
     keep = source_names(L) + us + (("W", "T", "Z", "X") if x else ("T", "Z"))
-    u_sizes = [k.output[1] for k in gamma.encoder_kernels]
-    _check_cells(model, gamma.wt_pmf, u_sizes, x and x.kernel.output[1])
     oracle = _system_oracle(model, gamma, x, keep)
     if x is not None:
         _chi_residual(oracle, L, tolerance).require("x (conditional-independence class)")
@@ -411,8 +410,11 @@ class _InnerEvaluator:
         self.cards = tuple(int(c) for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
-        # The result is checked with bt_inner_constraints, under its table cap.
-        _check_cells(model, _ONE_CELL_WT, self.cards)
+        if _support_is_smaller(model, _ONE_CELL_WT):  # the check's largest table
+            what, cells = "lattice table", model.joint.shape[-1]
+        else:
+            what, cells = "dense joint", model.joint.probs.size * model.z_size
+        _refuse_over_cap(cells * math.prod(self.cards), f"result check's {what}")
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
         src = model.joint.table  # axes: y0, y1..yL, side
         p_obs = src.sum(axis=0)  # axes: y1..yL, side
@@ -599,17 +601,9 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
         for _bt in range(60):
             if state.exhausted:
                 break
-            cand = []
-            for k_mat, g_mat in zip(point.kernels, grads):
-                logs = np.clip(-step * g_mat, -700.0, 700.0)
-                nxt = k_mat * np.exp(logs)
-                total = nxt.sum(axis=1, keepdims=True)
-                # A fully underflowed row falls back to its previous value.
-                bad = total[:, 0] <= 0.0
-                if np.any(bad):
-                    nxt[bad] = k_mat[bad]
-                    total = nxt.sum(axis=1, keepdims=True)
-                cand.append(nxt / total)
+            # Each row sums to 1 and its logs are at least -700, so no row sum is 0.
+            cand = [k * np.exp(np.clip(-step * g, -700, 700)) for k, g in zip(point.kernels, grads)]
+            cand = [c / c.sum(axis=1, keepdims=True) for c in cand]
             move = sum(float(np.abs(c - k).sum()) for c, k in zip(cand, point.kernels))
             if move <= 1e-15:
                 break
@@ -711,8 +705,8 @@ def optimize_bt_inner_sum_rate(
     than 2^25 cells.
     """
     caps = tuple(float(c) for c in distortion_caps)
-    if len(caps) != model.K:
-        raise ValueError(f"need {model.K} distortion caps, got {len(caps)}")
+    if len(caps) != model.K or any(math.isnan(c) for c in caps):
+        raise ValueError(f"need {model.K} distortion caps, none NaN, got {caps}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if restarts < 1:

@@ -399,3 +399,71 @@ def test_optimize_beyond_the_encoder_limit_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "60,466,176 cells" in err and "cap of 33,554,432" in err
+
+
+def run_process(*argv):
+    """The CLI as a process, so that stderr shows whatever escapes main."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtsc_bounds.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "mtsc_bounds.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+
+
+def test_integer_field_too_large_exits_1(tmp_path):
+    # JSON reads 1e400 as an infinite float, which no integer holds.
+    inst = mtsc_bounds.casebook("erasure", p=0.5, L=2, D=0.6)
+    model = json.dumps(inst.model.to_json())
+    assert '"reproduction_sizes": [3]' in model
+    path = tmp_path / "model.json"
+    path.write_text(model.replace('"reproduction_sizes": [3]', '"reproduction_sizes": [1e400]'))
+    (tmp_path / "gamma.json").write_text(json.dumps(inst.gamma.to_json()))
+    done = run_process("bounds", "--model", str(path), "--gamma", str(tmp_path / "gamma.json"),
+                       "--kind", "bt-inner")
+    assert done.returncode == 1, done.stderr
+    assert str(path) in done.stderr and "Traceback" not in done.stderr
+
+
+def test_erasure_casebook_over_the_table_cap_exits_1(tmp_path):
+    # 2 * 3^17 * 3 distortion cells, refused before anything is built.
+    done = run_process("info", "--dump", "erasure", "--L", "17", "--out", str(tmp_path / "er"))
+    assert done.returncode == 1, done.stderr
+    assert "distortion table would have 774,840,978 cells" in done.stderr
+    assert "cap of 33,554,432" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_optimize_nan_caps_exit_1(tmp_path, capsys):
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix,
+        "--p", "0.5", "--L", "2", "--D", "0.6")
+    code, out, err = run(
+        capsys, "optimize", "--model", prefix + ".model.json", "--caps", "nan",
+        "--cardinalities", "3,3", "--budget", "200", "--seed", "1",
+    )
+    assert code == 1 and out == ""
+    assert "distortion caps, none NaN" in err
+
+
+def test_bounds_and_optimize_over_the_support_cap_exit_1(tmp_path):
+    # The erasure system at L = 10 with every encoder mixed with the uniform
+    # kernel at 1e-3: a support of 2 * 6^10 cells.  The optimizer's result
+    # has no zero encoder entry after two evaluations either.
+    inst = mtsc_bounds.casebook("erasure", p=0.5, L=10, D=0.3)
+    encoders = tuple(
+        Channel(k.inputs, k.output, (1 - 1e-3) * k.rows + 1e-3 / 3)
+        for k in inst.gamma.encoder_kernels
+    )
+    gamma = AuxSystem(inst.gamma.wt_pmf, encoders, inst.gamma.decoder_kernel)
+    model_path, gamma_path = str(tmp_path / "model.json"), str(tmp_path / "gamma.json")
+    Path(model_path).write_text(json.dumps(inst.model.to_json()))
+    Path(gamma_path).write_text(json.dumps(gamma.to_json()))
+    for argv in (
+        ("bounds", "--model", model_path, "--gamma", gamma_path, "--kind", "bt-inner"),
+        ("optimize", "--model", model_path, "--caps", "0.6", "--cardinalities",
+         ",".join(["3"] * 10), "--budget", "2", "--seed", "1"),
+    ):
+        done = run_process(*argv)
+        assert done.returncode == 1, (argv[0], done.stderr)
+        assert "120,932,352 cells" in done.stderr and "cap of 33,554,432" in done.stderr
+        assert "Traceback" not in done.stderr

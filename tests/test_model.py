@@ -155,6 +155,13 @@ def test_public_checks_read_the_support_past_the_dense_limit():
     assert expected_distortions(er.model, er.gamma)[0] == pytest.approx(0.6, abs=1e-12)
 
 
+def test_erasure_casebook_refuses_a_distortion_table_over_the_cap():
+    # The table over (sources, Z) has 2 * 3^L * 3 cells: 28.7 M at L = 14,
+    # 86.1 M at L = 15.  It is refused before the model is built.
+    with pytest.raises(ValueError, match="distortion table would have 86,093,442 cells"):
+        casebook("erasure", p=0.5, L=15, D=0.6)
+
+
 def test_unknown_class_name_is_refused_by_both_checks():
     toy = casebook("toy")
     joint = build_full_joint(toy.model, toy.gamma)

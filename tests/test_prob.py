@@ -649,3 +649,32 @@ def test_lattice_entropies_peak_memory_on_eleven_bits():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_support_oracle_refuses_a_counted_table_over_the_cap(monkeypatch):
+    # A dense table counted from the support's cells, for ``marginal`` or
+    # ``grouped``, is refused over the cap and named by its variables; an
+    # entropy over a larger table groups the cells by sorting instead.
+    monkeypatch.setattr(prob, "_MAX_TABLE_CELLS", 5)
+    joint = sparse_joint(np.random.default_rng(3), ("A", "B", "C"), [2, 3, 2], 0.3)
+    oracle = EntropyOracle(_Support.of(joint), joint.names)
+    with pytest.raises(ValueError, match="table over A, B would have 6 cells, over the cap of 5"):
+        oracle.marginal(["B", "A"])
+    with pytest.raises(ValueError, match="table over B, C, A would have 12 cells"):
+        oracle.grouped([("B",), ("C", "A")])
+    assert oracle.h(joint.names) == pytest.approx(EntropyOracle(joint, joint.names).h(joint.names))
+    want = joint.marginalize(("A", "C")).table.T.reshape(-1)
+    assert np.allclose(oracle.grouped([("C", "A")]), want, rtol=0, atol=1e-15)
+
+
+def test_support_oracle_drops_a_large_cmi_table(monkeypatch):
+    # The table over A, B, C is kept only while the smaller marginals of the
+    # CMI are summed from it; from a dense root it is the root and stays.
+    monkeypatch.setattr(prob, "_SMALL_TABLE", 4)
+    joint = sparse_joint(np.random.default_rng(4), ("A", "B", "C"), [2, 3, 2], 0.0)
+    dense = EntropyOracle(joint, joint.names)
+    support = EntropyOracle(_Support.of(joint), joint.names)
+    want = dense.cmi(["A"], ["B"], ["C"])
+    assert support.cmi(["A"], ["B"], ["C"]) == pytest.approx(want, abs=1e-12)
+    assert set(support._tables) == {frozenset("AC"), frozenset("BC"), frozenset("C")}
+    assert frozenset("ABC") in dense._tables

@@ -636,7 +636,57 @@ def test_berger_tung_bounds_meet_the_erasure_sum_rate_at_l9_and_l10(L):
             tracemalloc.stop()
         assert got.full_set == pytest.approx(closed, abs=1e-12)
         assert got.distortions[0] == pytest.approx(0.3, abs=1e-12)
-        assert peak < 50e6, (evaluate.__name__, peak)
+        assert peak < 25e6, (evaluate.__name__, peak)
+
+
+def noisy_erasure_system(L):
+    """The erasure casebook at D = 0.3 with every encoder kernel mixed with
+    the uniform one at 1e-3, so that no encoder entry is zero."""
+    inst = casebook("erasure", p=0.5, L=L, D=0.3)
+    encoders = tuple(
+        Channel(k.inputs, k.output, (1 - 1e-3) * k.rows + 1e-3 / 3)
+        for k in inst.gamma.encoder_kernels
+    )
+    return inst, AuxSystem(inst.gamma.wt_pmf, encoders, inst.gamma.decoder_kernel)
+
+
+def test_every_evaluator_refuses_a_support_over_the_table_cap():
+    # Each of the 2 * 2^10 start cells splits into 3^10 with noisy encoders:
+    # a support of 2 * 6^10 cells, refused before any is built.
+    inst, noisy = noisy_erasure_system(10)
+    evaluators = {
+        "bt-inner": lambda: bt_inner_constraints(inst.model, noisy),
+        "bt-outer": lambda: bt_outer_constraints(inst.model, noisy),
+        "new-outer": lambda: new_outer_constraints(inst.model, inst.x, noisy),
+    }
+    for name, evaluate in evaluators.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="support would have 120,932,352 cells"):
+                evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, (name, peak)
+    # The optimizer's search stays under its own check's cap (3^10 cells);
+    # its result, with no zero encoder entry either, is refused the same way.
+    with pytest.raises(ValueError, match="support would have 120,932,352 cells"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * 10, budget=2, seed=0)
+
+
+def test_public_checks_refuse_a_dense_joint_over_the_table_cap():
+    # The model of test_optimizer_refuses_a_check_over_its_cell_cap with a
+    # system of the refused alphabets: 2 * 3^7 source cells, prod |U_l| =
+    # 3^6 * 4 and |Z| = 3 make a dense joint of 38.3 M cells.
+    rng = np.random.default_rng(7)
+    sizes = (2,) + (3,) * 7 + (1,)
+    joint = JointPmf(tuple(zip(source_names(7), sizes)), rng.dirichlet(np.ones(2 * 3**7)))
+    model = SourceModel(7, 1, joint, (rng.uniform(size=sizes + (3,)),), (3,))
+    gamma = random_system(rng, model, 1, 1, [3] * 6 + [4], w_blind=True)
+    with pytest.raises(ValueError, match="dense joint would have 38,263,752 cells"):
+        check_gamma_class(model, gamma, "bt_inner")
+    with pytest.raises(ValueError, match="dense joint would have 38,263,752 cells"):
+        expected_distortions(model, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,6 +1262,12 @@ def test_optimizer_refuses_a_check_over_its_cell_cap():
     assert _InnerEvaluator(inst.model, [3] * 10).L == 10
     with pytest.raises(ValueError, match="lattice table would have 60,466,176 cells"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [6] * 10, budget=10, seed=0)
+
+
+def test_optimizer_refuses_nan_caps():
+    inst = casebook("erasure", p=0.5, L=2, D=0.6)
+    with pytest.raises(ValueError, match="distortion caps, none NaN"):
+        optimize_bt_inner_sum_rate(inst.model, [math.nan], [3, 3], budget=200, seed=0)
 
 
 def per_row_decoder(ev, point):
