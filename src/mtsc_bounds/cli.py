@@ -102,7 +102,9 @@ def _load(cls, path: str):
         return cls.from_json(payload)
     except KeyError as exc:
         raise _UsageError(f"{path}: missing field {exc.args[0]!r} in {cls.__name__}")
-    except (TypeError, OverflowError) as exc:  # OverflowError: int() of an infinite number
+    except MtscError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. int() of inf, NaN or text
         raise _UsageError(f"{path}: malformed {cls.__name__}: {exc}")
 
 

@@ -324,10 +324,8 @@ def _support_is_smaller(model: SourceModel, wt_pmf: JointPmf) -> bool:
     return rows * row_bytes < src.size * wt.size * 8
 
 
-def _system_oracle(
-    model: SourceModel, gamma: AuxSystem, x: Optional[XChannel], keep: Iterable[str]
-) -> EntropyOracle:
-    """One entropy oracle over the joint of ``build_full_joint``, on ``keep``.
+def _system_oracle(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> EntropyOracle:
+    """One entropy oracle over the joint of ``build_full_joint``.
 
     Its root is the joint's support, built by multiplying only the positive
     kernel entries in, when that is smaller than the dense table
@@ -354,7 +352,7 @@ def _system_oracle(
         _refuse_over_cap(root.probs.size * math.prod(k.output[1] for k in kernels), "dense joint")
     for kernel in kernels:
         root = root.extend(kernel)
-    return EntropyOracle(root, keep)
+    return EntropyOracle(root)
 
 
 def gamma_class_residuals(
@@ -368,9 +366,7 @@ def gamma_class_residuals(
     validate hand-entered or optimizer-produced systems; kernel-built joints
     pass by construction.
     """
-    shared = ["W", "T"] if cls == "outer" else ["T"]
-    oracle = EntropyOracle(joint, list(source_names(L) + encoder_names(L)) + shared + ["Z"])
-    return _class_residuals(oracle, L, cls, tolerance)
+    return _class_residuals(EntropyOracle(joint), L, cls, tolerance)
 
 
 def _class_residuals(oracle: EntropyOracle, L: int, cls: str, tolerance: float) -> MarkovReport:
@@ -413,18 +409,12 @@ def check_gamma_class(
 ) -> MarkovReport:
     """Markov report of a kernel-built system against class ``cls``, read
     from the evaluators' oracle over its joint (``_system_oracle``)."""
-    keep = source_names(model.L) + encoder_names(model.L) + ("W", "T", "Z")
-    return _class_residuals(_system_oracle(model, gamma, None, keep), model.L, cls, tolerance)
+    return _class_residuals(_system_oracle(model, gamma, None), model.L, cls, tolerance)
 
 
 def chi_residual(joint: JointPmf, L: int, tolerance: float = MARKOV_TOL) -> MarkovReport:
     """Conditional-independence residual of a joint that already contains X."""
-    oracle = EntropyOracle(joint, [f"Y{l}" for l in range(1, L + 2)] + ["X"])
-    return _chi_residual(oracle, L, tolerance)
-
-
-def _chi_residual(oracle: EntropyOracle, L: int, tolerance: float) -> MarkovReport:
-    """``chi_residual`` read from an oracle over a joint with X."""
+    oracle = EntropyOracle(joint)
     side = f"Y{L + 1}"
     total = 0.0
     for l in range(2, L + 1):
@@ -449,14 +439,14 @@ def expected_distortions(
     """
     names = source_names(model.L) + ("Z",)
     if joint is None:
-        return _distortions(model, _system_oracle(model, gamma, None, names).marginal(names))
+        return _distortions(model, _system_oracle(model, gamma, None).grouped([names]))
     return _distortions(model, joint._summed(names)[1])
 
 
 def _distortions(model: SourceModel, table: np.ndarray) -> tuple[float, ...]:
-    """Every E[d_k] from ``table``, the marginal on (sources, Z) in this order."""
+    """Every E[d_k] from ``table``, the (sources, Z) marginal row-major in any shape."""
     # Split the composite Z axis into one axis per reproduction variable.
-    table = table.reshape(table.shape[:-1] + tuple(model.reproduction_sizes))
+    table = table.reshape(model.joint.shape + model.reproduction_sizes)
     n_src = len(source_names(model.L))
     out = []
     for k in range(model.K):

@@ -499,11 +499,11 @@ _SMALL_TABLE = 1 << 12
 class EntropyOracle:
     """Memoized entropies H(S) of the marginals of one joint.
 
-    The root is a dense ``JointPmf``, summed once down to the variables in
-    ``keep``, or a ``_Support``.  From a support root a marginal is one
-    group-by of the cells on their key over S: a ``bincount`` into a dense
-    table, refused over ``_MAX_TABLE_CELLS`` cells, or, for an entropy whose
-    table would be large, into the masses of the tuples that occur
+    The root is a dense ``JointPmf``, cached as its table, or a
+    ``_Support``.  From a support root a marginal is one group-by of the
+    cells on their key over S: a ``bincount`` into a dense table, refused
+    over ``_MAX_TABLE_CELLS`` cells, or, for an entropy whose table would be
+    large, into the masses of the tuples that occur
     (``_DENSE_CELLS_PER_ROW``, ``_SMALL_TABLE``).  A marginal is summed
     instead from the smallest cached table that contains it, whenever that
     table is cheaper to sum than a group-by.  Tables are not validated
@@ -514,40 +514,22 @@ class EntropyOracle:
     that returns.
     """
 
-    def __init__(self, joint: JointPmf | _Support, keep: Iterable[Name]):
+    def __init__(self, root: JointPmf | _Support):
         self._tables: dict[frozenset, np.ndarray] = {}
-        if isinstance(joint, _Support):
-            keep = set(keep)
-            if not keep:
-                raise VariableError("keep set must be nonempty")
-            if not keep <= set(joint.names):
-                raise VariableError(f"unknown variables {sorted(keep - set(joint.names))}")
-            self._support = joint
-            variables = [v for v in joint.variables if v[0] in keep]
+        if isinstance(root, _Support):
+            self._support = root
         else:
-            names, table = joint._summed(keep)
             self._support = None
-            variables = list(zip(names, table.shape))
-            self._tables[frozenset(names)] = table
+            self._tables[frozenset(root.names)] = root.table
         # Every table keeps the axes of ``_order`` that it has, in this order.
-        self._order = tuple(n for n, _ in variables)
+        self._order = root.names
         self._names = frozenset(self._order)
-        self._sizes = dict(variables)
+        self._sizes = dict(root.variables)
         self._h: dict[frozenset, float] = {}
 
     def _superset(self, s: frozenset) -> Optional[frozenset]:
-        """The smallest cached variable set that contains ``s``, if any."""
-        # A proper superset of S has at least cells(S) times the least
-        # alphabet size outside S cells, so a cached S + {v} with v of that
-        # size is a smallest one; only when there is none, scan them all (of
-        # equal sizes, the first cached wins).  Candidates go in the joint's
-        # variable order, not frozenset (string hash) order, so the table
-        # chosen, and every last bit, is the same in every process.
-        outside = [v for v in self._order if v not in s]
-        least = min((self._sizes[v] for v in outside), default=0)
-        for v in outside:
-            if self._sizes[v] == least and (s | {v}) in self._tables:
-                return s | {v}
+        """The smallest cached variable set that contains ``s``, if any; of equal
+        sizes the first cached wins, so every last bit is the same in every process."""
         have = [t for t in self._tables if s <= t]
         return min(have, key=lambda t: self._tables[t].size, default=None)
 
@@ -585,11 +567,6 @@ class EntropyOracle:
         key, span = self._support.keys(names)
         return np.bincount(key, weights=self._support.masses, minlength=span)
 
-    def marginal(self, names: Sequence[Name]) -> np.ndarray:
-        """The marginal on ``names``, axes in that order: a view of a cached table."""
-        have = [n for n in self._order if n in names]
-        return self._masses(frozenset(names)).transpose([have.index(n) for n in names])
-
     def grouped(self, groups: Sequence[Sequence[Name]]) -> np.ndarray:
         """The marginal on the variables of ``groups``, as a C-contiguous
         table with one axis per group; a group of several variables is one
@@ -598,7 +575,9 @@ class EntropyOracle:
         names = [n for g in groups for n in g]
         sizes = [math.prod(self._sizes[n] for n in g) for g in groups]
         if self._support is None or math.prod(sizes) <= self._dense_limit():
-            return np.ascontiguousarray(self.marginal(names)).reshape(sizes)
+            have = [n for n in self._order if n in names]
+            table = self._masses(frozenset(names)).transpose([have.index(n) for n in names])
+            return np.ascontiguousarray(table).reshape(sizes)
         return self._counted(names).reshape(sizes)
 
     def h(self, names: Iterable[Name]) -> float:
@@ -649,7 +628,7 @@ def entropy(joint: JointPmf, variables: Iterable[Name], given: Iterable[Name] = 
     overlap = set(variables) & set(given)
     if overlap:
         raise VariableError(f"variables and given overlap: {sorted(overlap)}")
-    oracle = EntropyOracle(joint, variables + given)
+    oracle = EntropyOracle(joint)
     return oracle.h(variables + given) - oracle.h(given)
 
 
@@ -666,8 +645,7 @@ def conditional_mutual_information(
     sums, which realizes the 0 log 0 conventions exactly.  Values are
     mathematically >= 0; floating point can leave a residue of order -1e-15.
     """
-    a, b, c = tuple(a), tuple(b), tuple(c)
-    return EntropyOracle(joint, a + b + c).cmi(a, b, c)
+    return EntropyOracle(joint).cmi(a, b, c)
 
 
 def mutual_information(joint: JointPmf, a: Iterable[Name], b: Iterable[Name]) -> float:

@@ -23,11 +23,11 @@ from .model import (
     AuxSystem,
     SourceModel,
     XChannel,
-    _chi_residual,
     _class_residuals,
     _distortions,
     _support_is_smaller,
     _system_oracle,
+    check_chi,
     encoder_names,
     source_names,
 )
@@ -165,10 +165,10 @@ def new_outer_constraints(
 
 
 def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
-    """The one evaluator body: one oracle over the system's joint
-    (``_system_oracle``, under the table cap), from which it requires
-    X's conditional independence (with ``x``) and Markov class ``cls`` (named
-    ``what`` in the error) and, with S = (side, T), assembles
+    """The one evaluator body: with ``x``, ``check_chi`` first (its (sources,
+    X) joint has as many cells as X's kernel), then one oracle over the
+    system's joint (``_system_oracle``, under the table cap), from which it
+    requires class ``cls`` (named ``what``) and, with S = (side, T), assembles
 
         bound(A) = H(U_A | U_{A^c}, S) - H(U_A | V, U_{A^c}, S) + sum_{l in A} own_l.
 
@@ -182,10 +182,9 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     """
     L = model.L
     us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
-    keep = source_names(L) + us + (("W", "T", "Z", "X") if x else ("T", "Z"))
-    oracle = _system_oracle(model, gamma, x, keep)
     if x is not None:
-        _chi_residual(oracle, L, tolerance).require("x (conditional-independence class)")
+        check_chi(model, x, tolerance).require("x (conditional-independence class)")
+    oracle = _system_oracle(model, gamma, x)
     _class_residuals(oracle, L, cls, tolerance).require(what)
     if x is not None:
         v, own = [("X",)], lambda y, u: oracle.cmi([y], [u], ("X", "W") + s)
@@ -204,7 +203,7 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     if own:
         members = (np.arange(1, 1 << L)[:, None] >> np.arange(L)) & 1
         bounds += members @ np.array([own(y, u) for y, u in zip(ys, us)])
-    distortions = _distortions(model, oracle.marginal(source_names(L) + ("Z",)))
+    distortions = _distortions(model, oracle.grouped([source_names(L) + ("Z",)]))
     return RegionConstraints(L, model.K, dict(enumerate(bounds.tolist(), start=1)), distortions)
 
 
@@ -237,7 +236,7 @@ def berger_yeung_bounds(
     pair = model.joint.marginalize(("Y0", "Y1")).table
     if pair.shape[0] != pair.shape[1] or float(pair.sum() - np.trace(pair)) > 1e-12:
         raise InfeasibleError("Berger-Yeung form requires Y1 = Y0 almost surely")
-    oracle = _system_oracle(model, gamma, None, source_names(2) + encoder_names(2) + ("T", "Z"))
+    oracle = _system_oracle(model, gamma, None)
     _class_residuals(oracle, 2, "bt_inner", tolerance).require("gamma (Berger-Tung inner class)")
     r1 = oracle.h(["Y1", "U2", "T"]) - oracle.h(["U2", "T"])
     i2 = oracle.cmi(["Y2"], ["U2"], ["Y1", "T"])
@@ -415,6 +414,8 @@ class _InnerEvaluator:
         else:
             what, cells = "dense joint", model.joint.probs.size * model.z_size
         _refuse_over_cap(cells * math.prod(self.cards), f"result check's {what}")
+        cells = model.joint.shape[-1] * (1 + sum(model.reproduction_sizes)) * math.prod(self.cards)
+        _refuse_over_cap(cells, "search's forward table")
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
         src = model.joint.table  # axes: y0, y1..yL, side
         p_obs = src.sum(axis=0)  # axes: y1..yL, side

@@ -412,17 +412,22 @@ def run_process(*argv):
 
 
 def test_integer_field_too_large_exits_1(tmp_path):
-    # JSON reads 1e400 as an infinite float, which no integer holds.
     inst = mtsc_bounds.casebook("erasure", p=0.5, L=2, D=0.6)
     model = json.dumps(inst.model.to_json())
-    assert '"reproduction_sizes": [3]' in model
     path = tmp_path / "model.json"
-    path.write_text(model.replace('"reproduction_sizes": [3]', '"reproduction_sizes": [1e400]'))
     (tmp_path / "gamma.json").write_text(json.dumps(inst.gamma.to_json()))
-    done = run_process("bounds", "--model", str(path), "--gamma", str(tmp_path / "gamma.json"),
-                       "--kind", "bt-inner")
-    assert done.returncode == 1, done.stderr
-    assert str(path) in done.stderr and "Traceback" not in done.stderr
+    for field, bad in (
+        # JSON reads 1e400 as an infinite float, which no integer holds.
+        ('"reproduction_sizes": [3]', '"reproduction_sizes": [1e400]'),
+        ('"L": 2', '"L": NaN'),
+        ('"probs": [', '"probs": ["half", '),
+    ):
+        assert field in model
+        path.write_text(model.replace(field, bad, 1))
+        done = run_process("bounds", "--model", str(path), "--gamma", str(tmp_path / "gamma.json"),
+                           "--kind", "bt-inner")
+        assert done.returncode == 1, (bad, done.stderr)
+        assert f"{path}: malformed SourceModel" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_erasure_casebook_over_the_table_cap_exits_1(tmp_path):

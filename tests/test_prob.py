@@ -448,7 +448,7 @@ def joints_with_queries(draw):
 @given(joints_with_queries())
 def test_oracle_matches_dense_formula(case):
     joint, queries = case
-    oracle = EntropyOracle(joint, joint.names)
+    oracle = EntropyOracle(joint)
     for a, b, c in queries:
         for names in (a, b + c, a + b + c):
             assert abs(oracle.h(names) - _dense_h(joint.names, joint.table, set(names))) <= 1e-12
@@ -458,15 +458,13 @@ def test_oracle_matches_dense_formula(case):
         assert abs(conditional_mutual_information(joint, a, b, c) - got) <= 1e-12
 
 
-def test_oracle_reduces_to_keep_and_validates_names():
+def test_oracle_validates_names():
     joint = uniform_bit("A").product(uniform_bit("B")).product(uniform_bit("C"))
-    oracle = EntropyOracle(joint, ("A", "B"))
+    oracle = EntropyOracle(joint)
     assert oracle.h(("A", "B")) == pytest.approx(2 * LN2, abs=1e-15)
     assert oracle.h(()) == 0.0
     with pytest.raises(VariableError):
-        oracle.h(("C",))
-    with pytest.raises(VariableError):
-        EntropyOracle(joint, ("Q",))
+        oracle.h(("Q",))
     with pytest.raises(VariableError):
         oracle.cmi(("A",), ("A",))
 
@@ -527,7 +525,7 @@ def test_support_oracle_matches_the_dense_oracle(monkeypatch, dense_cells_per_ro
     for trial in range(30):
         joint, support = random_built_joint(rng, 0.3 * (trial % 3))
         names = joint.names
-        got, want = EntropyOracle(support, names[1:]), EntropyOracle(joint, names[1:])
+        got, want = EntropyOracle(support), EntropyOracle(joint)
         for _ in range(6):
             role = rng.integers(4, size=len(names) - 1)  # A, B, C or left out
             a, b, c = ([n for n, r in zip(names[1:], role) if r == k] for k in range(3))
@@ -535,17 +533,15 @@ def test_support_oracle_matches_the_dense_oracle(monkeypatch, dense_cells_per_ro
                 assert got.cmi(a, b, c) == pytest.approx(want.cmi(a, b, c), abs=1e-12)
             for s in (a, b + c, a + b + c):
                 assert got.h(s) == pytest.approx(want.h(s), abs=1e-12)
-        order = list(rng.permutation(names[1:4]))
-        assert np.allclose(got.marginal(order), want.marginal(order), rtol=0, atol=1e-15)
+        order = [(n,) for n in rng.permutation(names[1:4])]
+        assert np.allclose(got.grouped(order), want.grouped(order), rtol=0, atol=1e-15)
         groups = [("B",), ("D", "C"), ("F", "E")]
         tables = [o.grouped(groups) for o in (got, want)]
         assert tables[0].flags.c_contiguous and tables[0].ndim == 3
         for got_h, want_h in zip(*(prob._lattice_entropies(t) for t in tables)):
             assert got_h == pytest.approx(want_h, abs=1e-12)
     with pytest.raises(VariableError):
-        EntropyOracle(support, ("A", "Q"))
-    with pytest.raises(VariableError):
-        got.h(("A",))  # outside keep
+        got.h(("A", "Q"))
 
 
 def test_support_keys_rank_tuples_past_the_int64_range():
@@ -652,17 +648,17 @@ def test_lattice_entropies_peak_memory_on_eleven_bits():
 
 
 def test_support_oracle_refuses_a_counted_table_over_the_cap(monkeypatch):
-    # A dense table counted from the support's cells, for ``marginal`` or
-    # ``grouped``, is refused over the cap and named by its variables; an
-    # entropy over a larger table groups the cells by sorting instead.
+    # A dense table counted from the support's cells for ``grouped`` is
+    # refused over the cap and named by its variables; an entropy over a
+    # larger table groups the cells by sorting instead.
     monkeypatch.setattr(prob, "_MAX_TABLE_CELLS", 5)
     joint = sparse_joint(np.random.default_rng(3), ("A", "B", "C"), [2, 3, 2], 0.3)
-    oracle = EntropyOracle(_Support.of(joint), joint.names)
+    oracle = EntropyOracle(_Support.of(joint))
     with pytest.raises(ValueError, match="table over A, B would have 6 cells, over the cap of 5"):
-        oracle.marginal(["B", "A"])
+        oracle.grouped([("A",), ("B",)])
     with pytest.raises(ValueError, match="table over B, C, A would have 12 cells"):
         oracle.grouped([("B",), ("C", "A")])
-    assert oracle.h(joint.names) == pytest.approx(EntropyOracle(joint, joint.names).h(joint.names))
+    assert oracle.h(joint.names) == pytest.approx(EntropyOracle(joint).h(joint.names))
     want = joint.marginalize(("A", "C")).table.T.reshape(-1)
     assert np.allclose(oracle.grouped([("C", "A")]), want, rtol=0, atol=1e-15)
 
@@ -672,8 +668,8 @@ def test_support_oracle_drops_a_large_cmi_table(monkeypatch):
     # CMI are summed from it; from a dense root it is the root and stays.
     monkeypatch.setattr(prob, "_SMALL_TABLE", 4)
     joint = sparse_joint(np.random.default_rng(4), ("A", "B", "C"), [2, 3, 2], 0.0)
-    dense = EntropyOracle(joint, joint.names)
-    support = EntropyOracle(_Support.of(joint), joint.names)
+    dense = EntropyOracle(joint)
+    support = EntropyOracle(_Support.of(joint))
     want = dense.cmi(["A"], ["B"], ["C"])
     assert support.cmi(["A"], ["B"], ["C"]) == pytest.approx(want, abs=1e-12)
     assert set(support._tables) == {frozenset("AC"), frozenset("BC"), frozenset("C")}

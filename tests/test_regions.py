@@ -31,6 +31,7 @@ from mtsc_bounds import (
     bt_outer_constraints,
     build_full_joint,
     casebook,
+    check_chi,
     check_gamma_class,
     check_supermodular,
     conditional_mutual_information,
@@ -43,6 +44,7 @@ from mtsc_bounds import (
     slepian_wolf_bounds,
     x_channel_from_sources,
     x_channel_full_observation,
+    x_channel_trivial,
 )
 from mtsc_bounds.model import source_names
 from mtsc_bounds.prob import EntropyOracle, _lattice_entropies, _sum_plogp
@@ -256,11 +258,9 @@ def per_mask_constraints(kind, model, gamma, x=None):
     side = f"Y{L + 1}"
     us = [f"U{l}" for l in range(1, L + 1)]
     ys = [f"Y{l}" for l in range(1, L + 1)]
+    oracle = EntropyOracle(joint)
     if kind == "new_outer":
-        oracle = EntropyOracle(joint, ys + us + ["X", side, "W", "T"])
         own = [oracle.cmi([y], [u], ["X", side, "W", "T"]) for y, u in zip(ys, us)]
-    else:
-        oracle = EntropyOracle(joint, ys + us + [side, "T"])
     bounds = {}
     for mask in range(1, 1 << L):
         members = [l for l in range(L) if mask >> l & 1]
@@ -404,7 +404,7 @@ def dense_class_residuals(joint, L, cls):
     sources = list(source_names(L))
     us = [f"U{l}" for l in range(1, L + 1)]
     shared = ["W", "T"] if cls == "outer" else ["T"]
-    oracle = EntropyOracle(joint, sources + us + shared + ["Z"])
+    oracle = EntropyOracle(joint)
     residuals = [("shared_randomness_independent_of_sources", oracle.cmi(shared, sources))]
     for l in range(1, L + 1):
         others = [f"Y{i}" for i in range(L + 2) if i != l]
@@ -419,8 +419,7 @@ def dense_class_residuals(joint, L, cls):
 
 def dense_chi_residual(model, x):
     L = model.L
-    names = [f"Y{l}" for l in range(1, L + 2)] + ["X"]
-    oracle = EntropyOracle(model.joint.extend(x.kernel), names)
+    oracle = EntropyOracle(model.joint.extend(x.kernel))
     total = sum(
         oracle.cmi([f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", f"Y{L + 1}"])
         for l in range(2, L + 1)
@@ -440,8 +439,8 @@ def dense_evaluate(model, gamma, x, cls):
     us = tuple(f"U{l}" for l in range(1, L + 1))
     ys, s = source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
     v, own_given = (ys, ()) if x is None else (("X",), ("X", "W"))
-    oracle = EntropyOracle(joint, ys + us + s + v + own_given)
-    table = np.ascontiguousarray(oracle.marginal(us + v + s))
+    oracle = EntropyOracle(joint)
+    table = oracle.grouped([(n,) for n in us + v + s])
     table = table.reshape(table.shape[:L] + (-1, table.shape[-2] * table.shape[-1]))
     h = _lattice_entropies(table)
     v_bit, s_bit = 1 << L, 1 << (L + 1)
@@ -487,15 +486,14 @@ EVALUATORS = {
 
 
 def assert_matches_dense(model, gamma, x):
-    """Every evaluator, class residual and the chi residual of the oracle the
-    evaluators use, and the public class check and distortions, agree with
-    the dense copies within 1e-12; where the dense body raises a Markov
-    error, the evaluator raises one on the same names."""
+    """Every evaluator, class residual of the oracle the evaluators use, the
+    chi check, and the public class check and distortions, agree with the
+    dense copies within 1e-12; where the dense body raises a Markov error,
+    the evaluator raises one on the same names."""
     L = model.L
     joint = build_full_joint(model, gamma, x)
-    keep = source_names(L) + tuple(f"U{l}" for l in range(1, L + 1)) + ("W", "T", "Z", "X")
-    oracle = mtsc_bounds.model._system_oracle(model, gamma, x, keep)
-    reports = [(mtsc_bounds.model._chi_residual(oracle, L, 1e-9), dense_chi_residual(model, x))]
+    oracle = mtsc_bounds.model._system_oracle(model, gamma, x)
+    reports = [(check_chi(model, x), dense_chi_residual(model, x))]
     for cls in ("outer", "bt_inner", "bt_outer"):
         want = dense_class_residuals(joint, L, cls)
         reports.append((mtsc_bounds.model._class_residuals(oracle, L, cls, 1e-9), want))
@@ -672,6 +670,15 @@ def test_every_evaluator_refuses_a_support_over_the_table_cap():
     # its result, with no zero encoder entry either, is refused the same way.
     with pytest.raises(ValueError, match="support would have 120,932,352 cells"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * 10, budget=2, seed=0)
+
+
+def test_new_outer_refuses_an_inadmissible_x_before_the_table_cap():
+    # A constant X leaves the observations dependent: the chi check, read
+    # from the (sources, X) joint, refuses it before the system's support
+    # of 2 * 6^10 cells is sized.
+    inst, noisy = noisy_erasure_system(10)
+    with pytest.raises(MarkovCheckError, match=r"conditional_independence_given_x=2\.773e\+00"):
+        new_outer_constraints(inst.model, x_channel_trivial(inst.model), noisy)
 
 
 def test_public_checks_refuse_a_dense_joint_over_the_table_cap():
@@ -899,7 +906,7 @@ def test_slepian_wolf_lattice_matches_per_mask_oracle(L):
         )
         model = SourceModel(L, 1, joint, (np.zeros(sizes + (2,)),), (2,))
         ys = tuple(f"Y{l}" for l in range(1, L + 1))
-        oracle = EntropyOracle(joint, ys)
+        oracle = EntropyOracle(joint)
         got = slepian_wolf_bounds(model)
         for mask in range(1, 1 << L):
             a = [f"Y{l}" for l in range(1, L + 1) if mask & (1 << (l - 1))]
@@ -1262,6 +1269,10 @@ def test_optimizer_refuses_a_check_over_its_cell_cap():
     assert _InnerEvaluator(inst.model, [3] * 10).L == 10
     with pytest.raises(ValueError, match="lattice table would have 60,466,176 cells"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [6] * 10, budget=10, seed=0)
+    # Its check's table has 5^10 cells for |U_l| = 5, but the search's own
+    # forward result over (side, c, u) has 1 + |Z| = 4 channels: 4 * 5^10.
+    with pytest.raises(ValueError, match="search's forward table would have 39,062,500 cells"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [5] * 10, budget=10, seed=0)
 
 
 def test_optimizer_refuses_nan_caps():
