@@ -38,7 +38,6 @@ class ErasureParams:
     p: float
     L: int
     D: float
-    lam: float = 1e6
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -49,8 +48,6 @@ class ErasureParams:
             raise InfeasibleError(
                 f"need p^L <= D <= 1, got D={self.D} with p^L={self.p ** self.L}"
             )
-        if self.lam <= 0.0:
-            raise InfeasibleError(f"need lambda > 0, got {self.lam}")
 
 
 def _check_p(p: float) -> None:
@@ -147,15 +144,15 @@ def _project_feasible(s: np.ndarray, lo: float, cap: float) -> np.ndarray:
     return z
 
 
-def noise_info_minimum(params: ErasureParams, restarts: int = 64, iters: int = 500) -> float:
+def noise_info_minimum(params: ErasureParams) -> float:
     """Value of the two-variable converse program; must equal g(D^{1/L}).
 
     Minimizes (1/2)[g(s_+^{1/L}) + g(s_-^{1/L})] over s_± in [p^L, 1] subject
     to (s_+ + s_-)/2 <= D (the symmetric reduction of the per-encoder
     program, stated in the exponentiated variables s_± = e^{L Δ_±} where the
     distortion constraint is linear).  Solved by projected gradient descent
-    with backtracking from ``restarts`` feasible starts: the symmetric point
-    (D, D), where g(D^{1/L}) is attained, and random ones.
+    with backtracking from 64 feasible starts: the symmetric point (D, D),
+    where g(D^{1/L}) is attained, and random ones, for at most 500 steps.
     """
     p, L, D = params.p, params.L, params.D
     lo, cap = p**L, 2.0 * D
@@ -167,13 +164,13 @@ def noise_info_minimum(params: ErasureParams, restarts: int = 64, iters: int = 5
     def gradient(s):
         return 0.5 * _g_of_root_grad(s, p, L)
 
-    s = rng.uniform(lo, 1.0, size=(restarts, 2))
+    s = rng.uniform(lo, 1.0, size=(64, 2))
     s = _project_feasible(s, lo, cap)
     s[0] = D
-    step = np.full(restarts, 0.25)
+    step = np.full(64, 0.25)
     f = objective(s)
     checkpoint = f.min()
-    for it in range(iters):
+    for it in range(500):
         grad = gradient(s)
         for _bt in range(40):
             cand = _project_feasible(s - step[:, None] * grad, lo, cap)

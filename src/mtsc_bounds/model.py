@@ -295,10 +295,14 @@ def build_full_joint(
     (W, T) is independent of the sources, each U_l is drawn from
     (Y_l, W, T), Z from (U, Y_{L+1}, T), and, when ``x`` is given, X is drawn
     from the sources alone so that X is conditionally independent of
-    (U, Z, W, T) given the sources (the unique such coupling).
+    (U, Z, W, T) given the sources (the unique such coupling).  Refused over
+    the table cap before any table is made.
     """
+    kernels = _kernels(model, gamma, x)
+    cells = model.joint.probs.size * gamma.wt_pmf.probs.size
+    _refuse_over_cap(cells * math.prod(k.output[1] for k in kernels), "dense joint")
     joint = model.joint.product(gamma.wt_pmf)
-    for kernel in _kernels(model, gamma, x):
+    for kernel in kernels:
         joint = joint.extend(kernel)
     return joint
 
@@ -312,47 +316,53 @@ def _kernels(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> tup
     return gamma.encoder_kernels + (gamma.decoder_kernel,) + ((x.kernel,) if x is not None else ())
 
 
-def _support_is_smaller(model: SourceModel, wt_pmf: JointPmf) -> bool:
-    """Whether the nonzero cells of sources x (W, T), one code per variable
-    plus a mass each, take less memory than its dense table.  Extending by a
-    kernel never raises the nonzero fraction, so a model that fails this
+def _support_is_smaller(start: JointPmf) -> bool:
+    """Whether the nonzero cells of ``start``, one code per variable plus a
+    mass each, take less memory than its dense table.  Extending by a
+    kernel never raises the nonzero fraction, so a start that fails this
     loses nothing by the dense build."""
-    src, wt = model.joint.probs, wt_pmf.probs
-    variables = model.joint.variables + wt_pmf.variables
-    row_bytes = len(variables) * _code_dtype(s for _, s in variables).itemsize + 8
-    rows = np.count_nonzero(src) * np.count_nonzero(wt)
-    return rows * row_bytes < src.size * wt.size * 8
+    row_bytes = len(start.variables) * _code_dtype(start.shape).itemsize + 8
+    return np.count_nonzero(start.probs) * row_bytes < start.probs.size * 8
 
 
-def _system_oracle(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> EntropyOracle:
-    """One entropy oracle over the joint of ``build_full_joint``.
+def _oracle(start: JointPmf, kernels: tuple[Channel, ...]) -> EntropyOracle:
+    """One entropy oracle over ``start`` extended by ``kernels`` in order.
 
     Its root is the joint's support, built by multiplying only the positive
     kernel entries in, when that is smaller than the dense table
     (``_support_is_smaller``); otherwise it is the dense joint itself.  Either
     root is refused over the table cap before it is built.  The support has
     at most its start cells times every output alphabet size cells, and only
-    a bound over the cap is refined: every kernel but the decoder reads only
-    the sources and (W, T), so each start cell splits into the product of
-    those kernels' positive entries in its rows, times at most (for a
-    deterministic decoder, exactly) the decoder's largest.
+    a bound over the cap is refined: a kernel whose inputs all lie in
+    ``start`` splits each start cell into the positive entries of its row,
+    and any other into at most (for a deterministic kernel, exactly) the
+    largest positive count of any of its rows.
     """
-    kernels = _kernels(model, gamma, x)
-    root = model.joint.product(gamma.wt_pmf)
-    if _support_is_smaller(model, gamma.wt_pmf):
-        root = _Support.of(root)
-        cells = root.rows * math.prod(k.output[1] for k in kernels)
-        if cells > _MAX_TABLE_CELLS:
-            rows = np.ones(root.rows)  # floats: exact below 2^53, with no int64 overflow
-            for k in gamma.encoder_kernels + ((x.kernel,) if x is not None else ()):
-                rows *= np.count_nonzero(k.rows, axis=1)[root.keys(n for n, _ in k.inputs)[0]]
-            cells = int(rows.sum() * np.count_nonzero(gamma.decoder_kernel.rows, axis=1).max())
-        _refuse_over_cap(cells, "joint's support")
+    outputs = math.prod(k.output[1] for k in kernels)
+    if not _support_is_smaller(start):
+        _refuse_over_cap(start.probs.size * outputs, "dense joint")
+        root = start
     else:
-        _refuse_over_cap(root.probs.size * math.prod(k.output[1] for k in kernels), "dense joint")
+        root = _Support.of(start)
+        del start  # the dense start is not needed once its support is built
+        cells = root.rows * outputs
+        if cells > _MAX_TABLE_CELLS:
+            rows, widest = np.ones(root.rows), 1  # floats: exact below 2^53, with no int64 overflow
+            for k in kernels:
+                if set(n for n, _ in k.inputs) <= set(root.names):
+                    rows *= np.count_nonzero(k.rows, axis=1)[root.keys(n for n, _ in k.inputs)[0]]
+                else:
+                    widest *= int(np.count_nonzero(k.rows, axis=1).max())
+            cells = int(rows.sum() * widest)
+        _refuse_over_cap(cells, "joint's support")
     for kernel in kernels:
         root = root.extend(kernel)
     return EntropyOracle(root)
+
+
+def _system_oracle(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> EntropyOracle:
+    """One entropy oracle over the joint of ``build_full_joint`` (``_oracle``)."""
+    return _oracle(model.joint.product(gamma.wt_pmf), _kernels(model, gamma, x))
 
 
 def gamma_class_residuals(
@@ -414,19 +424,21 @@ def check_gamma_class(
 
 def chi_residual(joint: JointPmf, L: int, tolerance: float = MARKOV_TOL) -> MarkovReport:
     """Conditional-independence residual of a joint that already contains X."""
-    oracle = EntropyOracle(joint)
-    side = f"Y{L + 1}"
+    return _chi_residual(EntropyOracle(joint), L, tolerance)
+
+
+def _chi_residual(oracle: EntropyOracle, L: int, tolerance: float) -> MarkovReport:
+    """``chi_residual`` read from an oracle over a joint that contains X."""
     total = 0.0
     for l in range(2, L + 1):
-        total += oracle.cmi([f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", side])
+        total += oracle.cmi([f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", f"Y{L + 1}"])
     return MarkovReport((("conditional_independence_given_x", total),), tolerance)
 
 
 def check_chi(model: SourceModel, x: XChannel, tolerance: float = MARKOV_TOL) -> MarkovReport:
     """Check that Y1..YL are conditionally independent given (X, side info)."""
     _check_x(model, x)
-    joint = model.joint.extend(x.kernel)
-    return chi_residual(joint, model.L, tolerance)
+    return _chi_residual(_oracle(model.joint, (x.kernel,)), model.L, tolerance)
 
 
 def expected_distortions(
@@ -580,8 +592,6 @@ def _toy_gamma(fold_w_into_t: bool) -> AuxSystem:
 
 
 def _erasure_model(p: float, L: int, lam: float) -> SourceModel:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
     if lam <= 0.0:
         raise ValueError(f"need lambda > 0, got {lam}")
     y0 = np.array([0.5, 0.5])

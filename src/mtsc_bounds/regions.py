@@ -165,10 +165,10 @@ def new_outer_constraints(
 
 
 def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
-    """The one evaluator body: with ``x``, ``check_chi`` first (its (sources,
-    X) joint has as many cells as X's kernel), then one oracle over the
-    system's joint (``_system_oracle``, under the table cap), from which it
-    requires class ``cls`` (named ``what``) and, with S = (side, T), assembles
+    """The one evaluator body: with ``x``, ``check_chi`` first (its joint
+    rooted by the same rule), then one oracle over the system's joint
+    (``_system_oracle``, under the table cap), from which it requires
+    class ``cls`` (named ``what``) and, with S = (side, T), assembles
 
         bound(A) = H(U_A | U_{A^c}, S) - H(U_A | V, U_{A^c}, S) + sum_{l in A} own_l.
 
@@ -409,7 +409,7 @@ class _InnerEvaluator:
         self.cards = tuple(int(c) for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
-        if _support_is_smaller(model, _ONE_CELL_WT):  # the check's largest table
+        if _support_is_smaller(model.joint.product(_ONE_CELL_WT)):  # the check's largest table
             what, cells = "lattice table", model.joint.shape[-1]
         else:
             what, cells = "dense joint", model.joint.probs.size * model.z_size

@@ -109,8 +109,6 @@ def test_params_validation():
         ErasureParams(0.0, 2, 0.5)
     with pytest.raises(InfeasibleError):
         ErasureParams(0.5, 0, 0.5)
-    with pytest.raises(InfeasibleError):
-        ErasureParams(0.5, 2, 0.5, lam=0.0)
 
 
 def test_sum_rate_nonincreasing_in_d():

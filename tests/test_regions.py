@@ -534,7 +534,7 @@ def test_evaluators_match_the_dense_body_on_either_root(monkeypatch, path, L, K)
     # checked on both; the memory rule only picks between them.  "sorted"
     # groups every large-looking marginal by sorting, as large models do.
     forced = path != "dense"
-    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda model, gamma: forced)
+    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda start: forced)
     if path == "sorted":
         monkeypatch.setattr(mtsc_bounds.prob, "_DENSE_CELLS_PER_ROW", 0)
         monkeypatch.setattr(mtsc_bounds.prob, "_SMALL_TABLE", 0)
@@ -563,7 +563,7 @@ def test_berger_tung_bounds_drop_the_v_axis_when_w_is_trivial(monkeypatch, path,
     # With |W| = 1 the lattice table has the U axes and S = (side, T) only,
     # and the own terms -H(U_l | Y_l, T) stand in for its V = Y axis; the
     # bounds still agree with the V = Y body, on either root.
-    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda model, wt: path != "dense")
+    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda start: path != "dense")
     if path == "sorted":
         monkeypatch.setattr(mtsc_bounds.prob, "_DENSE_CELLS_PER_ROW", 0)
         monkeypatch.setattr(mtsc_bounds.prob, "_SMALL_TABLE", 0)
@@ -593,12 +593,18 @@ def test_berger_tung_bounds_drop_the_v_axis_when_w_is_trivial(monkeypatch, path,
 
 
 def test_memory_rule_picks_the_support_only_where_it_is_smaller():
+    # The rule reads the one joint it is given: sources x (W, T) for a
+    # system, and (sources, X) for the chi check.
     rule = mtsc_bounds.model._support_is_smaller
     for L in (2, 6):
         inst = casebook("erasure", p=0.5, L=L, D=0.6)
-        assert rule(inst.model, inst.gamma.wt_pmf)  # 2^(L+1) of 2 * 3^L source cells
+        assert rule(inst.model.joint.product(inst.gamma.wt_pmf))  # 2^(L+1) of 2 * 3^L source cells
+        assert rule(inst.model.joint.extend(inst.x.kernel))  # X = Y0 adds no cell
     inst = casebook("toy")
-    assert not rule(inst.model, inst.gamma.wt_pmf)  # every cell is positive
+    assert not rule(inst.model.joint.product(inst.gamma.wt_pmf))  # every cell is positive
+    assert not rule(inst.model.joint.extend(inst.x.kernel))  # a constant X keeps them so
+    full = x_channel_full_observation(inst.model)
+    assert rule(inst.model.joint.extend(full.kernel))  # 16 of 256 cells
 
 
 @pytest.mark.parametrize("L, D", [(7, 0.3), (7, 0.6), (8, 0.3), (8, 0.6), (10, 0.3)])
@@ -679,6 +685,37 @@ def test_new_outer_refuses_an_inadmissible_x_before_the_table_cap():
     inst, noisy = noisy_erasure_system(10)
     with pytest.raises(MarkovCheckError, match=r"conditional_independence_given_x=2\.773e\+00"):
         new_outer_constraints(inst.model, x_channel_trivial(inst.model), noisy)
+
+
+def test_check_chi_reads_the_support_of_a_sparse_source():
+    # The (sources, X) joint of erasure L = 10 has 2 * 3^10 * 2 cells, of
+    # which 2 * 2^10 are positive: chi is read from those.
+    inst = casebook("erasure", p=0.5, L=10, D=0.3)
+    tracemalloc.start()
+    try:
+        got = check_chi(inst.model, inst.x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (_, value), = got.residuals
+    (_, want), = dense_chi_residual(inst.model, inst.x).residuals
+    assert value == pytest.approx(want, abs=1e-12)
+    assert got.passed
+    assert peak < 1e6, peak
+
+
+def test_build_full_joint_refuses_a_dense_joint_over_the_table_cap():
+    # 2 * 3^7 source cells, 3^7 encoder outputs, |Z| = 3 and |X| = 2: 57.4 M
+    # cells, refused before any table is made.
+    inst = casebook("erasure", p=0.5, L=7, D=0.3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense joint would have 57,395,628 cells"):
+            build_full_joint(inst.model, inst.gamma, inst.x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 def test_public_checks_refuse_a_dense_joint_over_the_table_cap():
