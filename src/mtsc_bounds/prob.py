@@ -256,10 +256,12 @@ class Channel:
 
     @classmethod
     def deterministic(cls, inputs, output, fn) -> "Channel":
-        """Channel putting all mass on ``fn(input tuple) -> output index``."""
+        """Channel putting all mass on ``fn(input tuple) -> output index``;
+        refused over the table cap before its rows are made."""
         inputs = _as_variables(inputs)
         sizes = [s for _, s in inputs]
-        n_rows = int(np.prod(sizes, dtype=np.int64)) if sizes else 1
+        n_rows = math.prod(sizes)
+        _refuse_over_cap(n_rows * int(output[1]), f"deterministic kernel onto {output[0]!r}")
         rows = np.zeros((n_rows, int(output[1])))
         for flat in range(n_rows):
             tup = np.unravel_index(flat, sizes) if sizes else ()
@@ -417,9 +419,9 @@ def _block_sums(table: np.ndarray, free: int) -> np.ndarray:
 class _Support:
     """The cells of a joint that no factor zeroes, in row-major order.
 
-    ``codes`` has one row per variable, holding every cell's symbol in the
-    smallest unsigned integer type that fits, and ``masses`` the cells'
-    probabilities.  Built from a dense pmf and extended by kernels, it holds
+    ``codes`` has one C-contiguous row per variable, holding every cell's
+    symbol in the smallest unsigned integer type that fits, and ``masses``
+    the cells' probabilities.  Built from a dense pmf and extended by kernels, it holds
     the nonzero cells of the dense joint the same extensions build, with bit
     for bit its masses, in the same order.
     """
@@ -449,7 +451,14 @@ class _Support:
         entries = channel.rows[key]  # each cell's kernel row
         parent, outs = np.nonzero(entries)  # row-major: by cell, then output
         dtype = np.promote_types(self.codes.dtype, _code_dtype((channel.output[1],)))
-        codes = np.concatenate((self.codes[:, parent], outs[None]), dtype=dtype, casting="unsafe")
+        # ``take`` into rows of one array keeps the codes C-contiguous, one
+        # row per variable; ``codes[:, parent]`` would come back F-ordered.
+        codes = np.empty((len(self.variables) + 1, parent.size), dtype)
+        if parent.size == self.rows:  # one positive entry per row: ``parent`` is every row
+            codes[:-1] = self.codes
+        else:
+            np.take(self.codes.astype(dtype, copy=False), parent, axis=1, out=codes[:-1], mode="clip")
+        codes[-1] = outs
         masses = self.masses[parent] * entries[parent, outs]
         return _Support(self.variables + (channel.output,), codes, masses)
 
@@ -462,14 +471,40 @@ class _Support:
             if name not in self._row:
                 raise VariableError(f"unknown variable {name!r}; have {self.names}")
             index.append(self._row[name])
-        if not index:
-            return np.zeros(self.rows, np.intp), 1
         sizes = [self.variables[i][1] for i in index]
         span = math.prod(sizes)
-        if span <= _MAX_KEY:
-            return np.ravel_multi_index(self.codes[index], sizes), span
-        occurring, key = np.unique(self.codes[index], axis=1, return_inverse=True)
-        return key.reshape(-1), occurring.shape[1]
+        if span > _MAX_KEY:
+            occurring, key = np.unique(self.codes[index], axis=1, return_inverse=True)
+            return key.reshape(-1), occurring.shape[1]
+        # np.ravel_multi_index's integer by Horner's rule, one contiguous row
+        # of codes at a time.  An axis of one symbol has code 0 and is
+        # skipped, and each partial key is held in the narrowest type that
+        # holds its span (and so the size it is multiplied by), so there is
+        # less to read and write.
+        key, partial = np.zeros(self.rows, np.uint8), 1
+        for i, size in zip(index, sizes):
+            if size > 1:
+                partial *= size
+                key = key.astype(np.min_scalar_type(partial), copy=False)
+                key *= size
+                key += self.codes[i]
+        return key.astype(np.intp), span
+
+
+def _ranks(key: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the distinct values of ``key``: the inverse of
+    ``np.unique``, read from a stable sort, which is fast on the nearly
+    sorted keys of a row-major support."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    step = np.empty(key.size, np.intp)
+    step[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    del ordered
+    np.cumsum(step, out=step)
+    ranks = np.empty_like(step)
+    ranks[order] = step
+    return ranks
 
 
 def _code_dtype(sizes: Iterable[int]) -> np.dtype:
@@ -526,6 +561,7 @@ class EntropyOracle:
         self._names = frozenset(self._order)
         self._sizes = dict(root.variables)
         self._h: dict[frozenset, float] = {}
+        self._key: Optional[tuple[tuple[Name, ...], np.ndarray]] = None
 
     def _superset(self, s: frozenset) -> Optional[frozenset]:
         """The smallest cached variable set that contains ``s``, if any; of equal
@@ -552,9 +588,27 @@ class EntropyOracle:
         names = tuple(n for n in self._order if n in s)
         shape = [self._sizes[n] for n in names]
         if not dense and math.prod(shape) > self._dense_limit():
-            key = np.unique(support.keys(names)[0], return_inverse=True)[1]
-            return np.bincount(key, weights=support.masses)
+            # Each group's masses are added in row order, as in a dense count.
+            return np.bincount(_ranks(self._large_key(names)), weights=support.masses)
         return self._tables.setdefault(s, self._counted(names).reshape(shape))
+
+    def _large_key(self, names: tuple[Name, ...]) -> np.ndarray:
+        """Every support cell's key over ``names``, in ``_order``, for a large
+        marginal.  The last such key computed from the codes is kept: the
+        encoder checks group one tuple, then that tuple with each U_l left
+        out, and the key that leaves out a variable of ``size`` symbols
+        followed by axes of ``stride`` tuples is read from the kept one as
+        (key // (stride * size)) * stride + key % stride."""
+        if self._key is not None:
+            kept, key = self._key
+            if len(kept) == len(names) + 1 and set(names) < set(kept):
+                i = kept.index((set(kept) - set(names)).pop())
+                stride = math.prod(self._sizes[n] for n in kept[i + 1 :])
+                return key // (stride * self._sizes[kept[i]]) * stride + key % stride
+        key, span = self._support.keys(names)
+        # A key over _MAX_KEY is a rank among the occurring tuples, not mixed-radix.
+        self._key = (names, key) if span <= _MAX_KEY else None
+        return key
 
     def _dense_limit(self) -> int:
         """The most cells a support root sums into a dense table for an entropy."""

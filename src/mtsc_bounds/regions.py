@@ -58,17 +58,26 @@ class RegionConstraints:
     distortions: tuple[float, ...]
 
     def __post_init__(self):
-        want = set(range(1, 1 << self.L))
-        if set(self.subset_bounds) != want:
+        bounds = self.subset_bounds
+        if bounds.keys() != set(range(1, 1 << self.L)):
             raise ValueError(
                 f"subset_bounds must cover every nonempty subset mask of L={self.L}"
             )
-        for mask, v in self.subset_bounds.items():
-            if not np.isfinite(v) or v < -1e-9:
-                raise ValueError(f"bound for mask {mask:#b} is {v!r}; must be finite, >= 0")
-        object.__setattr__(
-            self, "subset_bounds", {m: max(0.0, float(v)) for m, v in self.subset_bounds.items()}
-        )
+        # One array of the values, read in one pass.  Text, None and other
+        # objects make a dtype that is not a real number's, and are refused.
+        values = np.array(list(bounds.values()))
+        if values.dtype.kind not in "biuf":
+            for mask, v in bounds.items():
+                if np.asarray(v).dtype.kind not in "biuf":
+                    raise TypeError(f"bound for mask {mask:#b} is {v!r}; must be a real number")
+        values = values.astype(float, copy=False)
+        bad = ~np.isfinite(values) | (values < -1e-9)
+        if bad.any():
+            mask = list(bounds)[int(np.argmax(bad))]
+            raise ValueError(f"bound for mask {mask:#b} is {bounds[mask]!r}; must be finite, >= 0")
+        # max(0.0, v) for each v: -0.0 and a small negative value become +0.0.
+        values = np.where(values > 0.0, values, 0.0)
+        object.__setattr__(self, "subset_bounds", dict(zip(bounds, values.tolist())))
         object.__setattr__(self, "distortions", tuple(float(d) for d in self.distortions))
         if len(self.distortions) != self.K:
             raise ValueError(f"need K={self.K} distortions, got {len(self.distortions)}")
@@ -283,7 +292,7 @@ def check_supermodular(constraints: RegionConstraints, slack: float = 1e-9) -> N
     f(A or B) + f(A and B) >= f(A) + f(B) - slack (with f(empty) = 0)."""
     L = constraints.L
     F = np.zeros(1 << L)
-    F[1:] = [constraints.subset_bounds[mask] for mask in range(1, 1 << L)]
+    F[list(constraints.subset_bounds)] = list(constraints.subset_bounds.values())
     if _locally_supermodular(F, L, slack):
         return
 

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -561,6 +561,118 @@ def test_support_keys_rank_tuples_past_the_int64_range():
     # Within range the key is the mixed-radix index itself.
     key, span = support.keys(["V3", "V1"])
     assert span == 25 and np.array_equal(key, 5 * codes[3] + codes[1])
+
+
+def ravel_keys(support, names):
+    """The mixed-radix key by np.ravel_multi_index over every axis: the
+    reference for Horner's rule."""
+    index = [support._row[n] for n in names]
+    sizes = [support.variables[i][1] for i in index]
+    if not index:
+        return np.zeros(support.rows, np.intp), 1
+    return np.ravel_multi_index(support.codes[index], sizes), math.prod(sizes)
+
+
+def unique_ranks(key):
+    """Each key's rank among the distinct keys, by np.unique: the reference
+    for the sorted ranks."""
+    return np.unique(key, return_inverse=True)[1].reshape(-1)
+
+
+def random_wide_support(rng):
+    """A support with size-1 axes, rows in row-major order (so keys over
+    leading axes come nearly sorted), and uint8 codes or, once one alphabet
+    exceeds 256 symbols, uint16."""
+    sizes = [int(rng.choice([1, 2, 3, 5])) for _ in range(4)]
+    names = ("A", "B", "C", "D")
+    joint = sparse_joint(rng, names, sizes, 0.4)
+    support = _Support.of(joint)
+    for name, inputs, out in (("E", ("A", "C"), 1), ("F", ("B",), 4), ("G", ("E", "D"), 3)):
+        if name == "F" and rng.random() < 0.5:
+            out = 300  # promotes every code to uint16
+        variables = tuple((n, support.variables[support._row[n]][1]) for n in inputs)
+        support = support.extend(sparse_channel(rng, variables, (name, out), 0.5))
+    return support
+
+
+def test_support_keys_and_ranks_match_ravel_and_unique():
+    rng = np.random.default_rng(23)
+    dtypes = set()
+    for _ in range(40):
+        support = random_wide_support(rng)
+        dtypes.add(support.codes.dtype)
+        assert support.codes.flags.c_contiguous
+        names = support.names
+        for _ in range(8):
+            chosen = [str(n) for n in rng.permutation(names)[: int(rng.integers(0, len(names) + 1))]]
+            key, span = support.keys(chosen)
+            want, want_span = ravel_keys(support, chosen)
+            assert span == want_span and key.dtype == np.intp
+            assert np.array_equal(key, want)
+            assert np.array_equal(prob._ranks(key), unique_ranks(want))
+    assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    # Alphabets of 256 and 257 symbols: each partial key's type holds the
+    # size it is multiplied by.
+    codes = np.array([[0, 255, 7, 255], [1, 0, 2, 2], [256, 3, 0, 256]], np.uint16)
+    support = _Support((("A", 256), ("B", 3), ("C", 257)), codes, np.full(4, 0.25))
+    for names in permutations(support.names):
+        for k in range(4):
+            assert np.array_equal(support.keys(names[:k])[0], ravel_keys(support, names[:k])[0])
+
+
+def test_sorted_ranks_on_nearly_sorted_and_repeated_keys():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 7, 1000):
+        runs = np.sort(rng.integers(0, 50, n))
+        swaps = rng.integers(0, n, n // 20 + 1)
+        runs[swaps] = runs[swaps[::-1]]
+        for key in (runs, runs[::-1].copy(), np.zeros(n, np.intp), rng.integers(0, 3, n)):
+            key = key.astype(np.intp)
+            assert np.array_equal(prob._ranks(key), unique_ranks(key))
+
+
+def test_large_marginals_sum_bit_for_bit_as_by_unique(monkeypatch):
+    # Every marginal takes the sorted path; its group sums are the bincount
+    # over np.unique's ranks of the ravelled key, bit for bit.
+    monkeypatch.setattr(prob, "_DENSE_CELLS_PER_ROW", 0)
+    monkeypatch.setattr(prob, "_SMALL_TABLE", 0)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        support = random_wide_support(rng)
+        oracle = EntropyOracle(support)
+        for _ in range(6):
+            s = frozenset(str(n) for n in rng.choice(support.names, int(rng.integers(1, 6)), False))
+            names = tuple(n for n in support.names if n in s)
+            want = np.bincount(unique_ranks(ravel_keys(support, names)[0]), weights=support.masses)
+            assert np.array_equal(oracle._masses(s, dense=False), want)
+
+
+def test_large_keys_leaving_one_variable_out_are_derived():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        support = random_wide_support(rng)
+        oracle = EntropyOracle(support)
+        full = support.names
+        assert np.array_equal(oracle._large_key(full), support.keys(full)[0])
+        for left_out in full:
+            names = tuple(n for n in full if n != left_out)
+            assert np.array_equal(oracle._large_key(names), ravel_keys(support, names)[0])
+            assert oracle._key[0] == full  # a derived key does not replace the kept one
+        # A key that is not the kept one less one variable is computed and kept.
+        names = full[2:]
+        assert np.array_equal(oracle._large_key(names), ravel_keys(support, names)[0])
+        assert oracle._key[0] == names
+
+
+def test_support_extend_writes_contiguous_codes():
+    joint = sparse_joint(np.random.default_rng(41), ("A", "B"), [3, 4], 0.3)
+    support = _Support.of(joint)
+    channel = sparse_channel(np.random.default_rng(42), (("B", 4),), ("C", 300), 0.5)
+    extended = support.extend(channel)
+    assert extended.codes.flags.c_contiguous and extended.codes.dtype == np.uint16
+    dense = joint.extend(channel)
+    cells = np.flatnonzero(dense.probs)
+    assert np.array_equal(extended.codes, np.array(np.unravel_index(cells, dense.shape)))
 
 
 # ---------------------------------------------------------------------------

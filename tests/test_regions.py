@@ -48,7 +48,12 @@ from mtsc_bounds import (
 )
 from mtsc_bounds.model import source_names
 from mtsc_bounds.prob import EntropyOracle, _lattice_entropies, _sum_plogp
-from mtsc_bounds.regions import _conditional_entropies, _InnerEvaluator, _locally_supermodular
+from mtsc_bounds.regions import (
+    _conditional_entropies,
+    _InnerEvaluator,
+    _locally_supermodular,
+    subset_label,
+)
 
 LN2 = math.log(2.0)
 
@@ -1544,6 +1549,67 @@ def test_rate_point_validation():
         RatePoint((-0.5, 1.0), (0.1,))
     p = RatePoint((1.0, -1e-12), (0.1,))
     assert p.rates[1] == 0.0
+
+
+def test_region_constraints_need_every_mask_once():
+    with pytest.raises(ValueError, match="every nonempty subset mask of L=2"):
+        RegionConstraints(2, 1, {0b01: 1.0, 0b10: 1.0}, (0.0,))
+    with pytest.raises(ValueError, match="every nonempty subset mask of L=2"):
+        RegionConstraints(2, 1, {0b01: 1.0, 0b10: 1.0, 0b11: 2.0, 0b100: 2.0}, (0.0,))
+    with pytest.raises(ValueError, match="every nonempty subset mask of L=2"):
+        RegionConstraints(2, 1, {0: 0.0, 0b01: 1.0, 0b10: 1.0, 0b11: 2.0}, (0.0,))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -2e-9])
+def test_region_constraints_name_the_first_bad_mask(bad):
+    bounds = {m: 1.0 for m in range(1, 8)}
+    bounds[0b101] = bad
+    bounds[0b110] = bad  # later in the dict: not the one named
+    with pytest.raises(ValueError, match=f"bound for mask 0b101 is {bad!r}; must be finite, >= 0"):
+        RegionConstraints(3, 1, bounds, (0.0,))
+
+
+def test_region_constraints_store_small_negatives_as_plus_zero():
+    bounds = {0b01: -1e-10, 0b10: -0.0, 0b11: 0.5}
+    stored = RegionConstraints(2, 1, bounds, (0.0,)).subset_bounds
+    assert stored == {0b01: 0.0, 0b10: 0.0, 0b11: 0.5}
+    assert math.copysign(1.0, stored[0b01]) == 1.0
+    assert math.copysign(1.0, stored[0b10]) == 1.0
+    assert bounds[0b10] == 0.0 and math.copysign(1.0, bounds[0b10]) == -1.0  # input untouched
+    assert all(type(v) is float for v in stored.values())
+
+
+@pytest.mark.parametrize("text", ["1.5", b"1.5", None])
+def test_region_constraints_refuse_a_value_that_is_not_a_number(text):
+    with pytest.raises(TypeError):
+        RegionConstraints(2, 1, {0b01: 1.0, 0b10: text, 0b11: 2.0}, (0.0,))
+
+
+def test_region_constraints_keep_the_key_order():
+    rng = np.random.default_rng(17)
+    masks = [int(m) for m in rng.permutation(np.arange(1, 1 << 6))]
+    values = {m: float(v) for m, v in zip(masks, rng.uniform(0, 3, len(masks)))}
+    values[masks[0]] = 2  # an int is stored as its float
+    region = RegionConstraints(6, 1, values, (0.0,))
+    assert list(region.subset_bounds) == masks
+    assert region.subset_bounds == values and type(region.subset_bounds[masks[0]]) is float
+    assert [row["A"] for row in region.to_json()["bounds"]] == [
+        subset_label(m, 6) for m in range(1, 1 << 6)
+    ]
+
+
+def test_deterministic_kernel_refused_over_the_table_cap():
+    # X = (Y1..Y9) on the erasure casebook: 2 * 3^9 input rows by 3^9
+    # symbols, 5.77 GiB of floats, refused before the rows are made.
+    inst = casebook("erasure", p=0.5, L=9, D=0.3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="774,840,978 cells, over the cap of 33,554,432"):
+            x_channel_full_observation(inst.model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 def test_inner_bound_cardinalities():
