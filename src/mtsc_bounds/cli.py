@@ -174,11 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--cardinalities", required=True, help="comma-separated |U_l|")
     p_opt.add_argument("--budget", type=int, required=True)
     p_opt.add_argument("--seed", type=int, required=True)
-    p_opt.add_argument(
-        "--restarts", type=int, default=4,
-        help="search restarts; they share --budget in order, and each begins only while "
-        "budget remains",
-    )
     p_opt.add_argument("--format", choices=("json", "csv"), default="json")
     p_opt.add_argument("--out")
     return parser
@@ -402,10 +397,13 @@ def _cmd_optimize(args) -> int:
         _ints(args.cardinalities),
         budget=args.budget,
         seed=args.seed,
-        restarts=args.restarts,
     )
-    if args.format == "csv" and result.constraints is not None:
-        _emit(result.constraints.to_csv(), args.out)
+    if args.format == "csv":
+        if result.constraints is None:
+            print(result.message, file=sys.stderr)
+            _emit("subset,bound\n", args.out)
+        else:
+            _emit(result.constraints.to_csv(), args.out)
         return 0
     payload = {
         "feasible": result.feasible,

@@ -266,16 +266,14 @@ def g_shape_report(p: float, grid_size: int = 10_000) -> ShapeReport:
     )
 
 
-def g_root_shape_report(
-    p: float, L: int, grid_size: int = 10_000, y_max: float = 1.5
-) -> RootShapeReport:
-    """Check that y -> g(y^{1/L}) is nonincreasing and convex on [p^L, y_max]."""
+def g_root_shape_report(p: float, L: int, grid_size: int = 10_000) -> RootShapeReport:
+    """Check that y -> g(y^{1/L}) is nonincreasing and convex on [p^L, 1.5]."""
     _check_p(p)
     if L < 1:
         raise ValueError(f"need L >= 1, got L={L}")
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
-    vals = _g_of_root(np.linspace(p**L, y_max, grid_size), p, L)
+    vals = _g_of_root(np.linspace(p**L, 1.5, grid_size), p, L)
     return RootShapeReport(
         p=p,
         L=L,

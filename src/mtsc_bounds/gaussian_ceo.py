@@ -219,19 +219,18 @@ def gaussian_bt_counterexample(sigma_w2: float) -> GaussianCounterexample:
     )
 
 
-def search_bt_counterexample(
-    margin: float = 0.04, grid: int = 400, s_max: float = 2.0
-) -> GaussianCounterexample:
-    """Smallest grid value of Var(W) > 0 whose classical-outer sum rate sits
-    at least ``margin`` nats below the true minimum (3/2) log 2."""
+def search_bt_counterexample(margin: float = 0.04) -> GaussianCounterexample:
+    """Smallest value of Var(W) on the grid 2/400, 4/400, .., 2 whose
+    classical-outer sum rate sits at least ``margin`` nats below the true
+    minimum (3/2) log 2."""
     target = 1.5 * math.log(2.0) - margin
     best = -math.inf
-    for s in np.linspace(s_max / grid, s_max, grid):
+    for s in np.linspace(2.0 / 400, 2.0, 400):
         cand = gaussian_bt_counterexample(float(s))
         if cand.classical_outer_sum_rate <= target:
             return cand
         best = max(best, 1.5 * math.log(2.0) - cand.classical_outer_sum_rate)
     raise InfeasibleError(
-        f"no Var(W) in (0, {s_max}] reaches margin {margin}; "
+        f"no Var(W) in (0, 2.0] reaches margin {margin}; "
         f"largest margin on the grid is {best:.6f}"
     )

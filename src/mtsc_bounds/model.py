@@ -224,10 +224,12 @@ class XChannel:
 
 @dataclass(frozen=True)
 class MarkovReport:
-    """Per-condition conditional-mutual-information residuals, in nats."""
+    """Per-condition conditional-mutual-information residuals, in nats.
+
+    It passes when every residual is at most ``MARKOV_TOL``; the tolerance is
+    fixed, and a caller who wants another threshold compares ``worst``."""
 
     residuals: tuple[tuple[str, float], ...]
-    tolerance: float = MARKOV_TOL
 
     def __post_init__(self):
         # CMI can carry a floating-point residue of order -1e-15; a residual
@@ -241,14 +243,14 @@ class MarkovReport:
 
     @property
     def passed(self) -> bool:
-        return self.worst <= self.tolerance
+        return self.worst <= MARKOV_TOL
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.residuals)
 
     def require(self, what: str) -> None:
         if not self.passed:
-            lines = ", ".join(f"{n}={v:.3e}" for n, v in self.residuals if v > self.tolerance)
+            lines = ", ".join(f"{n}={v:.3e}" for n, v in self.residuals if v > MARKOV_TOL)
             raise MarkovCheckError(f"{what} fails Markov check: {lines}", report=self)
 
 
@@ -365,9 +367,7 @@ def _system_oracle(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) 
     return _oracle(model.joint.product(gamma.wt_pmf), _kernels(model, gamma, x))
 
 
-def gamma_class_residuals(
-    joint: JointPmf, L: int, cls: str, tolerance: float = MARKOV_TOL
-) -> MarkovReport:
+def gamma_class_residuals(joint: JointPmf, L: int, cls: str) -> MarkovReport:
     """Markov residuals of a prebuilt joint against one of the three classes.
 
     ``cls`` is ``"outer"`` (conditions with W), ``"bt_inner"`` or
@@ -376,10 +376,10 @@ def gamma_class_residuals(
     validate hand-entered or optimizer-produced systems; kernel-built joints
     pass by construction.
     """
-    return _class_residuals(EntropyOracle(joint), L, cls, tolerance)
+    return _class_residuals(EntropyOracle(joint), L, cls)
 
 
-def _class_residuals(oracle: EntropyOracle, L: int, cls: str, tolerance: float) -> MarkovReport:
+def _class_residuals(oracle: EntropyOracle, L: int, cls: str) -> MarkovReport:
     """``gamma_class_residuals`` read from an oracle over the joint."""
     if cls not in GAMMA_CLASSES:
         raise ValueError(f"cls must be one of {GAMMA_CLASSES}, got {cls!r}")
@@ -411,34 +411,32 @@ def _class_residuals(oracle: EntropyOracle, L: int, cls: str, tolerance: float) 
             oracle.cmi(left, ["Z"], us + [side, "T"]),
         )
     )
-    return MarkovReport(tuple(residuals), tolerance)
+    return MarkovReport(tuple(residuals))
 
 
-def check_gamma_class(
-    model: SourceModel, gamma: AuxSystem, cls: str, tolerance: float = MARKOV_TOL
-) -> MarkovReport:
+def check_gamma_class(model: SourceModel, gamma: AuxSystem, cls: str) -> MarkovReport:
     """Markov report of a kernel-built system against class ``cls``, read
     from the evaluators' oracle over its joint (``_system_oracle``)."""
-    return _class_residuals(_system_oracle(model, gamma, None), model.L, cls, tolerance)
+    return _class_residuals(_system_oracle(model, gamma, None), model.L, cls)
 
 
-def chi_residual(joint: JointPmf, L: int, tolerance: float = MARKOV_TOL) -> MarkovReport:
+def chi_residual(joint: JointPmf, L: int) -> MarkovReport:
     """Conditional-independence residual of a joint that already contains X."""
-    return _chi_residual(EntropyOracle(joint), L, tolerance)
+    return _chi_residual(EntropyOracle(joint), L)
 
 
-def _chi_residual(oracle: EntropyOracle, L: int, tolerance: float) -> MarkovReport:
+def _chi_residual(oracle: EntropyOracle, L: int) -> MarkovReport:
     """``chi_residual`` read from an oracle over a joint that contains X."""
     total = 0.0
     for l in range(2, L + 1):
         total += oracle.cmi([f"Y{l}"], [f"Y{i}" for i in range(1, l)], ["X", f"Y{L + 1}"])
-    return MarkovReport((("conditional_independence_given_x", total),), tolerance)
+    return MarkovReport((("conditional_independence_given_x", total),))
 
 
-def check_chi(model: SourceModel, x: XChannel, tolerance: float = MARKOV_TOL) -> MarkovReport:
+def check_chi(model: SourceModel, x: XChannel) -> MarkovReport:
     """Check that Y1..YL are conditionally independent given (X, side info)."""
     _check_x(model, x)
-    return _chi_residual(_oracle(model.joint, (x.kernel,)), model.L, tolerance)
+    return _chi_residual(_oracle(model.joint, (x.kernel,)), model.L)
 
 
 def expected_distortions(

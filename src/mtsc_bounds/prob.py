@@ -569,10 +569,10 @@ class EntropyOracle:
         have = [t for t in self._tables if s <= t]
         return min(have, key=lambda t: self._tables[t].size, default=None)
 
-    def _masses(self, s: frozenset, dense: bool = True) -> np.ndarray:
+    def _masses(self, s: frozenset) -> np.ndarray:
         """The marginal on ``s``: a cached table with the axes of ``s`` in
-        ``_order``, or, from a support root when ``dense`` is false and that
-        table would be large, the masses of the tuples that occur."""
+        ``_order``, or, from a support root when that table would be large,
+        the masses of the tuples that occur."""
         table = self._tables.get(s)
         if table is not None:
             return table
@@ -587,7 +587,7 @@ class EntropyOracle:
             return self._tables.setdefault(s, _sum_out(names, self._tables[have], s)[1])
         names = tuple(n for n in self._order if n in s)
         shape = [self._sizes[n] for n in names]
-        if not dense and math.prod(shape) > self._dense_limit():
+        if math.prod(shape) > self._dense_limit():
             # Each group's masses are added in row order, as in a dense count.
             return np.bincount(_ranks(self._large_key(names)), weights=support.masses)
         return self._tables.setdefault(s, self._counted(names).reshape(shape))
@@ -643,7 +643,7 @@ class EntropyOracle:
                 raise VariableError(
                     f"unknown variables {sorted(s - self._names)}; have {sorted(self._names)}"
                 )
-            value = _sum_plogp(self._masses(s, dense=False)) if s else 0.0
+            value = _sum_plogp(self._masses(s)) if s else 0.0
             self._h[s] = value
         return value
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InfeasibleError, SupermodularityError
 from .model import (
-    MARKOV_TOL,
     AuxSystem,
     SourceModel,
     XChannel,
@@ -136,9 +135,7 @@ class RatePoint:
 # ---------------------------------------------------------------------------
 
 
-def bt_inner_constraints(
-    model: SourceModel, gamma: AuxSystem, tolerance: float = MARKOV_TOL
-) -> RegionConstraints:
+def bt_inner_constraints(model: SourceModel, gamma: AuxSystem) -> RegionConstraints:
     """Berger-Tung inner-bound constraints of a system in the inner class.
 
     bound(A) = I(Y_A; U_A | U_{A^c}, side info, T).  The system must pass the
@@ -146,23 +143,16 @@ def bt_inner_constraints(
     I(Y; U_A | U_{A^c}, side, T), which exceeds it by at most the check's
     summed encoder residuals: by 0 when the encoder chains hold exactly.
     """
-    return _evaluate(model, gamma, None, "bt_inner", "gamma (Berger-Tung inner class)", tolerance)
+    return _evaluate(model, gamma, None, "bt_inner", "gamma (Berger-Tung inner class)")
 
 
-def bt_outer_constraints(
-    model: SourceModel, gamma: AuxSystem, tolerance: float = MARKOV_TOL
-) -> RegionConstraints:
+def bt_outer_constraints(model: SourceModel, gamma: AuxSystem) -> RegionConstraints:
     """Berger-Tung outer-bound constraints: bound(A) = I(Y; U_A | U_{A^c}, side, T)
     with the full observation vector Y on the left."""
-    return _evaluate(model, gamma, None, "bt_outer", "gamma (Berger-Tung outer class)", tolerance)
+    return _evaluate(model, gamma, None, "bt_outer", "gamma (Berger-Tung outer class)")
 
 
-def new_outer_constraints(
-    model: SourceModel,
-    x: XChannel,
-    gamma: AuxSystem,
-    tolerance: float = MARKOV_TOL,
-) -> RegionConstraints:
+def new_outer_constraints(model: SourceModel, x: XChannel, gamma: AuxSystem) -> RegionConstraints:
     """Constraints of the improved outer bound for a coupled variable X.
 
     bound(A) = I(X; U_A | U_{A^c}, side, T)
@@ -170,10 +160,10 @@ def new_outer_constraints(
     evaluated under the coupling in which X interacts with the auxiliary
     system only through the sources.  X must pass ``check_chi``.
     """
-    return _evaluate(model, gamma, x, "outer", "gamma (outer class)", tolerance)
+    return _evaluate(model, gamma, x, "outer", "gamma (outer class)")
 
 
-def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
+def _evaluate(model, gamma, x, cls, what) -> RegionConstraints:
     """The one evaluator body: with ``x``, ``check_chi`` first (its joint
     rooted by the same rule), then one oracle over the system's joint
     (``_system_oracle``, under the table cap), from which it requires
@@ -192,9 +182,9 @@ def _evaluate(model, gamma, x, cls, what, tolerance) -> RegionConstraints:
     L = model.L
     us, ys, s = encoder_names(L), source_names(L)[1 : L + 1], (f"Y{L + 1}", "T")
     if x is not None:
-        check_chi(model, x, tolerance).require("x (conditional-independence class)")
+        check_chi(model, x).require("x (conditional-independence class)")
     oracle = _system_oracle(model, gamma, x)
-    _class_residuals(oracle, L, cls, tolerance).require(what)
+    _class_residuals(oracle, L, cls).require(what)
     if x is not None:
         v, own = [("X",)], lambda y, u: oracle.cmi([y], [u], ("X", "W") + s)
     elif gamma.wt_pmf.size_of("W") == 1:
@@ -232,9 +222,7 @@ def slepian_wolf_bounds(model: SourceModel) -> RegionConstraints:
     return RegionConstraints(L, model.K, bounds, (0.0,) * model.K)
 
 
-def berger_yeung_bounds(
-    model: SourceModel, gamma: AuxSystem, tolerance: float = MARKOV_TOL
-) -> tuple[float, float, float]:
+def berger_yeung_bounds(model: SourceModel, gamma: AuxSystem) -> tuple[float, float, float]:
     """The two-encoder bounds for the lossless-component structure Y1 = Y0.
 
     Returns (R1_min, R2_min, sum_min) =
@@ -246,7 +234,7 @@ def berger_yeung_bounds(
     if pair.shape[0] != pair.shape[1] or float(pair.sum() - np.trace(pair)) > 1e-12:
         raise InfeasibleError("Berger-Yeung form requires Y1 = Y0 almost surely")
     oracle = _system_oracle(model, gamma, None)
-    _class_residuals(oracle, 2, "bt_inner", tolerance).require("gamma (Berger-Tung inner class)")
+    _class_residuals(oracle, 2, "bt_inner").require("gamma (Berger-Tung inner class)")
     r1 = oracle.h(["Y1", "U2", "T"]) - oracle.h(["U2", "T"])
     i2 = oracle.cmi(["Y2"], ["U2"], ["Y1", "T"])
     h1 = oracle.h(["Y1"])
@@ -377,6 +365,7 @@ class OptimizeResult:
 
 
 _ONE_CELL_WT = JointPmf((("W", 1), ("T", 1)), np.array([1.0]))
+_RESTARTS = 4  # restarts of one search, sharing its budget in order
 _ROUNDS = 60  # slope updates per restart
 _ITERS = 150  # mirror-descent steps of a restart's first and last solve
 _TOL = 1e-12  # relative improvement below which a solve stops
@@ -697,9 +686,9 @@ def optimize_bt_inner_sum_rate(
     cardinalities: Sequence[int],
     budget: int,
     seed: int,
-    restarts: int = 4,
 ) -> OptimizeResult:
-    """Multi-restart search for the inner-bound minimum sum rate under caps.
+    """Search with ``_RESTARTS`` restarts for the inner-bound minimum sum
+    rate under caps.
 
     Encoder kernel rows live directly on the probability simplex; the
     decoder is reset to the Bayes-optimal deterministic map at every
@@ -719,11 +708,9 @@ def optimize_bt_inner_sum_rate(
         raise ValueError(f"need {model.K} distortion caps, none NaN, got {caps}")
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     evaluator = _InnerEvaluator(model, cardinalities)
     state = _SearchState(caps, budget)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(_RESTARTS)):
         if state.exhausted:
             break
         state.restart = i

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -328,16 +330,21 @@ def test_top_level_json_list_exits_1(tmp_path, capsys):
     assert "JSON object" in err and "list" in err
 
 
-def test_optimize_zero_restarts_exits_1(tmp_path, capsys):
+def test_optimize_csv_without_a_feasible_system_is_a_header(tmp_path, capsys):
+    # No system meets D = 0.1 on the L = 2 erasure model within 50 evaluations:
+    # the CSV has its header and no rows, and the search's message goes to stderr.
     prefix = str(tmp_path / "er")
     run(capsys, "info", "--dump", "erasure", "--out", prefix,
         "--p", "0.5", "--L", "2", "--D", "0.6")
-    code, _, err = run(
-        capsys, "optimize", "--model", prefix + ".model.json", "--caps", "0.6",
-        "--cardinalities", "3,3", "--budget", "100", "--seed", "1", "--restarts", "0",
+    code, out, err = run(
+        capsys, "optimize", "--model", prefix + ".model.json", "--caps", "0.1",
+        "--cardinalities", "3,3", "--budget", "50", "--seed", "1", "--format", "csv",
     )
-    assert code == 1
-    assert "restarts" in err
+    assert code == 0
+    reader = csv.DictReader(io.StringIO(out))
+    assert list(reader) == []
+    assert reader.fieldnames == ["subset", "bound"]
+    assert "no system met caps (0.1,) within budget 50" in err
 
 
 def test_bounds_over_the_table_cap_exit_1(tmp_path, capsys):

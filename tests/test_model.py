@@ -12,6 +12,7 @@ from mtsc_bounds import (
     AuxSystem,
     Channel,
     JointPmf,
+    MarkovCheckError,
     SourceModel,
     VariableError,
     XChannel,
@@ -27,7 +28,7 @@ from mtsc_bounds import (
     x_channel_full_observation,
     x_channel_trivial,
 )
-from mtsc_bounds.model import MarkovReport
+from mtsc_bounds.model import MARKOV_TOL, MarkovReport
 
 LN2 = math.log(2.0)
 
@@ -339,6 +340,17 @@ def test_markov_report_clamps_fp_noise():
     report = MarkovReport((("a", -3e-16), ("b", 2e-12)))
     assert report.as_dict()["a"] == 0.0
     assert report.passed
+
+
+def test_markov_report_passes_a_residual_of_exactly_the_tolerance():
+    assert MarkovReport((("a", 0.0), ("b", MARKOV_TOL))).passed
+    over = np.nextafter(MARKOV_TOL, 1.0)
+    report = MarkovReport((("a", MARKOV_TOL), ("b", over), ("c", 0.0)))
+    assert not report.passed and report.worst == over
+    with pytest.raises(MarkovCheckError) as exc:
+        report.require("gamma")
+    assert str(exc.value) == f"gamma fails Markov check: b={over:.3e}"
+    assert exc.value.report is report
 
 
 def test_serialization_round_trips_bit_exact():

@@ -644,7 +644,7 @@ def test_large_marginals_sum_bit_for_bit_as_by_unique(monkeypatch):
             s = frozenset(str(n) for n in rng.choice(support.names, int(rng.integers(1, 6)), False))
             names = tuple(n for n in support.names if n in s)
             want = np.bincount(unique_ranks(ravel_keys(support, names)[0]), weights=support.masses)
-            assert np.array_equal(oracle._masses(s, dense=False), want)
+            assert np.array_equal(oracle._masses(s), want)
 
 
 def test_large_keys_leaving_one_variable_out_are_derived():

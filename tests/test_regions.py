@@ -46,7 +46,7 @@ from mtsc_bounds import (
     x_channel_full_observation,
     x_channel_trivial,
 )
-from mtsc_bounds.model import source_names
+from mtsc_bounds.model import MARKOV_TOL, source_names
 from mtsc_bounds.prob import EntropyOracle, _lattice_entropies, _sum_plogp
 from mtsc_bounds.regions import (
     _conditional_entropies,
@@ -501,7 +501,7 @@ def assert_matches_dense(model, gamma, x):
     reports = [(check_chi(model, x), dense_chi_residual(model, x))]
     for cls in ("outer", "bt_inner", "bt_outer"):
         want = dense_class_residuals(joint, L, cls)
-        reports.append((mtsc_bounds.model._class_residuals(oracle, L, cls, 1e-9), want))
+        reports.append((mtsc_bounds.model._class_residuals(oracle, L, cls), want))
         reports.append((check_gamma_class(model, gamma, cls), want))
     for got, want in reports:
         assert [n for n, _ in got.residuals] == [n for n, _ in want.residuals]
@@ -518,7 +518,7 @@ def assert_matches_dense(model, gamma, x):
                 evaluate(model, gamma, x)
             for failing in (False, True):
                 names = [
-                    [n for n, v in report.residuals if v > report.tolerance or not failing]
+                    [n for n, v in report.residuals if v > MARKOV_TOL or not failing]
                     for report in (got.value.report, exc.report)
                 ]
                 assert names[0] == names[1]
@@ -1353,8 +1353,7 @@ def test_bayes_decoder_matches_the_per_row_build(L, K):
 
 def test_optimizer_bits_do_not_depend_on_the_hash_seed():
     # The L = 5 evaluations run on the joint's support, whose group-bys are
-    # keyed by variable sets; a tolerance below 0 makes the Markov check
-    # report every residual.
+    # keyed by variable sets; the class check reports every residual.
     script = (
         "from mtsc_bounds import *\n"
         "model = casebook('erasure', p=0.5, L=2, D=0.6).model\n"
@@ -1363,10 +1362,8 @@ def test_optimizer_bits_do_not_depend_on_the_hash_seed():
         "inst = casebook('erasure', p=0.5, L=5, D=0.6)\n"
         "got = new_outer_constraints(inst.model, inst.x, inst.gamma)\n"
         "print([v.hex() for v in got.subset_bounds.values()], got.distortions[0].hex())\n"
-        "try:\n"
-        "    bt_inner_constraints(inst.model, inst.gamma, tolerance=-1.0)\n"
-        "except MarkovCheckError as exc:\n"
-        "    print([v.hex() for _, v in exc.report.residuals])\n"
+        "report = check_gamma_class(inst.model, inst.gamma, 'bt_inner')\n"
+        "print([v.hex() for _, v in report.residuals])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(mtsc_bounds.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
