@@ -43,7 +43,7 @@ print("equal the per-encoder noise-information cost g(D^{1/L}):")
 program = noise_info_minimum(params)
 print(f"  program value = {program:.9f},  g(D^(1/L)) = {g_function(D ** (1 / L), P):.9f}")
 
-report = g_shape_report(P, grid_size=10_000)
+report = g_shape_report(P)
 print(
     "  shape checks: worst first difference "
     f"{report.max_first_difference:.1e}, worst second difference "

@@ -61,7 +61,7 @@ for s in (0.0, 0.1, 0.2):
         f"  Var(W) = {s:4.2f}: I(Y;U1,U2) = {ce.i_joint:.6f}, "
         f"2 I(Y;U1|U2) = {2 * ce.i_cond:.6f}, distortion = {ce.distortion}"
     )
-found = search_bt_counterexample(margin=0.04)
+found = search_bt_counterexample()
 print(
     f"  -> at Var(W) = {found.sigma_w2:.3f} the classical bound admits sum rate "
     f"{found.classical_outer_sum_rate:.6f} < {1.5 * LN2:.6f} - 0.04"

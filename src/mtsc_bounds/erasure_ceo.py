@@ -198,6 +198,9 @@ def noise_info_minimum(params: ErasureParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+SHAPE_GRID = 10_000  # points on the grid of each shape report
+
+
 @dataclass(frozen=True)
 class ShapeReport:
     """Grid evidence that g(e^x) is nonincreasing and convex, with the two
@@ -235,8 +238,9 @@ class RootShapeReport:
         return self.max_first_difference <= 1e-12 and self.min_second_difference >= -1e-9
 
 
-def g_shape_report(p: float, grid_size: int = 10_000) -> ShapeReport:
-    """Evaluate g(e^x) on a uniform grid over [log p, 1] and check its shape.
+def g_shape_report(p: float) -> ShapeReport:
+    """Evaluate g(e^x) on a uniform 10,000-point grid over [log p, 1] and
+    check its shape.
 
     Also verifies, pointwise on (log p, 0]:
       (1)  e^x log(e^x - p) - x e^x <= -p
@@ -244,21 +248,19 @@ def g_shape_report(p: float, grid_size: int = 10_000) -> ShapeReport:
     Returns the worst margins; see ``ShapeReport.passed`` for the thresholds.
     """
     _check_p(p)
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
-    x = np.linspace(math.log(p), 1.0, grid_size)
+    x = np.linspace(math.log(p), 1.0, SHAPE_GRID)
     # exp(log p) can round below p, outside the domain of g.
     vals = _g_vec(np.maximum(np.exp(x), p), p)
     first = np.diff(vals)
     second = np.diff(vals, 2)
-    xc = math.log(p) + (-math.log(p)) * np.arange(1, grid_size + 1) / grid_size
+    xc = math.log(p) + (-math.log(p)) * np.arange(1, SHAPE_GRID + 1) / SHAPE_GRID
     ex = np.exp(xc)
     log_exp = np.log(ex - p)
     calc1_slack = -p - (ex * log_exp - xc * ex)
     calc2_slack = ex * log_exp - ex * (xc + 1.0) + ex**2 / (ex - p)
     return ShapeReport(
         p=p,
-        grid_size=grid_size,
+        grid_size=SHAPE_GRID,
         max_first_difference=float(first.max()),
         min_second_difference=float(second.min()),
         min_calc1_slack=float(calc1_slack.min()),
@@ -266,18 +268,17 @@ def g_shape_report(p: float, grid_size: int = 10_000) -> ShapeReport:
     )
 
 
-def g_root_shape_report(p: float, L: int, grid_size: int = 10_000) -> RootShapeReport:
-    """Check that y -> g(y^{1/L}) is nonincreasing and convex on [p^L, 1.5]."""
+def g_root_shape_report(p: float, L: int) -> RootShapeReport:
+    """Check that y -> g(y^{1/L}) is nonincreasing and convex on a uniform
+    10,000-point grid over [p^L, 1.5]."""
     _check_p(p)
     if L < 1:
         raise ValueError(f"need L >= 1, got L={L}")
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
-    vals = _g_of_root(np.linspace(p**L, 1.5, grid_size), p, L)
+    vals = _g_of_root(np.linspace(p**L, 1.5, SHAPE_GRID), p, L)
     return RootShapeReport(
         p=p,
         L=L,
-        grid_size=grid_size,
+        grid_size=SHAPE_GRID,
         max_first_difference=float(np.diff(vals).max()),
         min_second_difference=float(np.diff(vals, 2).min()),
     )

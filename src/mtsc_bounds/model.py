@@ -439,18 +439,11 @@ def check_chi(model: SourceModel, x: XChannel) -> MarkovReport:
     return _chi_residual(_oracle(model.joint, (x.kernel,)), model.L)
 
 
-def expected_distortions(
-    model: SourceModel, gamma: AuxSystem, joint: Optional[JointPmf] = None
-) -> tuple[float, ...]:
-    """Exact E[d_k(Y0, Y, Y_{L+1}, Z_k)] for every k, under the built joint.
-
-    ``joint``, when given, is ``build_full_joint(model, gamma[, x])``, which
-    has the sources and Z in this order; else the evaluators' oracle is read.
-    """
+def expected_distortions(model: SourceModel, gamma: AuxSystem) -> tuple[float, ...]:
+    """Exact E[d_k(Y0, Y, Y_{L+1}, Z_k)] for every k, read from the
+    evaluators' oracle over the system's joint."""
     names = source_names(model.L) + ("Z",)
-    if joint is None:
-        return _distortions(model, _system_oracle(model, gamma, None).grouped([names]))
-    return _distortions(model, joint._summed(names)[1])
+    return _distortions(model, _system_oracle(model, gamma, None).grouped([names]))
 
 
 def _distortions(model: SourceModel, table: np.ndarray) -> tuple[float, ...]:
@@ -529,9 +522,9 @@ class CasebookInstance:
     x: Optional[XChannel]
 
 
-def _uniform_wt(w_size: int, t_size: int, w_probs=None, t_probs=None) -> JointPmf:
-    w = np.full(w_size, 1.0 / w_size) if w_probs is None else np.asarray(w_probs, float)
-    t = np.full(t_size, 1.0 / t_size) if t_probs is None else np.asarray(t_probs, float)
+def _uniform_wt(w_size: int, t_size: int) -> JointPmf:
+    w = np.full(w_size, 1.0 / w_size)
+    t = np.full(t_size, 1.0 / t_size)
     return JointPmf((("W", w_size), ("T", t_size)), np.outer(w, t).reshape(-1))
 
 

@@ -33,6 +33,7 @@ from .model import (
 from .prob import Channel, JointPmf, _lattice_entropies, _refuse_over_cap, _sum_plogp
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
+SUPERMODULAR_SLACK = 1e-9  # a pair may fall short of supermodular by this
 
 
 def _mask_of(members: Iterable[int]) -> int:
@@ -246,23 +247,24 @@ def berger_yeung_bounds(model: SourceModel, gamma: AuxSystem) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 
 
-def _locally_supermodular(F: np.ndarray, L: int, slack: float) -> bool:
+def _locally_supermodular(F: np.ndarray, L: int) -> bool:
     """True when f(S+i+j) + f(S) >= f(S+i) + f(S+j) - tol for every S and
     i, j not in S, with a tol that certifies the pair condition of
-    ``check_supermodular`` at ``slack``.  ``F`` holds f on all 2^L masks.
+    ``check_supermodular`` at its slack (``SUPERMODULAR_SLACK``).  ``F``
+    holds f on all 2^L masks.
 
     A pair's defect f(A or B) + f(A and B) - f(A) - f(B) telescopes into
     |A - B| * |B - A| <= c = floor(L/2) * ceil(L/2) local defects, so local
     ones >= -slack / (2c) keep every pair's >= -slack / 2.  tol also gives up
     4 (c + 1) eps * max|f|, more than the float sums and comparisons here and
     in the pair loop can round away, so a certified region never fails the
-    pair loop, whatever the slack and the scale of f.  Cost O(2^L L^2).
+    pair loop, whatever the scale of f.  Cost O(2^L L^2).
     """
     c = (L // 2) * ((L + 1) // 2)
     if c == 0:
         return True  # L <= 1: there is no pair to violate
     rounding = 4 * (c + 1) * np.finfo(float).eps * float(np.abs(F).max())
-    tol = (slack / 2 - rounding) / c
+    tol = (SUPERMODULAR_SLACK / 2 - rounding) / c
     masks = np.arange(1 << L)
     for i in range(L):
         for j in range(i + 1, L):
@@ -275,13 +277,14 @@ def _locally_supermodular(F: np.ndarray, L: int, slack: float) -> bool:
     return True
 
 
-def check_supermodular(constraints: RegionConstraints, slack: float = 1e-9) -> None:
+def check_supermodular(constraints: RegionConstraints) -> None:
     """Raise SupermodularityError on the first pair violating
-    f(A or B) + f(A and B) >= f(A) + f(B) - slack (with f(empty) = 0)."""
+    f(A or B) + f(A and B) >= f(A) + f(B) - ``SUPERMODULAR_SLACK`` (with
+    f(empty) = 0)."""
     L = constraints.L
     F = np.zeros(1 << L)
     F[list(constraints.subset_bounds)] = list(constraints.subset_bounds.values())
-    if _locally_supermodular(F, L, slack):
+    if _locally_supermodular(F, L):
         return
 
     # Some local defect is too negative to certify; the pair loop decides,
@@ -292,7 +295,7 @@ def check_supermodular(constraints: RegionConstraints, slack: float = 1e-9) -> N
         b = masks[a + 1 :]
         lhs = F[a | b] + F[a & b]
         rhs = F[a] + F[b]
-        bad = np.flatnonzero(lhs < rhs - slack)
+        bad = np.flatnonzero(lhs < rhs - SUPERMODULAR_SLACK)
         if bad.size:
             i = bad[0]
             raise SupermodularityError(
@@ -407,11 +410,9 @@ class _InnerEvaluator:
         self.cards = tuple(int(c) for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
-        if _support_is_smaller(model.joint.product(_ONE_CELL_WT)):  # the check's largest table
-            what, cells = "lattice table", model.joint.shape[-1]
-        else:
-            what, cells = "dense joint", model.joint.probs.size * model.z_size
-        _refuse_over_cap(cells * math.prod(self.cards), f"result check's {what}")
+        if not _support_is_smaller(model.joint.product(_ONE_CELL_WT)):  # the check's root is dense
+            cells = model.joint.probs.size * model.z_size * math.prod(self.cards)
+            _refuse_over_cap(cells, "result check's dense joint")
         cells = model.joint.shape[-1] * (1 + sum(model.reproduction_sizes)) * math.prod(self.cards)
         _refuse_over_cap(cells, "search's forward table")
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
@@ -700,8 +701,8 @@ def optimize_bt_inner_sum_rate(
     begins only while some remains.  The result is an upper estimate of the
     inner-bound optimum: every reported point is achievable.  Deterministic
     given ``seed``; of equal points the earliest wins.  Raises
-    ``ValueError`` when the check of the result would build a table of more
-    than 2^25 cells.
+    ``ValueError`` when the search's forward table, or the dense joint of
+    the result's check, would have more than 2^25 cells.
     """
     caps = tuple(float(c) for c in distortion_caps)
     if len(caps) != model.K or any(math.isnan(c) for c in caps):

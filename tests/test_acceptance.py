@@ -130,7 +130,7 @@ def test_criterion_5_convexity_suite():
     t0 = time.time()
     ok = True
     for p in (0.1, 0.5, 0.9):
-        report = g_shape_report(p, grid_size=10_000)
+        report = g_shape_report(p)
         ok &= report.max_first_difference <= 1e-12
         ok &= report.min_second_difference >= -1e-9
         ok &= report.min_calc1_slack >= -1e-10
@@ -143,7 +143,7 @@ def test_criterion_6_gaussian_ceo():
     params = GaussianParams(1.0, (1.0, 1.0))
     min_rate = gaussian_min_sum_rate(params, 0.5)
     ok = abs(min_rate - 1.5 * LN2) <= 1e-9
-    ce = search_bt_counterexample(margin=0.04)
+    ce = search_bt_counterexample()
     ok &= ce.classical_outer_sum_rate <= 1.5 * LN2 - 0.04
     ok &= abs(ce.distortion - 0.5) <= 1e-12
     ok &= abs(gaussian_bt_counterexample(ce.sigma_w2).distortion - 0.5) <= 1e-12

@@ -394,9 +394,55 @@ def test_optimize_json_is_in_full_precision(tmp_path, capsys):
     assert json.loads(out)["sum_rate_nats"] == result.sum_rate
 
 
+def test_bounds_json_is_in_full_precision(tmp_path, capsys):
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix,
+        "--p", "0.5", "--L", "3", "--D", "0.6")
+    code, out, _ = run(
+        capsys, "bounds", "--model", prefix + ".model.json", "--gamma", prefix + ".gamma.json",
+        "--x", prefix + ".x.json", "--kind", "new-outer", "--format", "json",
+    )
+    model, gamma, x = (
+        cls.from_json(json.loads(Path(prefix + suffix).read_text()))
+        for cls, suffix in ((SourceModel, ".model.json"), (AuxSystem, ".gamma.json"),
+                            (mtsc_bounds.XChannel, ".x.json"))
+    )
+    want = mtsc_bounds.new_outer_constraints(model, x, gamma)
+    assert code == 0 and float(f"{want.full_set:.9g}") != want.full_set
+    rows = {row["A"]: row["bound_nats"] for row in json.loads(out)["bounds"]}
+    assert rows["0b111"] == want.full_set
+    assert json.loads(out) == want.to_json()
+
+
+def test_erasure_ceo_json_is_in_full_precision(capsys):
+    want = mtsc_bounds.erasure_sum_rate(mtsc_bounds.ErasureParams(0.5, 2, 0.6))
+    assert float(f"{want:.9g}") != want
+    code, out, _ = run(capsys, "erasure-ceo", "--p", "0.5", "--L", "2", "--D", "0.6")
+    assert code == 0 and json.loads(out)["sum_rate_nats"] == want
+    code, out, _ = run(capsys, "erasure-ceo", "--p", "0.5", "--L", "2,3", "--curve", "7")
+    rows = [(row["D"], row["L"], row["sum_rate_nats"]) for row in json.loads(out)]
+    assert code == 0 and rows == mtsc_bounds.sum_rate_curve(0.5, (2, 3), 7)
+
+
+def test_gaussian_ceo_json_is_in_full_precision(capsys):
+    params = mtsc_bounds.GaussianParams(1.0, (1.0, 0.5, 2.0))
+    want = mtsc_bounds.gaussian_min_sum_rate(params, 0.45)
+    assert float(f"{want:.9g}") != want
+    code, out, _ = run(capsys, "gaussian-ceo", "--sigma2", "1", "--noise", "1,0.5,2", "--D", "0.45")
+    assert code == 0 and json.loads(out)["min_sum_rate_nats"] == want
+
+
+@pytest.mark.parametrize("mode", [["--curve", "3"], ["--curve", "3", "--format", "csv"], ["--D", "0.6"]])
+@pytest.mark.parametrize("encoders", [",", ""])
+def test_erasure_ceo_without_encoder_counts_exits_1(capsys, mode, encoders):
+    code, out, err = run(capsys, "erasure-ceo", "--p", "0.5", "--L", encoders, *mode)
+    assert code == 1 and out == ""
+    assert "--L needs at least one encoder count" in err
+
+
 def test_optimize_beyond_the_encoder_limit_exits_1(tmp_path, capsys):
-    # The result's check reads a lattice table over (U_1..U_10, side, T):
-    # 6^10 cells for |U_l| = 6.
+    # The search's forward table over (side, c, U_1..U_10) has 1 + |Z| = 4
+    # channels: 4 * 6^10 cells for |U_l| = 6.
     prefix = str(tmp_path / "er")
     run(capsys, "info", "--dump", "erasure", "--out", prefix,
         "--p", "0.5", "--L", "10", "--D", "0.6")
@@ -405,7 +451,8 @@ def test_optimize_beyond_the_encoder_limit_exits_1(tmp_path, capsys):
         "--cardinalities", ",".join(["6"] * 10), "--budget", "100", "--seed", "1",
     )
     assert code == 1
-    assert "60,466,176 cells" in err and "cap of 33,554,432" in err
+    assert "search's forward table would have 241,864,704 cells" in err
+    assert "cap of 33,554,432" in err and "Traceback" not in err
 
 
 def run_process(*argv):

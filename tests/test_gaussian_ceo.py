@@ -234,12 +234,10 @@ def test_counterexample_validation():
 
 
 def test_search_finds_margin():
-    ce = search_bt_counterexample(margin=0.04)
-    assert ce.sigma_w2 > 0.0
+    ce = search_bt_counterexample()
+    assert ce.sigma_w2 == 0.095
     assert ce.classical_outer_sum_rate <= 1.5 * LN2 - 0.04
     assert ce.distortion == 0.5
-
-
-def test_search_rejects_unreachable_margin():
-    with pytest.raises(InfeasibleError):
-        search_bt_counterexample(margin=0.7)
+    # The grid point before it falls short of the margin.
+    before = float(np.linspace(2.0 / 400, 2.0, 400)[17])
+    assert gaussian_bt_counterexample(before).classical_outer_sum_rate > 1.5 * LN2 - 0.04

@@ -254,6 +254,19 @@ def test_new_outer_can_exceed_bt_outer_for_other_x():
 # ---------------------------------------------------------------------------
 
 
+def dense_distortions(model, joint):
+    """Every E[d_k], summed from the (sources, Z) marginal of a dense joint
+    built by ``build_full_joint``, with Z split into one axis per measure."""
+    table = joint.marginalize(source_names(model.L) + ("Z",)).table
+    table = table.reshape(model.joint.shape + model.reproduction_sizes)
+    n_src = model.joint.table.ndim
+    out = []
+    for k, d in enumerate(model.distortions):
+        others = tuple(n_src + j for j in range(model.K) if j != k)
+        out.append(float((table.sum(axis=others) * d).sum()))
+    return tuple(out)
+
+
 def per_mask_constraints(kind, model, gamma, x=None):
     """The evaluators' former subset loop, kept as a test-only oracle: one
     memoized CMI per mask on the dense joint, with I(Y_A; U_A | U_{A^c},
@@ -280,7 +293,7 @@ def per_mask_constraints(kind, model, gamma, x=None):
             for l in members:
                 value += own[l]
         bounds[mask] = value
-    return bounds, expected_distortions(model, gamma, joint)
+    return bounds, dense_distortions(model, joint)
 
 
 def assert_matches_per_mask(kind, model, gamma, x=None, atol=1e-12):
@@ -454,7 +467,7 @@ def dense_evaluate(model, gamma, x, cls):
         own = [oracle.cmi([y], [u], own_given + s) for y, u in zip(ys, us)]
         members = (np.arange(1, 1 << L)[:, None] >> np.arange(L)) & 1
         bounds += members @ np.array(own)
-    return dict(enumerate(bounds.tolist(), start=1)), expected_distortions(model, gamma, joint)
+    return dict(enumerate(bounds.tolist(), start=1)), dense_distortions(model, joint)
 
 
 def sparsify(rng, rows):
@@ -507,7 +520,7 @@ def assert_matches_dense(model, gamma, x):
         assert [n for n, _ in got.residuals] == [n for n, _ in want.residuals]
         for (_, a), (_, b) in zip(got.residuals, want.residuals):
             assert a == pytest.approx(b, abs=1e-12)
-    want = expected_distortions(model, gamma, joint)
+    want = dense_distortions(model, joint)
     assert expected_distortions(model, gamma) == pytest.approx(want, abs=1e-12)
     raised = 0
     for cls, evaluate in EVALUATORS.items():
@@ -778,7 +791,7 @@ def test_supermodularity_of_inner_bounds():
     for _ in range(20):
         model = random_ceo_model(rng)
         gamma = random_gamma(rng, model, w_size=1, t_size=2)
-        check_supermodular(bt_inner_constraints(model, gamma), slack=1e-9)
+        check_supermodular(bt_inner_constraints(model, gamma))
 
 
 def test_non_supermodular_input_reports_pair():
@@ -894,7 +907,7 @@ def test_pair_loop_accepts_an_uncertified_region_at_l12():
     f = {m: m.bit_count() - e * math.comb(m.bit_count(), 2) for m in range(1, 1 << L)}
     region = RegionConstraints(L, 1, f, (0.0,))
     F = np.array([0.0] + [f[m] for m in range(1, 1 << L)])
-    assert not _locally_supermodular(F, L, 1e-9)
+    assert not _locally_supermodular(F, L)
     check_supermodular(region)
 
 
@@ -1305,14 +1318,13 @@ def test_optimizer_refuses_a_check_over_its_cell_cap():
     assert _InnerEvaluator(model, [3] * 7).L == 7
     with pytest.raises(ValueError, match="dense joint would have 38,263,752 cells"):
         _InnerEvaluator(model, [3] * 6 + [4])
-    # Erasure L = 10: with W trivial the lattice table is over (U, side, T),
-    # 3^10 cells for |U_l| = 3 and 6^10 for |U_l| = 6.
+    # Erasure L = 10: the search's forward result over (side, c, u) has
+    # 1 + |Z| = 4 channels, 4 * 3^10 cells for |U_l| = 3, 4 * 6^10 for
+    # |U_l| = 6 and 4 * 5^10 for |U_l| = 5.
     inst = casebook("erasure", p=0.5, L=10, D=0.6)
     assert _InnerEvaluator(inst.model, [3] * 10).L == 10
-    with pytest.raises(ValueError, match="lattice table would have 60,466,176 cells"):
+    with pytest.raises(ValueError, match="search's forward table would have 241,864,704 cells"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [6] * 10, budget=10, seed=0)
-    # Its check's table has 5^10 cells for |U_l| = 5, but the search's own
-    # forward result over (side, c, u) has 1 + |Z| = 4 channels: 4 * 5^10.
     with pytest.raises(ValueError, match="search's forward table would have 39,062,500 cells"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [5] * 10, budget=10, seed=0)
 
