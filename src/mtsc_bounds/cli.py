@@ -368,6 +368,8 @@ def _repro_erasure_figure(lines, out_path) -> bool:
 
 
 def _cmd_repro(args) -> int:
+    if args.out is not None and args.target != "erasure-figure":
+        raise _UsageError(f"--out is read only by the erasure-figure target, not {args.target!r}")
     lines: list[str] = []
     if args.target == "toy":
         ok = _repro_toy(lines)

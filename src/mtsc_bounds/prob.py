@@ -298,7 +298,7 @@ def _sum_plogp(masses: np.ndarray) -> float:
     m = m[m > 0.0]
     terms = np.log(m)
     terms *= m
-    return float(-terms.sum())
+    return float(-np.add.reduce(terms))
 
 
 def _sum_axes(table: np.ndarray, axes: Iterable[int]) -> np.ndarray:

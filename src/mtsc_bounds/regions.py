@@ -429,6 +429,10 @@ class _InnerEvaluator:
         p_side = p_obs.reshape(-1, p_obs.shape[-1]).sum(axis=0)
         self.h_side = _sum_plogp(p_side)
         self.ln_ps1 = np.log(np.maximum(p_side, 1e-300)) + 1.0
+        # Index arrays that write one entry per (side, u) column of the
+        # forward result, at the decoder's choice of c.
+        self.side_rows = np.arange(p_side.size)[:, None]
+        self.u_cols = np.arange(math.prod(self.cards))
 
     @property
     def seed_mass(self) -> float:
@@ -489,7 +493,7 @@ class _InnerEvaluator:
         )
         rate = _sum_plogp(q[:, 0]) - self.h_side - own
         costs = [q[:, ch] for ch in self.channels]
-        dists = tuple(float(c.min(axis=1).sum()) for c in costs)
+        dists = tuple(float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs)
         return _Point(kernels, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
 
     def gradient(self, point: _Point, slopes) -> list[np.ndarray]:
@@ -510,17 +514,17 @@ class _InnerEvaluator:
         # adversarial pick (large penalties) would wall off every unused
         # symbol; there a slightly smoothed joint breaks the tie sensibly.
         argmins = [c.argmin(axis=1) for c in costs]  # axes (side, u)
-        dead = [c.max(axis=1) == 0.0 for c in costs]
-        if any(np.any(d) for d in dead):
+        dead = [np.maximum.reduce(c, axis=1) == 0.0 for c in costs]
+        if any(d.any() for d in dead):
             smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
             q_smooth, _ = self._forward(smoothed)
             for k, ch in enumerate(self.channels):
                 argmins[k] = np.where(dead[k], q_smooth[:, ch].argmin(axis=1), argmins[k])
 
-        f = np.zeros_like(q)
+        f = np.zeros(q.shape)
         f[:, 0] = self.ln_ps1[:, None] - (np.log(np.maximum(q[:, 0], 1e-300)) + 1.0)
         for k, ch in enumerate(self.channels):
-            np.put_along_axis(f[:, ch], argmins[k][:, None], slopes[k], axis=1)
+            f[:, ch][self.side_rows, argmins[k], self.u_cols] = slopes[k]
         grads = [None] * self.L
         g = f.reshape(-1, self.cards[-1])  # d value / d (output of step L)
         for l in range(self.L - 1, -1, -1):
@@ -578,6 +582,25 @@ class _SearchState:
         return self.evals >= self.budget
 
 
+def _mirror_step(kernels, grads, step) -> tuple[list[np.ndarray], float]:
+    """The kernels K exp(-step G), each row renormalized, and the total L1
+    distance they moved.  The exponent is clipped to [-700, 700]: each row
+    sums to 1 and its logs are at least -700, so no row sum is 0.  One pass
+    per kernel, in place, with the ufuncs called directly."""
+    cand, move = [], 0.0
+    for k, g in zip(kernels, grads):
+        c = -step * g
+        np.maximum(c, -700.0, out=c)
+        np.minimum(c, 700.0, out=c)
+        np.exp(c, out=c)
+        c *= k
+        c /= np.add.reduce(c, axis=1, keepdims=True)
+        cand.append(c)
+        d = c - k
+        move += float(np.add.reduce(np.abs(d, out=d), axis=None))
+    return cand, move
+
+
 def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
     """Mirror descent (exponentiated gradient) on rate + slopes . dists over
     the product of row simplices: K <- K exp(-t G) renormalized per row.
@@ -601,10 +624,7 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
         for _bt in range(60):
             if state.exhausted:
                 break
-            # Each row sums to 1 and its logs are at least -700, so no row sum is 0.
-            cand = [k * np.exp(np.clip(-step * g, -700, 700)) for k, g in zip(point.kernels, grads)]
-            cand = [c / c.sum(axis=1, keepdims=True) for c in cand]
-            move = sum(float(np.abs(c - k).sum()) for c, k in zip(cand, point.kernels))
+            cand, move = _mirror_step(point.kernels, grads, step)
             if move <= 1e-15:
                 break
             trial = evaluator.point(cand, slopes)
@@ -701,14 +721,17 @@ def optimize_bt_inner_sum_rate(
     begins only while some remains.  The result is an upper estimate of the
     inner-bound optimum: every reported point is achievable.  Deterministic
     given ``seed``; of equal points the earliest wins.  Raises
-    ``ValueError`` when the search's forward table, or the dense joint of
-    the result's check, would have more than 2^25 cells.
+    ``ValueError`` on a negative ``seed``, or when the search's forward
+    table, or the dense joint of the result's check, would have more than
+    2^25 cells.
     """
     caps = tuple(float(c) for c in distortion_caps)
     if len(caps) != model.K or any(math.isnan(c) for c in caps):
         raise ValueError(f"need {model.K} distortion caps, none NaN, got {caps}")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     evaluator = _InnerEvaluator(model, cardinalities)
     state = _SearchState(caps, budget)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(_RESTARTS)):

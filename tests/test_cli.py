@@ -67,6 +67,16 @@ def test_repro_erasure_figure(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 1000
 
 
+@pytest.mark.parametrize("target", ["toy", "appendix-c", "appendix-e"])
+def test_repro_out_with_a_target_that_writes_nothing_exits_1(tmp_path, capsys, target):
+    out_path = tmp_path / "missing" / "x.csv"
+    for path in (str(out_path), ""):
+        code, out, err = run(capsys, "repro", target, "--out", path)
+        assert code == 1 and out == ""
+        assert "--out" in err and "erasure-figure" in err
+    assert not out_path.parent.exists()
+
+
 def test_erasure_ceo_value(capsys):
     code, out, _ = run(capsys, "erasure-ceo", "--p", "0.5", "--L", "2", "--D", "0.6")
     assert code == 0
@@ -502,6 +512,18 @@ def test_optimize_nan_caps_exit_1(tmp_path, capsys):
     )
     assert code == 1 and out == ""
     assert "distortion caps, none NaN" in err
+
+
+def test_optimize_negative_seed_exits_1(tmp_path, capsys):
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix,
+        "--p", "0.5", "--L", "2", "--D", "0.6")
+    code, out, err = run(
+        capsys, "optimize", "--model", prefix + ".model.json", "--caps", "0.6",
+        "--cardinalities", "3,3", "--budget", "200", "--seed", "-1",
+    )
+    assert code == 1 and out == ""
+    assert "seed must be a non-negative integer, got -1" in err
 
 
 def test_bounds_and_optimize_over_the_support_cap_exit_1(tmp_path):

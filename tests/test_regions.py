@@ -52,6 +52,8 @@ from mtsc_bounds.regions import (
     _conditional_entropies,
     _InnerEvaluator,
     _locally_supermodular,
+    _mirror_step,
+    _Point,
     subset_label,
 )
 
@@ -1241,6 +1243,129 @@ def test_optimizer_gradient_matches_finite_differences():
                     assert fd == pytest.approx(want, abs=1e-6)
 
 
+def wrapped_sum_plogp(masses):
+    """The entropy kernel as it summed before, through ``ndarray.sum``."""
+    m = masses.reshape(-1)
+    m = m[m > 0.0]
+    terms = np.log(m)
+    terms *= m
+    return float(-terms.sum())
+
+
+def wrapped_point(ev, kernels, slopes):
+    """The optimizer's former forward pass, through numpy's Python-level
+    wrappers (``ndarray.sum`` and ``min``), kept as a test-only oracle."""
+    q, lefts = ev._forward(kernels)
+    own = sum(
+        wrapped_sum_plogp(p[:, None] * ker) - h for p, h, ker in zip(ev.p_y, ev.h_y, kernels)
+    )
+    rate = wrapped_sum_plogp(q[:, 0]) - ev.h_side - own
+    costs = [q[:, ch] for ch in ev.channels]
+    dists = tuple(float(c.min(axis=1).sum()) for c in costs)
+    return _Point(kernels, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
+
+
+def wrapped_gradient(ev, point, slopes):
+    """The optimizer's former reverse sweep, with ``np.put_along_axis``,
+    ``np.any`` and ``np.zeros_like``, kept as a test-only oracle."""
+    kernels, q, costs = point.kernels, point.q, point.costs
+    argmins = [c.argmin(axis=1) for c in costs]
+    dead = [c.max(axis=1) == 0.0 for c in costs]
+    if any(np.any(d) for d in dead):
+        smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
+        q_smooth, _ = ev._forward(smoothed)
+        for k, ch in enumerate(ev.channels):
+            argmins[k] = np.where(dead[k], q_smooth[:, ch].argmin(axis=1), argmins[k])
+    f = np.zeros_like(q)
+    f[:, 0] = ev.ln_ps1[:, None] - (np.log(np.maximum(q[:, 0], 1e-300)) + 1.0)
+    for k, ch in enumerate(ev.channels):
+        np.put_along_axis(f[:, ch], argmins[k][:, None], slopes[k], axis=1)
+    grads = [None] * ev.L
+    g = f.reshape(-1, ev.cards[-1])
+    for l in range(ev.L - 1, -1, -1):
+        ln_k1 = np.log(np.maximum(kernels[l], 1e-300)) + 1.0
+        grads[l] = point.lefts[l] @ g + ev.p_y[l][:, None] * ln_k1
+        if l:
+            g = (kernels[l] @ g.T).reshape(-1, ev.cards[l - 1])
+    return grads
+
+
+def wrapped_mirror_step(kernels, grads, step):
+    """The optimizer's former mirror step, with ``np.clip`` and list
+    comprehensions, kept as a test-only oracle."""
+    cand = [k * np.exp(np.clip(-step * g, -700, 700)) for k, g in zip(kernels, grads)]
+    cand = [c / c.sum(axis=1, keepdims=True) for c in cand]
+    move = sum(float(np.abs(c - k).sum()) for c, k in zip(cand, kernels))
+    return cand, move
+
+
+def same_bits(got, want):
+    """Equal shape, dtype and bytes, so -0.0 and 0.0 differ."""
+    if isinstance(got, float):
+        return got.hex() == want.hex()
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_entropy_kernel_matches_the_wrapped_sum_bit_for_bit():
+    rng = np.random.default_rng(2000)
+    for n in (1, 7, 8, 9, 127, 128, 129, 1000, 100_000):
+        masses = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+        assert same_bits(_sum_plogp(masses), wrapped_sum_plogp(masses))
+        assert same_bits(_sum_plogp(masses.reshape(1, -1, 1)), wrapped_sum_plogp(masses))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2])
+def test_evaluation_loop_matches_the_wrapped_oracle_bit_for_bit(L, K):
+    rng = np.random.default_rng(2100 + 10 * L + K)
+    dead_seen = False
+    for trial in range(6):
+        model = random_source_model(rng, L, K, side=1 + trial % 2)
+        ev = _InnerEvaluator(model, [int(c) for c in rng.integers(2, 5, size=L)])
+        assert all(same_bits(h, wrapped_sum_plogp(p)) for h, p in zip(ev.h_y, ev.p_y))
+        slopes = rng.uniform(0.5, 5.0, size=K)
+        for kernels in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
+            got, want = ev.point(kernels, slopes), wrapped_point(ev, kernels, slopes)
+            assert same_bits(got.q, want.q)
+            assert all(same_bits(a, b) for a, b in zip(got.costs, want.costs))
+            for a, b in zip((got.rate, got.value) + got.dists, (want.rate, want.value) + want.dists):
+                assert same_bits(a, b)
+            dead_seen |= any(bool((c.max(axis=1) == 0.0).any()) for c in got.costs)
+            grads, want_grads = ev.gradient(got, slopes), wrapped_gradient(ev, want, slopes)
+            assert all(same_bits(a, b) for a, b in zip(grads, want_grads))
+            steps = [(t, grads, want_grads) for t in (1e-3, 0.5, 1e8)]
+            # Exponents of up to 900 in size: some rows clipped at one end only.
+            wide = [rng.uniform(-900.0, 900.0, size=k.shape) for k in kernels]
+            steps.append((1.0, wide, wide))
+            for step, g_got, g_want in steps:
+                cand, move = _mirror_step(kernels, g_got, step)
+                want_cand, want_move = wrapped_mirror_step(kernels, g_want, step)
+                assert same_bits(move, want_move)
+                assert all(same_bits(a, b) for a, b in zip(cand, want_cand))
+    assert dead_seen  # the smoothed pass for zero-mass profiles was exercised
+
+
+def test_optimizer_matches_the_wrapped_oracle_bit_for_bit(monkeypatch):
+    cases = [
+        (casebook("erasure", p=0.5, L=2, D=0.6).model, [0.4], [3, 3], 1500),
+        (casebook("erasure", p=0.5, L=3, D=0.6).model, [0.6], [3, 3, 3], 800),
+        (two_distortion_model(), [0.2, 0.1], [2, 2], 800),
+    ]
+
+    def search(model, caps, cards, budget):
+        res = optimize_bt_inner_sum_rate(model, caps, cards, budget=budget, seed=3)
+        return (
+            res.sum_rate.hex(), [d.hex() for d in res.distortions], res.evaluations,
+            res.restarts, res.message, [k.rows.tobytes() for k in res.gamma.encoder_kernels],
+        )
+
+    got = [search(*case) for case in cases]
+    monkeypatch.setattr(_InnerEvaluator, "point", wrapped_point)
+    monkeypatch.setattr(_InnerEvaluator, "gradient", wrapped_gradient)
+    monkeypatch.setattr(mtsc_bounds.regions, "_mirror_step", wrapped_mirror_step)
+    assert got == [search(*case) for case in cases]
+
+
 @pytest.mark.parametrize("budget", [10_000, 800, 400, 40, 1])
 def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
     # 400, 40 and 1 run out inside restart 0, the others in later restarts.
@@ -1403,6 +1528,8 @@ def test_optimizer_validates_arguments():
         optimize_bt_inner_sum_rate(inst.model, [0.6, 0.1], [3, 3], budget=10, seed=0)
     with pytest.raises(ValueError):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=0, seed=0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=10, seed=-1)
 
 
 def two_distortion_model():
