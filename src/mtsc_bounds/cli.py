@@ -368,8 +368,6 @@ def _repro_erasure_figure(lines, out_path) -> bool:
 
 
 def _cmd_repro(args) -> int:
-    if args.out is not None and args.target != "erasure-figure":
-        raise _UsageError(f"--out is read only by the erasure-figure target, not {args.target!r}")
     lines: list[str] = []
     if args.target == "toy":
         ok = _repro_toy(lines)
@@ -418,6 +416,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "repro" and args.out is not None and args.target != "erasure-figure":
+            raise _UsageError(f"--out is read only by the erasure-figure target, not {args.target!r}")
+        if args.out == "":  # every subcommand takes --out
+            raise _UsageError("--out needs a path, got an empty one")
         if args.command == "info":
             return _cmd_info(args)
         if args.command == "bounds":

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AlphabetMismatchError, MarkovCheckError, VariableError
 from .prob import Channel, EntropyOracle, JointPmf, _code_dtype, _refuse_over_cap, _Support
-from .prob import _MAX_TABLE_CELLS
+from .prob import _MAX_TABLE_CELLS, _whole
 
 MARKOV_TOL = 1e-9  # pass tolerance for Markov residuals, in nats
 
@@ -56,15 +56,16 @@ class SourceModel:
     reproduction_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        L, K = int(self.L), int(self.K)
+        L, K = _whole(self.L, "L"), _whole(self.K, "K")
         if L < 1 or K < 1:
             raise ValueError(f"need L >= 1 and K >= 1, got L={L}, K={K}")
-        names = source_names(L)
-        if self.joint.names != names:
+        names = self.joint.names
+        # The count first: a huge L from a file must not build its names.
+        if len(names) != L + 2 or names != source_names(L):
             raise VariableError(
-                f"source joint must cover exactly {names}, got {self.joint.names}"
+                f"source joint must cover exactly Y0..Y{L + 1} for L={L}, got {names}"
             )
-        sizes = tuple(int(s) for s in self.reproduction_sizes)
+        sizes = tuple(_whole(s, "reproduction_sizes") for s in self.reproduction_sizes)
         if len(sizes) != K or any(s < 1 for s in sizes):
             raise ValueError(f"need K={K} positive reproduction sizes, got {sizes}")
         tables = []
@@ -109,13 +110,15 @@ class SourceModel:
     @classmethod
     def from_json(cls, payload: dict) -> "SourceModel":
         joint = JointPmf.from_json(payload["joint"])
-        L, K = int(payload["L"]), int(payload["K"])
-        sizes = tuple(int(s) for s in payload["reproduction_sizes"])
+        sizes = tuple(_whole(s, "reproduction_sizes") for s in payload["reproduction_sizes"])
+        flats = payload["distortions"]
+        if len(flats) != len(sizes):
+            raise ValueError(f"reproduction_sizes needs {len(flats)} entries, got {len(sizes)}")
         tables = tuple(
-            np.asarray(flat, dtype=float).reshape(joint.shape + (sizes[k],))
-            for k, flat in enumerate(payload["distortions"])
+            np.asarray(flat, dtype=float).reshape(joint.shape + (size,))
+            for flat, size in zip(flats, sizes)
         )
-        return cls(L, K, joint, tables, sizes)
+        return cls(payload["L"], payload["K"], joint, tables, sizes)
 
 
 @dataclass(frozen=True)
@@ -485,24 +488,20 @@ def x_channel_from_sources(model: SourceModel, names: Iterable[str]) -> XChannel
     if not names:
         raise VariableError("names must be nonempty; use x_channel_trivial for constant X")
     inputs = tuple((n, model.joint.size_of(n)) for n in src)
-    positions = tuple(src.index(n) for n in names)
     sizes = tuple(model.joint.size_of(n) for n in names)
     x_size = int(np.prod(sizes, dtype=np.int64))
 
-    def fn(*values):
-        flat = 0
-        for pos, size in zip(positions, sizes):
-            flat = flat * size + values[pos]
-        return flat
+    def index(*grid):
+        return np.ravel_multi_index([grid[src.index(n)] for n in names], sizes)
 
-    return XChannel(Channel.deterministic(inputs, ("X", x_size), fn))
+    return XChannel(Channel._indexed(inputs, ("X", x_size), index))
 
 
 def x_channel_trivial(model: SourceModel) -> XChannel:
     """Deterministic (constant) X; lies in the admissible class whenever the
     observations are independent given the side information."""
     inputs = tuple((n, model.joint.size_of(n)) for n in source_names(model.L))
-    return XChannel(Channel.deterministic(inputs, ("X", 1), lambda *v: 0))
+    return XChannel(Channel._indexed(inputs, ("X", 1), lambda *grid: 0))
 
 
 def x_channel_full_observation(model: SourceModel) -> XChannel:
@@ -538,15 +537,10 @@ def _toy_model() -> SourceModel:
     # Guess either the first or the second coordinate of both observations:
     # z = (za, zb) encoded 2*za + zb; distortion 0 iff (za, zb) equals
     # (y11, y21) or (y12, y22).
-    d = np.ones((1, 4, 4, 1, 4))
-    for y1 in range(4):
-        y11, y12 = y1 >> 1, y1 & 1
-        for y2 in range(4):
-            y21, y22 = y2 >> 1, y2 & 1
-            for z in range(4):
-                za, zb = z >> 1, z & 1
-                if (za, zb) == (y11, y21) or (za, zb) == (y12, y22):
-                    d[0, y1, y2, 0, z] = 0.0
+    y1, y2, z = np.indices((4, 4, 4), sparse=True)
+    za, zb = z >> 1, z & 1
+    hit = (za == y1 >> 1) & (zb == y2 >> 1) | (za == y1 & 1) & (zb == y2 & 1)
+    d = np.where(hit, 0.0, 1.0).reshape(1, 4, 4, 1, 4)
     return SourceModel(2, 1, joint, (d,), (4,))
 
 
@@ -559,23 +553,18 @@ def _toy_gamma(fold_w_into_t: bool) -> AuxSystem:
     else:
         wt = _uniform_wt(2, 1)
         w_size, t_size = 2, 1
-    encoders = []
-    for l in (1, 2):
-        def pick(y, w, t, _l=l):
-            sel = t if fold_w_into_t else w
-            return (y >> 1) & 1 if sel == 0 else y & 1
 
-        encoders.append(
-            Channel.deterministic(
-                ((f"Y{l}", 4), ("W", w_size), ("T", t_size)), (f"U{l}", 2), pick
-            )
-        )
-    decoder = Channel.deterministic(
-        (("U1", 2), ("U2", 2), ("Y3", 1), ("T", t_size)),
-        ("Z", 4),
-        lambda u1, u2, y3, t: 2 * u1 + u2,
+    def pick(y, w, t):
+        return np.where((t if fold_w_into_t else w) == 0, (y >> 1) & 1, y & 1)
+
+    encoders = tuple(
+        Channel._indexed(((f"Y{l}", 4), ("W", w_size), ("T", t_size)), (f"U{l}", 2), pick)
+        for l in (1, 2)
     )
-    return AuxSystem(wt, tuple(encoders), decoder)
+    decoder = Channel._indexed(
+        (("U1", 2), ("U2", 2), ("Y3", 1), ("T", t_size)), ("Z", 4), lambda u1, u2, *_: 2 * u1 + u2
+    )
+    return AuxSystem(wt, encoders, decoder)
 
 
 # Symbol order for ternary {-1, 0, +1} variables: index = value + 1.
@@ -597,20 +586,10 @@ def _erasure_model(p: float, L: int, lam: float) -> SourceModel:
         joint = joint.extend(Channel((("Y0", 2),), (f"Y{l}", 3), rows))
     joint = joint.product(JointPmf(((f"Y{L + 1}", 1),), np.array([1.0])))
     # Erasure distortion with finite error penalty lambda:
-    # 0 if z = y0, 1 if z = 0, lambda otherwise.
-    shape = joint.shape + (3,)
-    d = np.empty(shape)
-    for y0_idx in range(2):
-        y0_val = 2 * y0_idx - 1
-        for z_idx in range(3):
-            z_val = z_idx - 1
-            if z_val == y0_val:
-                val = 0.0
-            elif z_val == 0:
-                val = 1.0
-            else:
-                val = lam
-            d[(y0_idx,) + (slice(None),) * L + (0, z_idx)] = val
+    # 0 if z = y0, 1 if z = 0, lambda otherwise; it depends on (y0, z) alone.
+    y0, z = np.ogrid[-1:2:2, -1:2]
+    d = np.where(z == y0, 0.0, np.where(z == 0, 1.0, lam))
+    d = np.broadcast_to(d.reshape((2,) + (1,) * (L + 1) + (3,)), joint.shape + (3,))
     return SourceModel(L, 1, joint, (d,), (3,))
 
 
@@ -630,13 +609,8 @@ def _erasure_gamma(p: float, L: int, D: float) -> AuxSystem:
         for l in range(1, L + 1)
     )
     u_inputs = tuple((f"U{l}", 3) for l in range(1, L + 1))
-
-    def sgn_sum(*args):
-        total = sum(v - 1 for v in args[:L])
-        return 1 + (0 if total == 0 else (1 if total > 0 else -1))
-
-    decoder = Channel.deterministic(
-        u_inputs + ((f"Y{L + 1}", 1), ("T", 1)), ("Z", 3), sgn_sum
+    decoder = Channel._indexed(  # each U_l's value is its index - 1
+        u_inputs + ((f"Y{L + 1}", 1), ("T", 1)), ("Z", 3), lambda *u: 1 + np.sign(sum(u[:L]) - L)
     )
     return AuxSystem(wt, encoders, decoder)
 
@@ -646,21 +620,20 @@ def _appendix_c_gamma() -> AuxSystem:
     # U_l = Y_l * W_l and Z = sgn(U1 + U2).
     w_pmf = np.array([1.0 / 5.0, 2.0 / 5.0, 2.0 / 5.0, 0.0])
     wt = JointPmf((("W", 4), ("T", 1)), w_pmf)
-    encoders = []
-    for l in (1, 2):
-        def mul(y, w, t, _l=l):
-            w_l = (w >> 1) & 1 if _l == 1 else w & 1
-            return (y - 1) * w_l + 1
-
-        encoders.append(
-            Channel.deterministic(((f"Y{l}", 3), ("W", 4), ("T", 1)), (f"U{l}", 3), mul)
+    encoders = tuple(
+        Channel._indexed(
+            ((f"Y{l}", 3), ("W", 4), ("T", 1)),
+            (f"U{l}", 3),
+            lambda y, w, t, bit=2 - l: (y - 1) * ((w >> bit) & 1) + 1,  # W_l is bit 2 - l of W
         )
-    decoder = Channel.deterministic(
+        for l in (1, 2)
+    )
+    decoder = Channel._indexed(
         (("U1", 3), ("U2", 3), ("Y3", 1), ("T", 1)),
         ("Z", 3),
-        lambda u1, u2, y3, t: 1 + int(np.sign((u1 - 1) + (u2 - 1))),
+        lambda u1, u2, *_: 1 + np.sign(u1 + u2 - 2),
     )
-    return AuxSystem(wt, tuple(encoders), decoder)
+    return AuxSystem(wt, encoders, decoder)
 
 
 def casebook(

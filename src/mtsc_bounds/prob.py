@@ -24,6 +24,7 @@ region or report builds for itself and never shares.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -40,11 +41,19 @@ Name = str
 Variable = tuple[Name, int]
 
 
+def _whole(value, field: str) -> int:
+    """``int(value)``, refusing a number it would truncate by naming ``field``."""
+    n = int(value)
+    if not isinstance(value, str) and n != value:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return n
+
+
 def _as_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
     out = []
     for name, size in variables:
         name = str(name)
-        size = int(size)
+        size = _whole(size, f"alphabet size of {name!r}")
         if size < 1:
             raise VariableError(f"variable {name!r} has nonpositive alphabet size {size}")
         out.append((name, size))
@@ -196,7 +205,7 @@ class JointPmf:
 
     @classmethod
     def from_json(cls, payload: dict) -> "JointPmf":
-        variables = [(v["name"], int(v["size"])) for v in payload["variables"]]
+        variables = [(v["name"], v["size"]) for v in payload["variables"]]
         return cls(tuple(variables), np.asarray(payload["probs"], dtype=float))
 
 
@@ -215,7 +224,7 @@ class Channel:
     def __post_init__(self):
         inputs = _as_variables(self.inputs)
         out_name, out_size = self.output
-        out = (str(out_name), int(out_size))
+        out = (str(out_name), _whole(out_size, f"alphabet size of {out_name!r}"))
         if out[1] < 1:
             raise VariableError(f"output {out[0]!r} has nonpositive alphabet size {out[1]}")
         if out[0] in [n for n, _ in inputs]:
@@ -250,22 +259,36 @@ class Channel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Channel":
-        inputs = tuple((v["name"], int(v["size"])) for v in payload["inputs"])
-        output = (payload["output"]["name"], int(payload["output"]["size"]))
+        inputs = tuple((v["name"], v["size"]) for v in payload["inputs"])
+        output = (payload["output"]["name"], payload["output"]["size"])
         return cls(inputs, output, np.asarray(payload["rows"], dtype=float))
 
     @classmethod
     def deterministic(cls, inputs, output, fn) -> "Channel":
-        """Channel putting all mass on ``fn(input tuple) -> output index``;
+        """Channel putting all mass on ``fn(input tuple) -> output index``,
+        with ``fn`` called on Python ints, one input tuple at a time;
         refused over the table cap before its rows are made."""
+
+        def index(*grid):
+            sizes = [g.size for g in grid]
+            return np.reshape([int(fn(*t)) for t in itertools.product(*map(range, sizes))], sizes)
+
+        return cls._indexed(inputs, output, index)
+
+    @classmethod
+    def _indexed(cls, inputs, output, index) -> "Channel":
+        """Channel putting all mass on the output index ``index(*grid)``, where
+        ``grid`` is ``np.indices(sizes, sparse=True)``: one int array per input
+        along its own axis, so an array expression over it broadcasts to one
+        index per row.  Refused over the table cap, from the sizes alone,
+        before the grid is made.  The one writer of one-hot rows."""
         inputs = _as_variables(inputs)
-        sizes = [s for _, s in inputs]
-        n_rows = math.prod(sizes)
-        _refuse_over_cap(n_rows * int(output[1]), f"deterministic kernel onto {output[0]!r}")
-        rows = np.zeros((n_rows, int(output[1])))
-        for flat in range(n_rows):
-            tup = np.unravel_index(flat, sizes) if sizes else ()
-            rows[flat, int(fn(*map(int, tup)))] = 1.0
+        sizes = tuple(s for _, s in inputs)
+        n_rows, n_out = math.prod(sizes), int(output[1])
+        _refuse_over_cap(n_rows * n_out, f"deterministic kernel onto {output[0]!r}")
+        z = np.broadcast_to(index(*np.indices(sizes, sparse=True)), sizes).reshape(-1)
+        rows = np.zeros((n_rows, n_out))
+        rows[np.arange(n_rows), z] = 1.0
         return cls(inputs, output, rows)
 
 

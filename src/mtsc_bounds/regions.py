@@ -537,13 +537,13 @@ class _InnerEvaluator:
     def bayes_decoder(self, point: _Point) -> Channel:
         """The deterministic Bayes decoder of ``point``: one one-hot row per
         input tuple (u1..uL, side, T), each measure's argmin over (u, side)."""
-        choices = [c.argmin(axis=1).T.reshape(-1) for c in point.costs]  # (u, side) rows
+        choices = [c.argmin(axis=1).T for c in point.costs]  # over (u, side)
         z = np.ravel_multi_index(choices, self.model.reproduction_sizes)
-        rows = np.zeros((z.size, self.model.z_size))
-        rows[np.arange(z.size), z] = 1.0
         inputs = [(f"U{l}", n) for l, n in enumerate(self.cards, start=1)]
         inputs += [(f"Y{self.L + 1}", len(self.ln_ps1)), ("T", 1)]
-        return Channel(inputs, ("Z", self.model.z_size), rows)
+        return Channel._indexed(
+            inputs, ("Z", self.model.z_size), lambda *grid: z.reshape(self.cards + (-1, 1))
+        )
 
     def as_aux_system(self, point: _Point) -> AuxSystem:
         encoders = tuple(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -465,13 +466,14 @@ def test_optimize_beyond_the_encoder_limit_exits_1(tmp_path, capsys):
     assert "cap of 33,554,432" in err and "Traceback" not in err
 
 
-def run_process(*argv):
-    """The CLI as a process, so that stderr shows whatever escapes main."""
+def run_process(*argv, **kwargs):
+    """The CLI as a process, so that stderr shows whatever escapes main;
+    ``kwargs`` go to ``subprocess.run``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mtsc_bounds.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "mtsc_bounds.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, **kwargs,
     )
 
 
@@ -548,3 +550,86 @@ def test_bounds_and_optimize_over_the_support_cap_exit_1(tmp_path):
         assert done.returncode == 1, (argv[0], done.stderr)
         assert "120,932,352 cells" in done.stderr and "cap of 33,554,432" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+OUT_ARGV = {
+    "info": ("info",),
+    "bounds": ("bounds", "--model", "{prefix}.model.json", "--gamma", "{prefix}.gamma.json",
+               "--kind", "bt-outer"),
+    "erasure-ceo": ("erasure-ceo", "--p", "0.5", "--L", "2", "--D", "0.6"),
+    "gaussian-ceo": ("gaussian-ceo", "--sigma2", "1", "--noise", "1,1", "--D", "0.5"),
+    "repro": ("repro", "erasure-figure"),
+    "optimize": ("optimize", "--model", "{prefix}.model.json", "--caps", "0.6",
+                 "--cardinalities", "3,3", "--budget", "50", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_ARGV))
+def test_empty_out_exits_1(tmp_path, capsys, command):
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix, "--p", "0.5", "--L", "2", "--D", "0.6")
+    code, out, err = run(capsys, *(a.format(prefix=prefix) for a in OUT_ARGV[command]), "--out", "")
+    assert code == 1 and out == ""
+    assert "--out" in err
+    assert sorted(os.listdir(tmp_path)) == ["er.gamma.json", "er.model.json", "er.x.json"]
+
+
+def erasure_files():
+    inst = mtsc_bounds.casebook("erasure", p=0.5, L=2, D=0.6)
+    return json.dumps(inst.model.to_json()), json.dumps(inst.gamma.to_json())
+
+
+def bounds_on(tmp_path, model, gamma, **kwargs):
+    (tmp_path / "model.json").write_text(model)
+    (tmp_path / "gamma.json").write_text(gamma)
+    return run_process("bounds", "--model", str(tmp_path / "model.json"),
+                       "--gamma", str(tmp_path / "gamma.json"), "--kind", "bt-inner", **kwargs)
+
+
+def test_model_file_with_no_reproduction_sizes_exits_1(tmp_path):
+    model, gamma = erasure_files()
+    field = '"reproduction_sizes": [3]'
+    assert field in model
+    done = bounds_on(tmp_path, model.replace(field, '"reproduction_sizes": []'), gamma)
+    assert done.returncode == 1, done.stderr
+    assert "reproduction_sizes needs 1 entries, got 0" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_model_file_with_a_huge_L_exits_1_at_once(tmp_path):
+    # L is compared with the joint's variable count before any name is built
+    # from it.  The process is capped at 1 GiB and 60 s, so a build of 10^9
+    # names fails rather than filling the host's memory.
+    model, gamma = erasure_files()
+    assert '"L": 2' in model
+    done = bounds_on(tmp_path, model.replace('"L": 2', '"L": 1e9', 1), gamma,
+                     timeout=60, preexec_fn=cap_address_space)
+    assert done.returncode == 1, done.stderr
+    assert "must cover exactly Y0..Y1000000001 for L=1000000000" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "in_gamma, field, bad, named",
+    [
+        (False, '"L": 2', '"L": 2.5', "L must be an integer, got 2.5"),
+        (False, '"K": 1', '"K": 1.5', "K must be an integer, got 1.5"),
+        (False, '"reproduction_sizes": [3]', '"reproduction_sizes": [3.5]',
+         "reproduction_sizes must be an integer, got 3.5"),
+        (False, '{"name": "Y0", "size": 2}', '{"name": "Y0", "size": 2.5}',
+         "alphabet size of 'Y0' must be an integer, got 2.5"),
+        (True, '"output": {"name": "U1", "size": 3}', '"output": {"name": "U1", "size": 3.5}',
+         "alphabet size of 'U1' must be an integer, got 3.5"),
+    ],
+)
+def test_non_integral_field_exits_1_naming_it(tmp_path, in_gamma, field, bad, named):
+    files = list(erasure_files())
+    assert field in files[in_gamma]
+    files[in_gamma] = files[in_gamma].replace(field, bad, 1)
+    done = bounds_on(tmp_path, *files)
+    assert done.returncode == 1, (bad, done.stderr)
+    assert named in done.stderr and "Traceback" not in done.stderr

@@ -1,5 +1,8 @@
 """Tests for source models, auxiliary systems, Markov checks, and the casebook."""
 
+import functools
+import io
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -375,3 +378,213 @@ def test_expected_distortions_vector():
     assert expected_distortions(inst.model, inst.gamma) == (
         expected_distortion(inst.model, inst.gamma, 0),
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-row oracle for the casebook's kernels and tables
+# ---------------------------------------------------------------------------
+# Test-only copies of the former builders: a deterministic kernel written one
+# row at a time, one Python callback per input tuple, and the distortion
+# tables written by nested loops.  The package builds each as one array
+# expression over the input grid.
+
+
+def per_row_deterministic(inputs, output, fn):
+    sizes = [s for _, s in inputs]
+    n_rows = math.prod(sizes)
+    rows = np.zeros((n_rows, int(output[1])))
+    for flat in range(n_rows):
+        tup = np.unravel_index(flat, sizes) if sizes else ()
+        rows[flat, int(fn(*map(int, tup)))] = 1.0
+    return Channel(inputs, output, rows)
+
+
+def per_row_x_from_sources(model, names):
+    src = tuple(f"Y{i}" for i in range(model.L + 2))
+    inputs = tuple((n, model.joint.size_of(n)) for n in src)
+    positions = tuple(src.index(n) for n in names)
+    sizes = tuple(model.joint.size_of(n) for n in names)
+
+    def fn(*values):
+        flat = 0
+        for pos, size in zip(positions, sizes):
+            flat = flat * size + values[pos]
+        return flat
+
+    return XChannel(per_row_deterministic(inputs, ("X", math.prod(sizes)), fn))
+
+
+def per_row_x_trivial(model):
+    inputs = tuple((f"Y{i}", model.joint.shape[i]) for i in range(model.L + 2))
+    return XChannel(per_row_deterministic(inputs, ("X", 1), lambda *v: 0))
+
+
+def per_row_toy_model():
+    joint = JointPmf((("Y0", 1), ("Y1", 4), ("Y2", 4), ("Y3", 1)), np.full(16, 1.0 / 16.0))
+    d = np.ones((1, 4, 4, 1, 4))
+    for y1 in range(4):
+        y11, y12 = y1 >> 1, y1 & 1
+        for y2 in range(4):
+            y21, y22 = y2 >> 1, y2 & 1
+            for z in range(4):
+                za, zb = z >> 1, z & 1
+                if (za, zb) == (y11, y21) or (za, zb) == (y12, y22):
+                    d[0, y1, y2, 0, z] = 0.0
+    return SourceModel(2, 1, joint, (d,), (4,))
+
+
+def uniform_wt(w_size, t_size):
+    w, t = np.full(w_size, 1.0 / w_size), np.full(t_size, 1.0 / t_size)
+    return JointPmf((("W", w_size), ("T", t_size)), np.outer(w, t).reshape(-1))
+
+
+def per_row_toy_gamma(fold_w_into_t):
+    w_size, t_size = (1, 2) if fold_w_into_t else (2, 1)
+    encoders = []
+    for l in (1, 2):
+        def pick(y, w, t, _l=l):
+            sel = t if fold_w_into_t else w
+            return (y >> 1) & 1 if sel == 0 else y & 1
+
+        encoders.append(
+            per_row_deterministic(((f"Y{l}", 4), ("W", w_size), ("T", t_size)), (f"U{l}", 2), pick)
+        )
+    decoder = per_row_deterministic(
+        (("U1", 2), ("U2", 2), ("Y3", 1), ("T", t_size)), ("Z", 4),
+        lambda u1, u2, y3, t: 2 * u1 + u2,
+    )
+    return AuxSystem(uniform_wt(w_size, t_size), tuple(encoders), decoder)
+
+
+def per_row_erasure_model(p, L, lam):
+    joint = JointPmf((("Y0", 2),), np.array([0.5, 0.5]))
+    for l in range(1, L + 1):
+        rows = np.zeros((2, 3))
+        rows[0, 1] = p
+        rows[0, 0] = 1.0 - p
+        rows[1, 1] = p
+        rows[1, 2] = 1.0 - p
+        joint = joint.extend(Channel((("Y0", 2),), (f"Y{l}", 3), rows))
+    joint = joint.product(JointPmf(((f"Y{L + 1}", 1),), np.array([1.0])))
+    d = np.empty(joint.shape + (3,))
+    for y0_idx in range(2):
+        y0_val = 2 * y0_idx - 1
+        for z_idx in range(3):
+            z_val = z_idx - 1
+            if z_val == y0_val:
+                val = 0.0
+            elif z_val == 0:
+                val = 1.0
+            else:
+                val = lam
+            d[(y0_idx,) + (slice(None),) * L + (0, z_idx)] = val
+    return SourceModel(L, 1, joint, (d,), (3,))
+
+
+@functools.lru_cache(maxsize=None)
+def per_row_sign_decoder(L):
+    def sgn_sum(*args):
+        total = sum(v - 1 for v in args[:L])
+        return 1 + (0 if total == 0 else (1 if total > 0 else -1))
+
+    inputs = tuple((f"U{l}", 3) for l in range(1, L + 1)) + ((f"Y{L + 1}", 1), ("T", 1))
+    return per_row_deterministic(inputs, ("Z", 3), sgn_sum)
+
+
+def per_row_erasure_gamma(p, L, D):
+    q = (D ** (1.0 / L) - p) / (1.0 - p)
+    rows = np.zeros((3, 3))
+    rows[0, 0] = 1.0 - q
+    rows[0, 1] = q
+    rows[1, 1] = 1.0
+    rows[2, 2] = 1.0 - q
+    rows[2, 1] = q
+    encoders = tuple(
+        Channel(((f"Y{l}", 3), ("W", 1), ("T", 1)), (f"U{l}", 3), rows) for l in range(1, L + 1)
+    )
+    return AuxSystem(uniform_wt(1, 1), encoders, per_row_sign_decoder(L))
+
+
+def per_row_appendix_c_gamma():
+    wt = JointPmf((("W", 4), ("T", 1)), np.array([1.0 / 5.0, 2.0 / 5.0, 2.0 / 5.0, 0.0]))
+    encoders = []
+    for l in (1, 2):
+        def mul(y, w, t, _l=l):
+            w_l = (w >> 1) & 1 if _l == 1 else w & 1
+            return (y - 1) * w_l + 1
+
+        encoders.append(per_row_deterministic(((f"Y{l}", 3), ("W", 4), ("T", 1)), (f"U{l}", 3), mul))
+    decoder = per_row_deterministic(
+        (("U1", 3), ("U2", 3), ("Y3", 1), ("T", 1)), ("Z", 3),
+        lambda u1, u2, y3, t: 1 + int(np.sign((u1 - 1) + (u2 - 1))),
+    )
+    return AuxSystem(wt, tuple(encoders), decoder)
+
+
+@functools.lru_cache(maxsize=None)
+def per_row_erasure_x_json(L):
+    # X = Y0 reads only the alphabet sizes, which do not depend on p.
+    return per_row_x_from_sources(per_row_erasure_model(0.5, L, 1.0), ("Y0",)).to_json()
+
+
+def per_row_casebook_json(name, p=0.5, L=2, D=0.6, lam=1e6):
+    """The to_json() of the per-row build's model, gamma and x."""
+    if name in ("toy", "toy_bt_gamma"):
+        model = per_row_toy_model()
+        objs = model, per_row_toy_gamma(name == "toy_bt_gamma"), per_row_x_trivial(model)
+    elif name == "appendix_c":
+        model = per_row_erasure_model(0.5, 2, lam)
+        objs = model, per_row_appendix_c_gamma(), per_row_x_from_sources(model, ("Y0",))
+    else:
+        model, gamma = per_row_erasure_model(p, L, lam), per_row_erasure_gamma(p, L, D)
+        return model.to_json(), gamma.to_json(), per_row_erasure_x_json(L)
+    return tuple(obj.to_json() for obj in objs)
+
+
+ORACLE_CASES = [("toy", {}), ("toy_bt_gamma", {}), ("appendix_c", {})] + [
+    ("erasure", dict(p=p, L=L, D=D))
+    for L in range(1, 11)
+    for p in (0.3, 0.5)
+    for D in (0.3, 0.6, 0.9)
+    if p**L <= D
+]
+
+
+@pytest.mark.parametrize("name, params", ORACLE_CASES, ids=lambda v: str(v))
+def test_casebook_matches_the_per_row_build(name, params):
+    inst = casebook(name, **params)
+    model, gamma, x = per_row_casebook_json(name, **params)
+    assert inst.model.to_json() == model
+    assert inst.gamma.to_json() == gamma
+    assert inst.x.to_json() == x
+
+
+def test_dumped_erasure_files_match_the_per_row_build(tmp_path):
+    from mtsc_bounds.cli import main
+
+    prefix = str(tmp_path / "er6")
+    assert main(["info", "--dump", "erasure", "--p", "0.5", "--L", "6", "--D", "0.3",
+                 "--out", prefix]) == 0
+    for suffix, payload in zip(("model", "gamma", "x"), per_row_casebook_json("erasure", 0.5, 6, 0.3)):
+        want = io.StringIO()
+        json.dump(payload, want)
+        with open(f"{prefix}.{suffix}.json", "rb") as fh:
+            assert fh.read() == want.getvalue().encode()
+
+
+def test_deterministic_calls_fn_per_row_with_python_ints():
+    seen = []
+
+    def fn(*values):
+        assert all(type(v) is int for v in values)
+        seen.append(values)
+        return (3 * sum(values) + values[0]) % 5 if values else 4
+
+    for inputs in ((("A", 2), ("B", 3), ("C", 1), ("D", 4)), (("A", 7),), ()):
+        seen.clear()
+        got = Channel.deterministic(inputs, ("Z", 5), fn)
+        # One call per row, in row-major order.
+        assert seen == list(product(*(range(s) for _, s in inputs)))
+        want = per_row_deterministic(inputs, ("Z", 5), fn)
+        assert (got.inputs, got.output) == (want.inputs, want.output)
+        assert np.array_equal(got.rows, want.rows)
