@@ -418,6 +418,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "repro" and args.out is not None and args.target != "erasure-figure":
             raise _UsageError(f"--out is read only by the erasure-figure target, not {args.target!r}")
+        if args.command == "info" and args.out is not None and not args.dump:
+            raise _UsageError("info reads --out only with --dump, which names the instance to write")
         if args.out == "":  # every subcommand takes --out
             raise _UsageError("--out needs a path, got an empty one")
         if args.command == "info":

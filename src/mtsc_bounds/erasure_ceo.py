@@ -115,82 +115,33 @@ def _g_vec(x: np.ndarray, p: float) -> np.ndarray:
     return _binary_entropies(x) - (1.0 - p) * _binary_entropies((x - p) / (1.0 - p))
 
 
-def _g_of_root_grad(s: np.ndarray, p: float, L: int) -> np.ndarray:
-    """dG/ds = g'(s^{1/L}) * (1/L) s^{1/L - 1}, with g'(x) = log(1 - p/x).
-
-    The derivative diverges to -inf at s = p^L; x is floored a hair above p
-    so iterates sitting exactly on the boundary get a finite descent
-    direction (backtracking handles the magnitude).
-    """
-    s = np.clip(np.asarray(s, float), p**L, 1.0)
-    x = np.maximum(s ** (1.0 / L), p * (1.0 + 1e-12))
-    return np.log1p(-p / x) * (1.0 / L) * s ** (1.0 / L - 1.0)
-
-
-def _project_feasible(s: np.ndarray, lo: float, cap: float) -> np.ndarray:
-    """Exact projection onto [lo, 1]^2 intersected with {s1 + s2 <= cap}.
-
-    If the box projection satisfies the sum constraint it is the answer;
-    otherwise the constraint is active and the projection lies on the
-    segment {s1 + s2 = cap} clipped to the box.
-    """
-    z = np.clip(s, lo, 1.0)
-    bad = z.sum(axis=-1) > cap
-    if np.any(bad):
-        t_lo, t_hi = max(lo, cap - 1.0), min(1.0, cap - lo)
-        t = np.clip(0.5 * (s[bad, 0] - s[bad, 1] + cap), t_lo, t_hi)
-        z[bad, 0] = t
-        z[bad, 1] = cap - t
-    return z
-
-
 def noise_info_minimum(params: ErasureParams) -> float:
     """Value of the two-variable converse program; must equal g(D^{1/L}).
 
-    Minimizes (1/2)[g(s_+^{1/L}) + g(s_-^{1/L})] over s_± in [p^L, 1] subject
-    to (s_+ + s_-)/2 <= D (the symmetric reduction of the per-encoder
-    program, stated in the exponentiated variables s_± = e^{L Δ_±} where the
-    distortion constraint is linear).  Solved by projected gradient descent
-    with backtracking from 64 feasible starts: the symmetric point (D, D),
-    where g(D^{1/L}) is attained, and random ones, for at most 500 steps.
+    The program minimizes (1/2)[G(s_+) + G(s_-)], with G(s) = g(s^{1/L}),
+    over s_± in [p^L, 1] subject to (s_+ + s_-)/2 <= D: the symmetric
+    reduction of the per-encoder program, stated in the exponentiated
+    variables s_± = e^{L Δ_±} where the distortion constraint is linear.
+    G is nonincreasing, so a minimizer spends the whole budget,
+    s_+ + s_- = 2D, and by symmetry s_+ = t <= D.  What is left is one
+    variable, t in [max(p^L, 2D - 1), D], and the objective
+    (1/2)[G(t) + G(2D - t)].  It is searched on a 201-point grid over the
+    whole segment, then zoomed 8 times to one grid step either side of the
+    best point, clipped to the segment; the smallest value seen is returned.
+    The first grid spans the segment, so convexity is checked numerically,
+    not assumed.  Deterministic: no random starts, no seed.
     """
     p, L, D = params.p, params.L, params.D
-    lo, cap = p**L, 2.0 * D
-    rng = np.random.default_rng(20240 + L)
-
-    def objective(s):
-        return 0.5 * _g_of_root(s, p, L).sum(axis=-1)
-
-    def gradient(s):
-        return 0.5 * _g_of_root_grad(s, p, L)
-
-    s = rng.uniform(lo, 1.0, size=(64, 2))
-    s = _project_feasible(s, lo, cap)
-    s[0] = D
-    step = np.full(64, 0.25)
-    f = objective(s)
-    checkpoint = f.min()
-    for it in range(500):
-        grad = gradient(s)
-        for _bt in range(40):
-            cand = _project_feasible(s - step[:, None] * grad, lo, cap)
-            f_cand = objective(cand)
-            bad = f_cand > f + 1e-15
-            if not np.any(bad):
-                break
-            step[bad] *= 0.5
-        accept = f_cand <= f
-        s[accept] = cand[accept]
-        f = np.where(accept, f_cand, f)
-        step[accept] *= 1.25
-        if np.max(step) < 1e-14:
-            break
-        if it % 25 == 24:
-            best = f.min()
-            if checkpoint - best < 1e-13:
-                break
-            checkpoint = best
-    return float(f.min())
+    a, b = max(p**L, 2.0 * D - 1.0), D
+    lo, hi, best = a, b, math.inf
+    for _ in range(9):  # the whole segment, then 8 zooms
+        t = np.linspace(lo, hi, 201)
+        f = 0.5 * (_g_of_root(t, p, L) + _g_of_root(2.0 * D - t, p, L))
+        i = int(np.argmin(f))
+        best = min(best, float(f[i]))
+        step = (hi - lo) / 200
+        lo, hi = max(a, t[i] - step), min(b, t[i] + step)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -222,15 +222,26 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        inputs = _as_variables(self.inputs)
-        out_name, out_size = self.output
+        self._init(self.inputs, self.output, self.rows, copy=True)
+
+    @classmethod
+    def _owning(cls, inputs, output, rows: np.ndarray) -> "Channel":
+        """A validated channel that adopts ``rows`` uncopied: an array
+        nothing else holds."""
+        channel = object.__new__(cls)
+        channel._init(inputs, output, rows, copy=False)
+        return channel
+
+    def _init(self, inputs, output, rows, copy: bool) -> None:
+        inputs = _as_variables(inputs)
+        out_name, out_size = output
         out = (str(out_name), _whole(out_size, f"alphabet size of {out_name!r}"))
         if out[1] < 1:
             raise VariableError(f"output {out[0]!r} has nonpositive alphabet size {out[1]}")
         if out[0] in [n for n, _ in inputs]:
             raise VariableError(f"output name {out[0]!r} collides with an input name")
         n_rows = int(np.prod([s for _, s in inputs], dtype=np.int64)) if inputs else 1
-        rows = np.asarray(self.rows, dtype=float).reshape(n_rows, out[1])
+        rows = np.asarray(rows, dtype=float).reshape(n_rows, out[1])
         if not np.all(np.isfinite(rows)):
             raise InvalidDistributionError("channel rows contain non-finite entries")
         if np.any(rows < 0.0):
@@ -238,13 +249,15 @@ class Channel:
                 f"channel rows contain negative entries (min {rows.min():.3e})"
             )
         sums = rows.sum(axis=1)
-        bad = np.abs(sums - 1.0) > NORMALIZATION_TOL
+        gaps = sums - 1.0
+        bad = np.abs(gaps, out=gaps) > NORMALIZATION_TOL  # one row-sized temporary
         if np.any(bad):
             i = int(np.argmax(bad))
             raise InvalidDistributionError(
                 f"channel row {i} sums to {sums[i]!r}, violating |sum-1| <= {NORMALIZATION_TOL}"
             )
-        rows = rows.copy()
+        if copy:
+            rows = rows.copy()
         rows.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "output", out)
@@ -281,15 +294,23 @@ class Channel:
         ``grid`` is ``np.indices(sizes, sparse=True)``: one int array per input
         along its own axis, so an array expression over it broadcasts to one
         index per row.  Refused over the table cap, from the sizes alone,
-        before the grid is made.  The one writer of one-hot rows."""
+        before the grid is made; an index outside the output alphabet is
+        refused.  The one writer of one-hot rows."""
         inputs = _as_variables(inputs)
         sizes = tuple(s for _, s in inputs)
         n_rows, n_out = math.prod(sizes), int(output[1])
         _refuse_over_cap(n_rows * n_out, f"deterministic kernel onto {output[0]!r}")
         z = np.broadcast_to(index(*np.indices(sizes, sparse=True)), sizes).reshape(-1)
+        lo, hi = int(z.min()), int(z.max())
+        if lo < 0 or hi >= n_out:
+            raise InvalidDistributionError(
+                f"deterministic kernel onto {output[0]!r} maps to indices in "
+                f"[{lo}, {hi}], outside [0, {n_out})"
+            )
         rows = np.zeros((n_rows, n_out))
         rows[np.arange(n_rows), z] = 1.0
-        return cls(inputs, output, rows)
+        del z  # only the rows outlive the checks
+        return cls._owning(inputs, output, rows)
 
 
 def _times_kernel(table: np.ndarray, in_axes: Sequence[int], rows: np.ndarray) -> np.ndarray:

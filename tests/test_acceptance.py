@@ -123,7 +123,7 @@ def test_criterion_4_converse_program_grid():
                 got = noise_info_minimum(ErasureParams(p, L, float(D)))
                 want = g_function(float(D) ** (1.0 / L), p)
                 worst = max(worst, abs(got - want))
-    _report(4, f"converse program grid (worst {worst:.1e})", worst <= 1e-6, time.time() - t0, 30.0)
+    _report(4, f"converse program grid (worst {worst:.1e})", worst <= 1e-12, time.time() - t0, 30.0)
 
 
 def test_criterion_5_convexity_suite():

@@ -78,6 +78,13 @@ def test_repro_out_with_a_target_that_writes_nothing_exits_1(tmp_path, capsys, t
     assert not out_path.parent.exists()
 
 
+def test_info_out_without_dump_exits_1(tmp_path, capsys):
+    code, out, err = run(capsys, "info", "--out", str(tmp_path / "case"))
+    assert code == 1 and out == ""
+    assert "--out" in err and "--dump" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_erasure_ceo_value(capsys):
     code, out, _ = run(capsys, "erasure-ceo", "--p", "0.5", "--L", "2", "--D", "0.6")
     assert code == 0

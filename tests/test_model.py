@@ -14,6 +14,7 @@ from mtsc_bounds import (
     AlphabetMismatchError,
     AuxSystem,
     Channel,
+    InvalidDistributionError,
     JointPmf,
     MarkovCheckError,
     SourceModel,
@@ -588,3 +589,9 @@ def test_deterministic_calls_fn_per_row_with_python_ints():
         want = per_row_deterministic(inputs, ("Z", 5), fn)
         assert (got.inputs, got.output) == (want.inputs, want.output)
         assert np.array_equal(got.rows, want.rows)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_deterministic_refuses_an_index_outside_the_output(index):
+    with pytest.raises(InvalidDistributionError, match=r"onto 'Z' .*outside \[0, 3\)"):
+        Channel.deterministic((("A", 2),), ("Z", 3), lambda a: index)
