@@ -31,10 +31,6 @@ MEMBERSHIP_SLACK = 1e-12
 LOOSENESS_MARGIN = 0.04  # nats below (3/2) log 2 that the construction reaches
 
 
-def _log_plus(x: float) -> float:
-    return max(math.log(x), 0.0)
-
-
 @dataclass(frozen=True)
 class GaussianParams:
     """Source variance and per-encoder noise variances (all strictly positive)."""
@@ -71,7 +67,8 @@ def _subset_bound(params: GaussianParams, r: Sequence[float], D: float, mask: in
             total += r[l]
         else:
             inv += (1.0 - math.exp(-2.0 * r[l])) / params.noise_vars[l]
-    return 0.5 * _log_plus(1.0 / (D * inv)) + total
+    # log+ of 1 / (D inv) as a difference of logs: the product can over- or underflow.
+    return 0.5 * max(-math.log(D) - math.log(inv), 0.0) + total
 
 
 def gaussian_region_contains(
@@ -88,8 +85,8 @@ def gaussian_region_contains(
     if len(point.rates) != params.L:
         raise ValueError(f"need {params.L} rates, got {len(point.rates)}")
     D = point.distortions[0]
-    if not D > 0.0:
-        raise InfeasibleError(f"need D > 0, got {D}")
+    if not 0.0 < D < math.inf:
+        raise InfeasibleError(f"need finite D > 0, got {D}")
     for mask in range(1 << params.L):
         lhs = sum(point.rates[l] for l in range(params.L) if mask & (1 << l))
         if lhs < _subset_bound(params, r, D, mask) - MEMBERSHIP_SLACK:
@@ -100,40 +97,37 @@ def gaussian_region_contains(
 def gaussian_min_sum_rate(params: GaussianParams, D: float) -> float:
     """Minimum sum rate of the region at distortion D.
 
-    Minimizes sum_l r_l + (1/2) log+ (sigma^2 / D) over witnesses r subject
-    to feasibility 1/D <= 1/sigma^2 + sum_l (1 - e^{-2 r_l}) / sigma_l^2,
-    solved by the water-filling condition e^{-2 r_l} = sigma_l^2 / (2 mu)
-    with a bisection on mu.  Returns 0 for D >= sigma^2; D at or below the
-    distortion floor is infeasible.
+    Minimizes (1/2) log+ (sigma^2 / D) + sum_l r_l over witnesses r >= 0
+    subject to feasibility sum_l (1 - x_l) / sigma_l^2 >= theta, where
+    x_l = e^{-2 r_l} and theta = 1/D - 1/sigma^2.  In x the objective
+    -(1/2) sum_l log x_l is convex and the constraint linear, so the KKT
+    conditions suffice: the constraint is tight and x_l = min(1, c sigma_l^2)
+    for one c > 0 (the inverse of twice its multiplier).  The active
+    encoders (x_l < 1) are thus the k least noisy, and tightness gives
+    c = (sum_{l <= k} 1/sigma_l^2 - theta) / k, where k is the first count
+    with k = L or c sigma_{k+1}^2 >= 1.  Logs of products and ratios are
+    taken as sums and differences, so none overflows first.  Returns 0 for
+    D >= sigma^2; D at or below the distortion floor, or within rounding
+    of it, is infeasible.
     """
-    if math.isnan(D):
-        raise ValueError("D must be a number, got nan")
+    if not math.isfinite(D):
+        raise ValueError(f"D must be a number and finite, got {D}")
     if D <= params.d_min:
-        raise InfeasibleError(
-            f"D={D} is at or below the distortion floor {params.d_min}"
-        )
+        raise InfeasibleError(f"D={D} is at or below the distortion floor {params.d_min}")
     if D >= params.sigma2:
         return 0.0
     theta = 1.0 / D - 1.0 / params.sigma2
-    base = 0.5 * _log_plus(params.sigma2 / D)
-    vs = params.noise_vars
-
-    def filled(mu: float) -> float:
-        return sum(max(0.0, (1.0 - v / (2.0 * mu))) / v for v in vs)
-
-    lo = min(vs) / 2.0  # all rates zero
-    hi = lo
-    while filled(hi) < theta:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if filled(mid) < theta:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    rates = [max(0.0, 0.5 * math.log(2.0 * mu / v)) for v in vs]
-    return base + sum(rates)
+    vs = sorted(params.noise_vars)
+    total = 0.0
+    for k, v in enumerate(vs, 1):
+        total += 1.0 / v
+        c = (total - theta) / k
+        if k == len(vs) or c * vs[k] >= 1.0:
+            break
+    if not c > 0.0:  # theta rounds up to the sum of all 1/sigma_l^2
+        raise InfeasibleError(f"D={D} is within rounding of the distortion floor {params.d_min}")
+    rates = (max(0.0, -0.5 * (math.log(c) + math.log(v))) for v in vs[:k])
+    return 0.5 * (math.log(params.sigma2) - math.log(D)) + sum(rates)
 
 
 # ---------------------------------------------------------------------------

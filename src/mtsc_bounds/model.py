@@ -653,7 +653,7 @@ def casebook(
       the correlated (W1, W2) construction exhibiting outer-bound looseness;
     * ``"erasure"``: binary erasure CEO instance with the symmetric erasure
       test channels hitting erasure rate D exactly and never erring
-      (takes p, L, D, lam; requires p^L <= D <= 1).
+      (takes p, L, D, lam; requires L >= 1 and p^L <= D <= 1).
     """
     if name in ("toy", "toy_bt_gamma"):
         model = _toy_model()
@@ -664,6 +664,8 @@ def casebook(
     if name == "erasure":
         if not 0.0 < p < 1.0:
             raise ValueError(f"need 0 < p < 1, got p={p}")
+        if L < 1:
+            raise ValueError(f"need L >= 1, got L={L}")
         if not p**L <= D <= 1.0:
             raise ValueError(f"need p^L <= D <= 1, got D={D} with p^L={p**L}")
         _refuse_over_cap(2 * 3**L * 3, "erasure casebook's distortion table")

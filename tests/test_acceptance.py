@@ -142,7 +142,7 @@ def test_criterion_6_gaussian_ceo():
     t0 = time.time()
     params = GaussianParams(1.0, (1.0, 1.0))
     min_rate = gaussian_min_sum_rate(params, 0.5)
-    ok = abs(min_rate - 1.5 * LN2) <= 1e-9
+    ok = abs(min_rate - 1.5 * LN2) <= 1e-12
     ce = search_bt_counterexample()
     ok &= ce.classical_outer_sum_rate <= 1.5 * LN2 - 0.04
     ok &= abs(ce.distortion - 0.5) <= 1e-12

@@ -183,6 +183,10 @@ def test_gaussian_ceo_csv_membership(capsys):
           "--rates", "1,1"], "witness"),
         (["--sigma2", "1", "--noise", "1,1", "--D", "nan", "--witness", "0.3,0.3",
           "--rates", "0,0"], "D > 0"),
+        (["--sigma2", "1", "--noise", "1,1", "--D", "inf"], "D must be a number"),
+        (["--sigma2", "1", "--noise", "1,1", "--D=-inf"], "D must be a number"),
+        (["--sigma2", "1", "--noise", "1,1", "--D", "inf", "--witness", "0.3,0.3",
+          "--rates", "0.8,0.8"], "D > 0"),
     ],
 )
 def test_gaussian_ceo_rejects_nan(capsys, argv, named):
@@ -511,6 +515,15 @@ def test_erasure_casebook_over_the_table_cap_exits_1(tmp_path):
     assert "cap of 33,554,432" in done.stderr and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("L", ["0", "-1"])
+def test_erasure_casebook_with_no_encoder_names_L(tmp_path, capsys, L):
+    out = tmp_path / "er"
+    code, _, err = run(capsys, "info", "--dump", "erasure", "--L", L, "--out", str(out))
+    assert code == 1
+    assert f"need L >= 1, got L={L}" in err and "p^L" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_optimize_nan_caps_exit_1(tmp_path, capsys):
     prefix = str(tmp_path / "er")
     run(capsys, "info", "--dump", "erasure", "--out", prefix,
@@ -640,3 +653,49 @@ def test_non_integral_field_exits_1_naming_it(tmp_path, in_gamma, field, bad, na
     done = bounds_on(tmp_path, *files)
     assert done.returncode == 1, (bad, done.stderr)
     assert named in done.stderr and "Traceback" not in done.stderr
+
+
+# A flag fuzz of the closed-form subcommands: one flag at a time is
+# set to a value at or past the ends of the float range, or to malformed
+# text.  Each case must exit 0 with finite, parseable output, or exit 1 with
+# an ``error:`` line that names the problem.
+FUZZ_BASES = {
+    "gaussian-sum": ("gaussian-ceo", {"--sigma2": "1", "--noise": "1,0.5,2", "--D": "0.5"}),
+    "gaussian-member": ("gaussian-ceo", {"--sigma2": "1", "--noise": "1,1", "--D": "0.5",
+                                         "--witness": "0.3,0.3", "--rates": "0.8,0.8"}),
+    "erasure-D": ("erasure-ceo", {"--p": "0.5", "--L": "2", "--D": "0.6"}),
+    "erasure-curve": ("erasure-ceo", {"--p": "0.5", "--L": "1,2", "--curve": "5"}),
+}
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-308", "5e-324",
+               "", ",", "x", "1,,2")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def _assert_finite_csv(text):
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        for field in row:
+            for part in field.split(";"):
+                if part not in ("true", "false"):
+                    assert math.isfinite(float(part)), text
+
+
+@pytest.mark.parametrize("base", list(FUZZ_BASES))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_form_flag_fuzz(capsys, base, fmt):
+    command, flags = FUZZ_BASES[base]
+    for flag in flags:
+        for value in FUZZ_VALUES:
+            argv = [command, *(f"{f}={value if f == flag else v}" for f, v in flags.items()),
+                    "--format", fmt]
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1), (argv, code, err)
+            assert "Traceback" not in out + err, argv
+            if code == 1:
+                assert "error:" in err and "math domain error" not in err, (argv, err)
+            elif fmt == "json":
+                json.loads(out, parse_constant=_refuse_constant)
+            else:
+                _assert_finite_csv(out)

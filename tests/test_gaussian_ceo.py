@@ -77,8 +77,28 @@ def test_membership_validation():
         gaussian_region_contains(params, RatePoint((1.0, 1.0), (0.5,)), (-0.1, 0.1))
     with pytest.raises(ValueError, match="witness"):
         gaussian_region_contains(params, RatePoint((1.0, 1.0), (0.5,)), (math.nan, 0.0))
-    with pytest.raises(InfeasibleError, match="D > 0"):
-        gaussian_region_contains(params, RatePoint((0.0, 0.0), (math.nan,)), (0.3, 0.3))
+    for D in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InfeasibleError, match="D > 0"):
+            gaussian_region_contains(params, RatePoint((0.0, 0.0), (D,)), (0.3, 0.3))
+
+
+def test_membership_at_the_ends_of_the_float_range():
+    # D (1/sigma^2) overflows or underflows, or 1/sigma^2 overflows: no log+
+    # may see a ratio of 0 or inf.
+    for sigma2, noise, D, r, R in (
+        (5e-324, (1.0, 1.0), 0.5, (0.3, 0.3), (0.8, 0.8)),
+        (1e-10, (1.0,), 1e308, (0.0,), (0.0,)),
+        (1e308, (1.0, 1.0), 5e-324, (0.3, 0.3), (0.8, 0.8)),
+    ):
+        point = RatePoint(R, (D,))
+        assert gaussian_region_contains(GaussianParams(sigma2, noise), point, r) == (sigma2 < 1)
+    # The tight witness at sigma^2 = 1e308 (see the sum-rate test below): the
+    # full set needs (1/2) log(sigma^2 / D) + sum_l r_l, about 356 nats.
+    params = GaussianParams(1e308, (1.0, 0.5, 2.0))
+    r = (0.5 * LN2, LN2, 0.0)
+    base = 0.5 * (math.log(1e308) - math.log(0.5))
+    assert gaussian_region_contains(params, RatePoint([v + base for v in r], (0.5,)), r)
+    assert not gaussian_region_contains(params, RatePoint([base / 3] * 3, (0.5,)), r)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +168,87 @@ def test_min_sum_rate_infeasible_distortion():
         gaussian_min_sum_rate(params, params.d_min)
     with pytest.raises(InfeasibleError):
         gaussian_min_sum_rate(params, 0.2)
-    with pytest.raises(ValueError, match="D must be a number"):
-        gaussian_min_sum_rate(params, math.nan)
+    for D in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="D must be a number"):
+            gaussian_min_sum_rate(params, D)
+
+
+def _bisection_min_sum_rate(params, D):
+    """Test-only copy of the water-filling bisection that the active-set
+    solve replaced: a doubling bracket on mu, then 200 halvings."""
+    theta = 1.0 / D - 1.0 / params.sigma2
+    vs = params.noise_vars
+
+    def filled(mu):
+        return sum(max(0.0, (1.0 - v / (2.0 * mu))) / v for v in vs)
+
+    lo = hi = min(vs) / 2.0
+    while filled(hi) < theta:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if filled(mid) < theta else (lo, mid)
+    mu = 0.5 * (lo + hi)
+    base = 0.5 * max(math.log(params.sigma2 / D), 0.0)
+    return base + sum(max(0.0, 0.5 * math.log(2.0 * mu / v)) for v in vs)
+
+
+def test_min_sum_rate_matches_the_bisection_oracle():
+    rng = np.random.default_rng(24)
+    worst = 0.0
+    for i in range(300):
+        L = int(rng.integers(1, 9))
+        s2 = float(rng.uniform(0.2, 3.0))
+        if i % 3 == 0:  # tied variances, drawn from a smaller pool
+            pool = rng.uniform(0.1, 3.0, int(rng.integers(1, L + 1)))
+            noise = tuple(float(v) for v in rng.choice(pool, L))
+        else:
+            noise = tuple(float(v) for v in rng.uniform(0.1, 3.0, L))
+        params = GaussianParams(s2, noise)
+        for f in rng.uniform(0.01, 0.99, 3):
+            D = params.d_min + float(f) * (s2 - params.d_min)
+            got = gaussian_min_sum_rate(params, D)
+            worst = max(worst, abs(got - _bisection_min_sum_rate(params, D)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("noise", [(5e-324,), (5e-324, 1.0), (1.0, 5e-324)])
+def test_min_sum_rate_with_a_subnormal_noise_variance(noise):
+    # 1/5e-324 overflows: that encoder alone meets any D > 0 at rate 0.
+    params = GaussianParams(1.0, noise)
+    assert gaussian_min_sum_rate(params, 0.5) == pytest.approx(0.5 * LN2, abs=1e-15)
+
+
+def test_min_sum_rate_with_an_inactive_encoder_at_the_float_range_ends():
+    # The noisy encoder stays inactive and the other needs a rate of about
+    # 1e-301 nats; the bisection's 2 mu / v underflowed to 0 before the log.
+    for noise in ((1e300, 1e-300), (1e-300, 1e300)):
+        got = gaussian_min_sum_rate(GaussianParams(1.0, noise), 0.9)
+        assert got == pytest.approx(0.5 * math.log(1.0 / 0.9), abs=1e-15)
+
+
+def test_min_sum_rate_with_a_huge_source_variance():
+    # sigma^2 / D overflows; theta rounds to 2, so encoders 0.5 and 1 are
+    # active with c = 1/2 and rates log 2 and (1/2) log 2.
+    got = gaussian_min_sum_rate(GaussianParams(1e308, (1.0, 0.5, 2.0)), 0.5)
+    assert got == pytest.approx(0.5 * math.log(1e308) + 2.0 * LN2, rel=1e-15)
+
+
+def test_min_sum_rate_within_rounding_of_the_floor_is_refused_at_once():
+    # One ulp above the rounded floor, theta can round up to the sum of all
+    # 1/sigma_l^2.  Such a D is refused, never looped on.
+    rng = np.random.default_rng(5)
+    refused = 0
+    for _ in range(300):
+        L = int(rng.integers(1, 9))
+        params = GaussianParams(float(rng.uniform(0.2, 3.0)), tuple(rng.uniform(0.1, 3.0, L)))
+        D = math.nextafter(params.d_min, math.inf)
+        try:
+            assert math.isfinite(gaussian_min_sum_rate(params, D))
+        except InfeasibleError as exc:
+            assert "within rounding of the distortion floor" in str(exc)
+            refused += 1
+    assert 0 < refused < 300
 
 
 def test_min_sum_rate_monotone_in_d():
