@@ -23,7 +23,6 @@ from .erasure_ceo import (
     erasure_bt_counterexample,
     erasure_sum_rate,
     sum_rate_curve,
-    sum_rate_curve_csv,
 )
 from .gaussian_ceo import (
     LOOSENESS_MARGIN,
@@ -40,13 +39,11 @@ from .regions import (
     bt_outer_constraints,
     new_outer_constraints,
     optimize_bt_inner_sum_rate,
-    subset_label,
 )
 
 LN2 = math.log(2.0)
 
 CASEBOOK_NAMES = ("toy", "toy_bt_gamma", "appendix_c", "erasure")
-REPRO_TARGETS = ("toy", "appendix-c", "appendix-e", "erasure-figure")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,18 +56,29 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x: float, bits: bool = False) -> str:
-    return f"{(x / LN2 if bits else x):.9g}"
+def _fmt(x: float) -> str:
+    return f"{x:.9g}"
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _unit(args) -> tuple[str, float]:
+    """The unit of displayed rates and its size in nats: the only ``--bits`` rule."""
+    return ("bits", LN2) if args.bits else ("nats", 1.0)
+
+
+def _write(args, payload, header: str, rows, indent=None) -> None:
+    """Write ``payload`` as JSON, or ``header`` and ``rows`` as CSV, as
+    ``--format`` says, to ``--out`` or to stdout.  A CSV cell is ``str`` of
+    its value, which for a float is every digit."""
+    text = _csv(header, rows) if args.format == "csv" else json.dumps(payload, indent=indent)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _load(cls, path: str):
@@ -100,18 +108,11 @@ def _load(cls, path: str):
         raise _UsageError(f"{path}: malformed {cls.__name__}: {exc}")
 
 
-def _floats(text: str) -> list[float]:
+def _numbers(text: str, kind=float) -> list:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise _UsageError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}")
+        raise _UsageError(f"expected comma-separated {'integers' if kind is int else 'numbers'}, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mtsc-bounds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_info = sub.add_parser("info", help="package info; optionally dump a casebook instance")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p_info = command("info", _cmd_info, "package info; optionally dump a casebook instance")
     p_info.add_argument("--dump", choices=CASEBOOK_NAMES)
     p_info.add_argument("--out", help="path prefix for dumped JSON files")
     p_info.add_argument("--p", type=float, default=0.5)
@@ -127,47 +133,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--D", type=float, default=0.6)
     p_info.add_argument("--lam", type=float, default=1e6)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate a bound's constraint set")
+    p_bounds = command("bounds", _cmd_bounds, "evaluate a bound's constraint set")
     p_bounds.add_argument("--model", required=True)
     p_bounds.add_argument("--gamma", required=True)
     p_bounds.add_argument("--x")
-    p_bounds.add_argument("--kind", required=True, choices=("bt-inner", "bt-outer", "new-outer"))
-    p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
-    p_bounds.add_argument("--out")
-    p_bounds.add_argument("--bits", action="store_true")
+    p_bounds.add_argument("--kind", required=True, choices=tuple(BOUND_KINDS))
 
-    p_er = sub.add_parser("erasure-ceo", help="binary erasure CEO sum rate")
+    p_er = command("erasure-ceo", _cmd_erasure, "binary erasure CEO sum rate")
     p_er.add_argument("--p", type=float, required=True)
     p_er.add_argument("--L", required=True, help="encoder count; comma list with --curve")
     group = p_er.add_mutually_exclusive_group(required=True)
     group.add_argument("--D", type=float)
     group.add_argument("--curve", type=int, metavar="N")
-    p_er.add_argument("--format", choices=("json", "csv"), default="json")
-    p_er.add_argument("--out")
-    p_er.add_argument("--bits", action="store_true")
 
-    p_ga = sub.add_parser("gaussian-ceo", help="Gaussian CEO sum rate / membership")
+    p_ga = command("gaussian-ceo", _cmd_gaussian, "Gaussian CEO sum rate / membership")
     p_ga.add_argument("--sigma2", type=float, required=True)
     p_ga.add_argument("--noise", required=True, help="comma-separated noise variances")
     p_ga.add_argument("--D", type=float, required=True)
     p_ga.add_argument("--witness", help="comma-separated witness rates r_l")
     p_ga.add_argument("--rates", help="comma-separated rates R_l (membership mode)")
-    p_ga.add_argument("--format", choices=("json", "csv"), default="json")
-    p_ga.add_argument("--out")
-    p_ga.add_argument("--bits", action="store_true")
 
-    p_re = sub.add_parser("repro", help="reproduce the worked numbers, PASS/FAIL per check")
+    p_re = command("repro", _cmd_repro, "reproduce the worked numbers, PASS/FAIL per check")
     p_re.add_argument("target", choices=REPRO_TARGETS)
     p_re.add_argument("--out", help="write erasure-figure CSV here")
 
-    p_opt = sub.add_parser("optimize", help="inner-bound sum-rate search")
+    p_opt = command("optimize", _cmd_optimize, "inner-bound sum-rate search")
     p_opt.add_argument("--model", required=True)
     p_opt.add_argument("--caps", required=True, help="comma-separated distortion caps")
     p_opt.add_argument("--cardinalities", required=True, help="comma-separated |U_l|")
     p_opt.add_argument("--budget", type=int, required=True)
     p_opt.add_argument("--seed", type=int, required=True)
-    p_opt.add_argument("--format", choices=("json", "csv"), default="json")
-    p_opt.add_argument("--out")
+
+    for p in (p_bounds, p_er, p_ga, p_opt):  # the subcommands that write through _write
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out")
+        if p is not p_opt:
+            p.add_argument("--bits", action="store_true")
     return parser
 
 
@@ -181,13 +182,11 @@ def _cmd_info(args) -> int:
         if not args.out:
             raise _UsageError("--dump requires --out PREFIX")
         instance = casebook(args.dump, p=args.p, L=args.L, D=args.D, lam=args.lam)
-        with open(args.out + ".model.json", "w") as fh:
-            json.dump(instance.model.to_json(), fh)
-        with open(args.out + ".gamma.json", "w") as fh:
-            json.dump(instance.gamma.to_json(), fh)
-        if instance.x is not None:
-            with open(args.out + ".x.json", "w") as fh:
-                json.dump(instance.x.to_json(), fh)
+        for part in ("model", "gamma", "x"):
+            obj = getattr(instance, part)
+            if obj is not None:
+                with open(f"{args.out}.{part}.json", "w") as fh:
+                    json.dump(obj.to_json(), fh)
         print(f"wrote {args.out}.model.json / .gamma.json / .x.json")
         return 0
     print(f"mtsc-bounds {__version__}")
@@ -196,101 +195,84 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _new_outer(model, gamma, x_path):
+    if not x_path:
+        raise _UsageError("--kind new-outer requires --x")
+    return new_outer_constraints(model, _load(XChannel, x_path), gamma)
+
+
+# --kind: each evaluator from the loaded model and system, and the --x path.
+BOUND_KINDS = {
+    "bt-inner": lambda model, gamma, x_path: bt_inner_constraints(model, gamma),
+    "bt-outer": lambda model, gamma, x_path: bt_outer_constraints(model, gamma),
+    "new-outer": _new_outer,
+}
+
+
 def _cmd_bounds(args) -> int:
     model = _load(SourceModel, args.model)
     gamma = _load(AuxSystem, args.gamma)
-    if args.kind == "new-outer":
-        if not args.x:
-            raise _UsageError("--kind new-outer requires --x")
-        x = _load(XChannel, args.x)
-        constraints = new_outer_constraints(model, x, gamma)
-    elif args.kind == "bt-inner":
-        constraints = bt_inner_constraints(model, gamma)
-    else:
-        constraints = bt_outer_constraints(model, gamma)
-    if args.format == "csv" and args.bits:
-        rows = sorted(constraints.subset_bounds.items())
-        _emit(
-            "subset,bound_bits\n"
-            + "".join(f"{subset_label(mask, constraints.L)},{v / LN2!r}\n" for mask, v in rows),
-            args.out,
-        )
-    elif args.format == "csv":
-        _emit(constraints.to_csv(), args.out)
-    else:
-        payload = constraints.to_json()
-        if args.bits:
-            for row in payload["bounds"]:
-                row["bound_bits"] = row.pop("bound_nats") / LN2
-        _emit(json.dumps(payload, indent=2), args.out)
+    constraints = BOUND_KINDS[args.kind](model, gamma, args.x)
+    unit, scale = _unit(args)
+    payload = constraints.to_json()
+    for row in payload["bounds"]:
+        row[f"bound_{unit}"] = row.pop("bound_nats") / scale
+    # The CSV column in nats is the library's ``RegionConstraints.to_csv`` header.
+    header = "subset,bound" + ("" if unit == "nats" else f"_{unit}")
+    _write(args, payload, header, [row.values() for row in payload["bounds"]], 2)
     return 0
 
 
 def _cmd_erasure(args) -> int:
-    Ls = _ints(args.L)
+    Ls = _numbers(args.L, int)
     if not Ls:
         raise _UsageError(f"--L needs at least one encoder count, got {args.L!r}")
-    unit, scale = ("bits", LN2) if args.bits else ("nats", 1.0)
+    unit, scale = _unit(args)
     if args.curve is not None:
         rows = sum_rate_curve(args.p, Ls, args.curve)
     elif len(Ls) != 1:
         raise _UsageError("--D takes a single encoder count; use --curve for a list")
     else:
         rows = [(args.D, Ls[0], erasure_sum_rate(ErasureParams(args.p, Ls[0], args.D)))]
-    if args.format == "csv":
-        lines = "".join(f"{D!r},{L},{rate / scale!r}\n" for D, L, rate in rows)
-        _emit(f"D,L,sum_rate_{unit}\n" + lines, args.out)
-    elif args.curve is not None:
-        payload = [{"D": D, "L": L, f"sum_rate_{unit}": rate / scale} for D, L, rate in rows]
-        _emit(json.dumps(payload), args.out)
+    keys = ("D", "L", f"sum_rate_{unit}")
+    rows = [(D, L, rate / scale) for D, L, rate in rows]
+    if args.curve is not None:
+        payload = [dict(zip(keys, row)) for row in rows]
     else:
         ((D, L, rate),) = rows
-        payload = {"p": args.p, "L": L, "D": D, f"sum_rate_{unit}": rate / scale}
-        _emit(json.dumps(payload), args.out)
+        payload = {"p": args.p, "L": L, "D": D, keys[2]: rate}
+    _write(args, payload, ",".join(keys), rows)
     return 0
 
 
 def _cmd_gaussian(args) -> int:
-    params = GaussianParams(args.sigma2, tuple(_floats(args.noise)))
+    params = GaussianParams(args.sigma2, tuple(_numbers(args.noise)))
     if args.witness or args.rates:
         if not (args.witness and args.rates):
             raise _UsageError("membership mode needs both --witness and --rates")
-        point = RatePoint(tuple(_floats(args.rates)), (args.D,))
-        ok = bool(gaussian_region_contains(params, point, _floats(args.witness)))
-        if args.format == "csv":
-            _emit(f"contains\n{json.dumps(ok)}\n", args.out)
-        else:
-            _emit(json.dumps({"contains": ok}), args.out)
+        point = RatePoint(tuple(_numbers(args.rates)), (args.D,))
+        ok = bool(gaussian_region_contains(params, point, _numbers(args.witness)))
+        _write(args, {"contains": ok}, "contains", [(json.dumps(ok),)])
         return 0
-    rate = gaussian_min_sum_rate(params, args.D)
-    unit, scale = ("bits", LN2) if args.bits else ("nats", 1.0)
-    if args.format == "csv":
-        noise = ";".join(repr(v) for v in params.noise_vars)
-        _emit(
-            f"sigma2,noise_vars,D,min_sum_rate_{unit}\n"
-            f"{args.sigma2!r},{noise},{args.D!r},{rate / scale!r}\n",
-            args.out,
-        )
-        return 0
+    unit, scale = _unit(args)
+    rate = gaussian_min_sum_rate(params, args.D) / scale
     payload = {
         "sigma2": args.sigma2,
         "noise_vars": list(params.noise_vars),
         "D": args.D,
-        f"min_sum_rate_{unit}": rate / scale,
+        f"min_sum_rate_{unit}": rate,
     }
-    _emit(json.dumps(payload), args.out)
+    noise = ";".join(map(repr, params.noise_vars))
+    _write(args, payload, ",".join(payload), [(args.sigma2, noise, args.D, rate)])
     return 0
 
 
 def _check(lines, name, computed, reference, ok) -> bool:
-    lines.append(
-        f"{name}: computed {_fmt(computed)}  reference {_fmt(reference)}  "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
+    lines.append(f"{name}: computed {_fmt(computed)}  reference {_fmt(reference)}  {'PASS' if ok else 'FAIL'}")
     return ok
 
 
-def _repro_toy(lines) -> bool:
+def _repro_toy(lines, out_path) -> bool:
     instance = casebook("toy")
     # With trivial side information and T the Berger-Tung outer bounds are
     # I(Y; U1, U2), I(Y; U1 | U2) and I(Y; U2 | U1), which give I(Y; U1).
@@ -306,40 +288,24 @@ def _repro_toy(lines) -> bool:
     return ok
 
 
-def _repro_appendix_c(lines) -> bool:
+def _repro_appendix_c(lines, out_path) -> bool:
     ce = erasure_bt_counterexample()
     ok = True
     ok &= _check(lines, "I(Y1,Y2;U1,U2)", ce.i_joint, 0.6273, 0.6268 < ce.i_joint <= 0.6273)
     ok &= _check(lines, "I(Y1,Y2;U1|U2)", ce.i_cond, 0.3248, 0.3243 < ce.i_cond <= 0.3248)
     ok &= _check(lines, "Pr(Z1=0)", ce.distortion, 0.6, ce.distortion == 0.6)
-    ok &= _check(
-        lines,
-        "optimal sum rate at D=3/5",
-        ce.optimal_sum_rate,
-        0.6562,
-        ce.optimal_sum_rate >= 0.6562,
-    )
-    ok &= _check(
-        lines,
-        "looseness margin (optimal - 2*I_cond)",
-        ce.looseness_margin,
-        0.006,
-        ce.looseness_margin >= 0.006,
-    )
+    rate, margin = ce.optimal_sum_rate, ce.looseness_margin
+    ok &= _check(lines, "optimal sum rate at D=3/5", rate, 0.6562, rate >= 0.6562)
+    ok &= _check(lines, "looseness margin (optimal - 2*I_cond)", margin, 0.006, margin >= 0.006)
     return ok
 
 
-def _repro_appendix_e(lines) -> bool:
+def _repro_appendix_e(lines, out_path) -> bool:
     target = 1.5 * LN2
     ce = search_bt_counterexample()
     ok = True
-    ok &= _check(
-        lines,
-        f"max(I_joint, 2 I_cond) at Var(W)={_fmt(ce.sigma_w2)}",
-        ce.classical_outer_sum_rate,
-        target - LOOSENESS_MARGIN,
-        ce.classical_outer_sum_rate <= target - LOOSENESS_MARGIN,
-    )
+    outer, bound = ce.classical_outer_sum_rate, target - LOOSENESS_MARGIN
+    ok &= _check(lines, f"max(I_joint, 2 I_cond) at Var(W)={_fmt(ce.sigma_w2)}", outer, bound, outer <= bound)
     ok &= _check(lines, "MMSE distortion", ce.distortion, 0.5, abs(ce.distortion - 0.5) <= 1e-12)
     rate = gaussian_min_sum_rate(GaussianParams(1.0, (1.0, 1.0)), 0.5)
     ok &= _check(lines, "min sum rate at D=1/2", rate, target, abs(rate - target) <= 1e-12)
@@ -348,11 +314,10 @@ def _repro_appendix_e(lines) -> bool:
 
 def _repro_erasure_figure(lines, out_path) -> bool:
     p, Ls, n = 0.5, (1, 2, 3, 10), 1000
+    curve = sum_rate_curve(p, Ls, n)
     ok = True
-    for L in Ls:
-        rates = np.array(
-            [rate for _, _, rate in sum_rate_curve(p, (L,), n)]
-        )
+    for i, L in enumerate(Ls):
+        rates = np.array([rate for _, _, rate in curve[i * n:(i + 1) * n]])
         mono = bool(np.all(np.diff(rates) <= 1e-12))
         ok &= _check(lines, f"L={L} curve nonincreasing over {n} points", float(np.diff(rates).max()), 0.0, mono)
         end = rates[-1]
@@ -362,21 +327,24 @@ def _repro_erasure_figure(lines, out_path) -> bool:
         ok &= _check(lines, f"L={L} value at D=p^L", start, closed, abs(start - closed) <= 1e-12)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(sum_rate_curve_csv(p, Ls, n))
+            fh.write(_csv("D,L,sum_rate_nats", curve))
         lines.append(f"curve data written to {out_path}")
     return ok
 
 
+# The repro targets, each writing its check lines and returning PASS.
+REPRO = {
+    "toy": _repro_toy,
+    "appendix-c": _repro_appendix_c,
+    "appendix-e": _repro_appendix_e,
+    "erasure-figure": _repro_erasure_figure,
+}
+REPRO_TARGETS = tuple(REPRO)
+
+
 def _cmd_repro(args) -> int:
     lines: list[str] = []
-    if args.target == "toy":
-        ok = _repro_toy(lines)
-    elif args.target == "appendix-c":
-        ok = _repro_appendix_c(lines)
-    elif args.target == "appendix-e":
-        ok = _repro_appendix_e(lines)
-    else:
-        ok = _repro_erasure_figure(lines, args.out)
+    ok = REPRO[args.target](lines, args.out)
     for line in lines:
         print(line)
     print("PASS" if ok else "FAIL")
@@ -385,20 +353,10 @@ def _cmd_repro(args) -> int:
 
 def _cmd_optimize(args) -> int:
     model = _load(SourceModel, args.model)
-    result = optimize_bt_inner_sum_rate(
-        model,
-        _floats(args.caps),
-        _ints(args.cardinalities),
-        budget=args.budget,
-        seed=args.seed,
-    )
-    if args.format == "csv":
-        if result.constraints is None:
-            print(result.message, file=sys.stderr)
-            _emit("subset,bound\n", args.out)
-        else:
-            _emit(result.constraints.to_csv(), args.out)
-        return 0
+    caps, cards = _numbers(args.caps), _numbers(args.cardinalities, int)
+    result = optimize_bt_inner_sum_rate(model, caps, cards, budget=args.budget, seed=args.seed)
+    if args.format == "csv" and result.constraints is None:
+        print(result.message, file=sys.stderr)
     payload = {
         "feasible": result.feasible,
         "sum_rate_nats": result.sum_rate if result.feasible else None,
@@ -408,7 +366,8 @@ def _cmd_optimize(args) -> int:
         "message": result.message,
         "constraints": result.constraints.to_json() if result.constraints else None,
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    rows = [row.values() for row in payload["constraints"]["bounds"]] if result.constraints else []
+    _write(args, payload, "subset,bound", rows, 2)
     return 0
 
 
@@ -422,19 +381,7 @@ def main(argv=None) -> int:
             raise _UsageError("info reads --out only with --dump, which names the instance to write")
         if args.out == "":  # every subcommand takes --out
             raise _UsageError("--out needs a path, got an empty one")
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "erasure-ceo":
-            return _cmd_erasure(args)
-        if args.command == "gaussian-ceo":
-            return _cmd_gaussian(args)
-        if args.command == "repro":
-            return _cmd_repro(args)
-        if args.command == "optimize":
-            return _cmd_optimize(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .model import casebook
-from .prob import _binary_entropies
+from .prob import _binary_entropies, _refuse_over_cap
 from .regions import bt_outer_constraints
 
 
@@ -78,9 +78,11 @@ def erasure_sum_rate(params: ErasureParams) -> float:
 
 
 def sum_rate_curve(p: float, Ls: Sequence[int], n: int) -> list[tuple[float, int, float]]:
-    """(D, L, sum rate) triples on an n-point D-grid [p^L, 1] for each L."""
+    """(D, L, sum rate) triples on an n-point D-grid [p^L, 1] for each L;
+    refused over the table cap before any grid is built."""
     if n < 2:
         raise ValueError("need at least 2 grid points")
+    _refuse_over_cap(n * len(Ls), "sum-rate curve")
     rows = []
     for L in map(int, Ls):
         ErasureParams(p, L, 1.0)  # validates p and L; the grid lies in [p^L, 1]

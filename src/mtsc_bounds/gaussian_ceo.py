@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,8 +108,11 @@ def gaussian_min_sum_rate(params: GaussianParams, D: float) -> float:
     c = (sum_{l <= k} 1/sigma_l^2 - theta) / k, where k is the first count
     with k = L or c sigma_{k+1}^2 >= 1.  Logs of products and ratios are
     taken as sums and differences, so none overflows first.  Returns 0 for
-    D >= sigma^2; D at or below the distortion floor, or within rounding
-    of it, is infeasible.
+    D >= sigma^2; D at or below the distortion floor is infeasible.  Near
+    the floor c is a difference of nearly equal sums, and its rounding
+    error, about (k + 4) u / D, can flip its sign.  Where c k D <= 1e-12,
+    c and k are found again in exact rational arithmetic on the same float
+    inputs, and D is refused only if the exact c is not positive.
     """
     if not math.isfinite(D):
         raise ValueError(f"D must be a number and finite, got {D}")
@@ -116,18 +120,30 @@ def gaussian_min_sum_rate(params: GaussianParams, D: float) -> float:
         raise InfeasibleError(f"D={D} is at or below the distortion floor {params.d_min}")
     if D >= params.sigma2:
         return 0.0
-    theta = 1.0 / D - 1.0 / params.sigma2
     vs = sorted(params.noise_vars)
-    total = 0.0
-    for k, v in enumerate(vs, 1):
-        total += 1.0 / v
-        c = (total - theta) / k
-        if k == len(vs) or c * vs[k] >= 1.0:
-            break
-    if not c > 0.0:  # theta rounds up to the sum of all 1/sigma_l^2
-        raise InfeasibleError(f"D={D} is within rounding of the distortion floor {params.d_min}")
-    rates = (max(0.0, -0.5 * (math.log(c) + math.log(v))) for v in vs[:k])
+    c, k = _water_level(1.0 / D - 1.0 / params.sigma2, vs)
+    if c * k * D > 1e-12:
+        log_c = math.log(c)
+    else:
+        exact = [Fraction(v) for v in vs]
+        c, k = _water_level(1 / Fraction(D) - 1 / Fraction(params.sigma2), exact)
+        if c <= 0:
+            raise InfeasibleError(f"D={D} is within rounding of the distortion floor {params.d_min}")
+        log_c = math.log(c.numerator) - math.log(c.denominator)
+    rates = (max(0.0, -0.5 * (log_c + math.log(v))) for v in vs[:k])
     return 0.5 * (math.log(params.sigma2) - math.log(D)) + sum(rates)
+
+
+def _water_level(theta, vs):
+    """c and the active count k of ``gaussian_min_sum_rate`` for the sorted
+    noise variances ``vs``, in the number type of ``theta`` and ``vs``."""
+    total = 0
+    for k, v in enumerate(vs, 1):
+        total += 1 / v
+        c = (total - theta) / k
+        if k == len(vs) or c * vs[k] >= 1:
+            break
+    return c, k
 
 
 # ---------------------------------------------------------------------------

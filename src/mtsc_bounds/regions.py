@@ -372,6 +372,10 @@ _RESTARTS = 4  # restarts of one search, sharing its budget in order
 _ROUNDS = 60  # slope updates per restart
 _ITERS = 150  # mirror-descent steps of a restart's first and last solve
 _TOL = 1e-12  # relative improvement below which a solve stops
+# The largest distortion entry the search takes: a slope (under 4e14, since
+# the slope search stops past 1e14) times a sum of up to _MAX_TABLE_CELLS
+# such entries stays finite in the gradient.
+_MAX_SEARCH_DISTORTION = 1e280
 
 
 @dataclass(frozen=True)
@@ -415,6 +419,9 @@ class _InnerEvaluator:
             _refuse_over_cap(cells, "result check's dense joint")
         cells = model.joint.shape[-1] * (1 + sum(model.reproduction_sizes)) * math.prod(self.cards)
         _refuse_over_cap(cells, "search's forward table")
+        dmax = max(float(t.max()) for t in model.distortions)
+        if dmax > _MAX_SEARCH_DISTORTION:
+            raise ValueError(f"the search takes distortions up to {_MAX_SEARCH_DISTORTION:g}, got {dmax!r}")
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
         src = model.joint.table  # axes: y0, y1..yL, side
         p_obs = src.sum(axis=0)  # axes: y1..yL, side

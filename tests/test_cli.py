@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import copy
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
+import random
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -699,3 +704,190 @@ def test_closed_form_flag_fuzz(capsys, base, fmt):
                 json.loads(out, parse_constant=_refuse_constant)
             else:
                 _assert_finite_csv(out)
+
+
+def test_sum_rate_curve_over_the_table_cap_exits_1_at_once():
+    # 10^9 grid points would ask numpy for 7.45 GiB; the process is capped at
+    # 1 GiB, so only a refusal before any grid is built exits cleanly.
+    done = run_process("erasure-ceo", "--p", "0.5", "--L", "2", "--curve", "1000000000",
+                       timeout=60, preexec_fn=cap_address_space)
+    assert done.returncode == 1, done.stderr
+    assert "sum-rate curve would have 1,000,000,000 cells" in done.stderr
+    assert "cap of 33,554,432" in done.stderr and "Traceback" not in done.stderr
+
+
+# Every subcommand that writes JSON or CSV gives the same values in both,
+# bit for bit, and --out FILE holds the bytes it would print to stdout.
+
+
+def hexed(value):
+    return float(value).hex()
+
+
+def both_formats(capsys, tmp_path, *argv):
+    """The JSON payload and the CSV table (header first) of one invocation."""
+    texts = {}
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0, err
+        path = tmp_path / f"written.{fmt}"
+        assert run(capsys, *argv, "--format", fmt, "--out", str(path))[:2] == (0, "")
+        text = path.read_text()
+        # stdout alone gets a final newline when the text lacks one.
+        assert out == (text if text.endswith("\n") else text + "\n")
+        texts[fmt] = text
+    return json.loads(texts["json"]), list(csv.reader(io.StringIO(texts["csv"])))
+
+
+def bits_flag(bits):
+    return ("--bits",) if bits else ()
+
+
+@pytest.mark.parametrize("kind", ["bt-inner", "bt-outer", "new-outer"])
+@pytest.mark.parametrize("bits", [False, True])
+def test_bounds_json_and_csv_agree_bit_for_bit(tmp_path, capsys, kind, bits):
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix, "--p", "0.5", "--L", "3", "--D", "0.3")
+    payload, table = both_formats(
+        capsys, tmp_path, "bounds", "--model", prefix + ".model.json", "--gamma",
+        prefix + ".gamma.json", "--x", prefix + ".x.json", "--kind", kind, *bits_flag(bits))
+    key = "bound_bits" if bits else "bound_nats"
+    assert table[0] == ["subset", "bound_bits" if bits else "bound"]
+    assert len(table) == 1 + 7
+    assert [[row["A"], hexed(row[key])] for row in payload["bounds"]] == [
+        [label, hexed(value)] for label, value in table[1:]]
+
+
+@pytest.mark.parametrize("mode", [("--L", "3", "--D", "0.4"), ("--L", "1,2,5", "--curve", "7")])
+@pytest.mark.parametrize("bits", [False, True])
+def test_erasure_ceo_json_and_csv_agree_bit_for_bit(tmp_path, capsys, mode, bits):
+    payload, table = both_formats(capsys, tmp_path, "erasure-ceo", "--p", "0.3", *mode, *bits_flag(bits))
+    key = "sum_rate_bits" if bits else "sum_rate_nats"
+    assert table[0] == ["D", "L", key]
+    records = payload if isinstance(payload, list) else [payload]
+    assert len(records) == (21 if "--curve" in mode else 1)
+    assert [[hexed(r["D"]), str(r["L"]), hexed(r[key])] for r in records] == [
+        [hexed(D), L, hexed(rate)] for D, L, rate in table[1:]]
+
+
+@pytest.mark.parametrize("bits", [False, True])
+def test_gaussian_ceo_json_and_csv_agree_bit_for_bit(tmp_path, capsys, bits):
+    payload, table = both_formats(capsys, tmp_path, "gaussian-ceo", "--sigma2", "1.3",
+                                  "--noise", "1,0.5,2", "--D", "0.4", *bits_flag(bits))
+    assert table[0] == list(payload) and len(table) == 2
+    sigma2, noise, D, rate = table[1]
+    assert [hexed(v) for v in noise.split(";")] == [hexed(v) for v in payload["noise_vars"]]
+    key = table[0][3]
+    assert key == ("min_sum_rate_bits" if bits else "min_sum_rate_nats")
+    assert [hexed(sigma2), hexed(D), hexed(rate)] == [
+        hexed(payload["sigma2"]), hexed(payload["D"]), hexed(payload[key])]
+    for rates, contains in (("0.52,0.52", True), ("0.1,0.1", False)):
+        payload, table = both_formats(capsys, tmp_path, "gaussian-ceo", "--sigma2", "1", "--noise", "1,1",
+                                      "--D", "0.5", "--witness", "0.3466,0.3466", "--rates", rates,
+                                      *bits_flag(bits))
+        assert payload == {"contains": contains}
+        assert table == [["contains"], [json.dumps(contains)]]
+
+
+@pytest.mark.parametrize("caps, feasible", [("0.6", True), ("0.01", False)])
+def test_optimize_json_and_csv_agree_bit_for_bit(tmp_path, capsys, caps, feasible):
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix, "--p", "0.5", "--L", "2", "--D", "0.6")
+    payload, table = both_formats(capsys, tmp_path, "optimize", "--model", prefix + ".model.json",
+                                  "--caps", caps, "--cardinalities", "3,3", "--budget", "60",
+                                  "--seed", "3")
+    assert payload["feasible"] is feasible and table[0] == ["subset", "bound"]
+    bounds = payload["constraints"]["bounds"] if feasible else []
+    assert (payload["constraints"] is not None) is feasible and len(table) == 1 + len(bounds)
+    assert [[row["A"], hexed(row["bound_nats"])] for row in bounds] == [
+        [label, hexed(value)] for label, value in table[1:]]
+
+
+# A seeded mutator of the files that `bounds` and `optimize` read: one field
+# of a dumped casebook file at a time is replaced or deleted, and every
+# command that reads the file must exit 0, 1 or 2, saying why on a nonzero
+# exit, with no exception out of main and no hang.
+MUTANT_VALUES = (None, "x", -1, 0, 1e308, math.nan, math.inf, [], [[0.5, [1.0]], [2]], "Y9")
+DELETE = object()
+
+
+class Hung(BaseException):
+    """The per-mutant alarm.  Not an ``Exception``: a ``TimeoutError`` is an
+    ``OSError``, which main reports as exit 1, so it would hide a hang."""
+
+
+def raise_hung(signum, frame):
+    raise Hung()
+
+
+def field_paths(node, path=()):
+    """The key or index path of every value under ``node``, parents first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def readers(files, part):
+    """The argv of every command that reads the ``part`` file."""
+    kinds = ("new-outer",) if part == "x" else ("bt-inner", "bt-outer", "new-outer")
+    argvs = [("bounds", "--model", files["model"], "--gamma", files["gamma"], "--x", files["x"],
+              "--kind", kind) for kind in kinds]
+    if part == "model":
+        argvs.append(("optimize", "--model", files["model"], "--caps", "0.6", "--cardinalities", "3,3",
+                      "--budget", "5", "--seed", "1"))
+    return argvs
+
+
+# Mutants that found a defect, kept whatever the seeded sample draws.
+FOUND_MUTANTS = (
+    # A distortion near the float maximum overflowed the search's gradient.
+    ("appendix_c", "model", ("distortions", 0, 41), 1e308),
+)
+
+
+def test_file_mutants_exit_cleanly(tmp_path, capsys):
+    # 700 mutated files, each through every command that reads it: over
+    # 2,000 runs.  Building the parser is most of each in-process run.
+    cases, docs, runs = [], {}, 0
+    for name in ("toy_bt_gamma", "appendix_c"):
+        inst = mtsc_bounds.casebook(name)
+        for part in ("model", "gamma", "x"):
+            doc = docs[name, part] = getattr(inst, part).to_json()
+            (tmp_path / f"{name}.{part}.json").write_text(json.dumps(doc))
+            cases += [(name, part, path, value)
+                      for path in field_paths(doc) for value in MUTANT_VALUES + (DELETE,)]
+    mutants = random.Random(25).sample(cases, 700) + list(FOUND_MUTANTS)
+    previous = signal.signal(signal.SIGALRM, raise_hung)
+    try:
+        for name, part, path, value in mutants:
+            doc = docs[name, part]
+            files = {p: str(tmp_path / f"{name}.{p}.json") for p in ("model", "gamma", "x")}
+            files[part] = str(tmp_path / f"mutant.{part}.json")
+            Path(files[part]).write_text(json.dumps(mutated(doc, path, value)))
+            for argv in readers(files, part):
+                label = (name, part, path, "deleted" if value is DELETE else value, argv[0], argv[-1])
+                signal.setitimer(signal.ITIMER_REAL, 2.0)
+                try:
+                    code, _, err = run(capsys, *argv)
+                except Exception as exc:
+                    pytest.fail(f"{exc!r} escaped main on {label}")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code in (0, 1, 2), label
+                if code:
+                    assert "error:" in err or "Markov check failed:" in err, (label, err)
+                runs += 1
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert runs >= 2000

@@ -1,6 +1,9 @@
 """Tests for the Gaussian CEO closed forms."""
 
+import decimal
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,6 +252,59 @@ def test_min_sum_rate_within_rounding_of_the_floor_is_refused_at_once():
             assert "within rounding of the distortion floor" in str(exc)
             refused += 1
     assert 0 < refused < 300
+
+
+def _exact_min_sum_rate(params, D):
+    """The minimum sum rate at the float inputs, or None when D is at or
+    below the exact floor: the active set and c in rationals, found by
+    testing every k against the KKT conditions, and the logs in 60 digits."""
+    vs = sorted(Fraction(v) for v in params.noise_vars)
+    theta = 1 / Fraction(D) - 1 / Fraction(params.sigma2)
+    if sum(1 / v for v in vs) <= theta:
+        return None
+    for k in range(1, len(vs) + 1):
+        c = (sum(1 / v for v in vs[:k]) - theta) / k
+        if c > 0 and all(c * v <= 1 for v in vs[:k]) and (k == len(vs) or c * vs[k] >= 1):
+            break
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ln = lambda q: (decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)).ln()  # noqa: E731
+        total = (ln(Fraction(params.sigma2)) - ln(Fraction(D))) / 2
+        total -= sum(ln(c * v) for v in vs[:k]) / 2
+        return float(total)
+
+
+def test_min_sum_rate_one_ulp_above_the_float_floor_matches_an_exact_reference():
+    # theta rounds up to the sum of 1/sigma_l^2 here, yet the exact c is
+    # about 4.84e-17 > 0: D lies above the exact floor and has a value.
+    params = GaussianParams(0.8095049028741139, (0.7473929973603421, 1.919556344976209,
+                                                 2.8483559331253163, 1.7735985509907461,
+                                                 1.2503733764872624))
+    D = 0.2079465904174201
+    assert D == math.nextafter(params.d_min, math.inf)
+    want = _exact_min_sum_rate(params, D)
+    assert want == pytest.approx(93.496, abs=1e-3)
+    assert gaussian_min_sum_rate(params, D) == pytest.approx(want, rel=1e-9)
+
+
+def test_min_sum_rate_next_to_the_float_floor_matches_an_exact_reference():
+    # One ulp above the rounded floor, c can round to either sign.  D is
+    # refused exactly when it lies at or below the exact floor, and every
+    # value returned is that of the float inputs.
+    rng = random.Random(7)
+    refused = 0
+    for _ in range(500):
+        L = rng.randint(1, 6)
+        params = GaussianParams(rng.uniform(0.2, 3.0), tuple(rng.uniform(0.1, 3.0) for _ in range(L)))
+        D = math.nextafter(params.d_min, math.inf)
+        want = _exact_min_sum_rate(params, D)
+        if want is None:
+            with pytest.raises(InfeasibleError, match="within rounding of the distortion floor"):
+                gaussian_min_sum_rate(params, D)
+            refused += 1
+        else:
+            assert gaussian_min_sum_rate(params, D) == pytest.approx(want, rel=1e-9)
+    assert 0 < refused < 500
 
 
 def test_min_sum_rate_monotone_in_d():

@@ -1404,6 +1404,18 @@ def test_optimizer_trivial_and_infeasible_caps():
     assert infeasible.gamma is None and math.isinf(infeasible.sum_rate)
 
 
+def test_optimizer_refuses_a_distortion_its_gradient_would_overflow():
+    # A slope times 1e308 is past the float range; 1e280 is the largest
+    # entry the search takes, and the bound evaluators take any finite one.
+    payload = casebook("appendix_c").model.to_json()
+    payload["distortions"][0][41] = 1e308
+    model = SourceModel.from_json(payload)
+    with pytest.raises(ValueError, match=r"distortions up to 1e\+280, got 1e\+308"):
+        optimize_bt_inner_sum_rate(model, [0.6], [3, 3], budget=5, seed=1)
+    payload["distortions"][0][41] = 1e280
+    assert optimize_bt_inner_sum_rate(SourceModel.from_json(payload), [0.6], [3, 3], budget=5, seed=1).feasible
+
+
 def test_optimizer_deterministic_given_seed():
     inst = casebook("erasure", p=0.5, L=2, D=0.6)
     a = optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=2500, seed=9)
