@@ -535,20 +535,19 @@ class _Support:
         return key.astype(np.intp), span
 
 
-def _ranks(key: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the distinct values of ``key``: the inverse of
-    ``np.unique``, read from a stable sort, which is fast on the nearly
-    sorted keys of a row-major support."""
+def _group_sum(key: np.ndarray, masses: np.ndarray, span: Optional[int] = None) -> np.ndarray:
+    """``masses`` summed by ``key``, the one place a support's masses are
+    added: with ``span``, the dense table over ``range(span)``; without, the
+    sums of the keys that occur, in key order, by one ``np.add.reduceat``
+    over the runs of a stable sort, fast on a row-major support's nearly
+    sorted keys."""
+    if span is not None:
+        return np.bincount(key, weights=masses, minlength=span)
     order = np.argsort(key, kind="stable")
     ordered = key[order]
-    step = np.empty(key.size, np.intp)
-    step[:1] = 0
-    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     del ordered
-    np.cumsum(step, out=step)
-    ranks = np.empty_like(step)
-    ranks[order] = step
-    return ranks
+    return np.add.reduceat(masses[order], starts)
 
 
 def _code_dtype(sizes: Iterable[int]) -> np.dtype:
@@ -580,7 +579,7 @@ class EntropyOracle:
 
     The root is a dense ``JointPmf``, cached as its table, or a
     ``_Support``.  From a support root a marginal is one group-by of the
-    cells on their key over S: a ``bincount`` into a dense table, refused
+    cells on their key over S (``_group_sum``): into a dense table, refused
     over ``_MAX_TABLE_CELLS`` cells, or, for an entropy whose table would be
     large, into the masses of the tuples that occur
     (``_DENSE_CELLS_PER_ROW``, ``_SMALL_TABLE``).  A marginal is summed
@@ -632,8 +631,7 @@ class EntropyOracle:
         names = tuple(n for n in self._order if n in s)
         shape = [self._sizes[n] for n in names]
         if math.prod(shape) > self._dense_limit():
-            # Each group's masses are added in row order, as in a dense count.
-            return np.bincount(_ranks(self._large_key(names)), weights=support.masses)
+            return _group_sum(self._large_key(names), support.masses)
         return self._tables.setdefault(s, self._counted(names).reshape(shape))
 
     def _large_key(self, names: tuple[Name, ...]) -> np.ndarray:
@@ -663,7 +661,7 @@ class EntropyOracle:
         cells; refused over the table cap."""
         _refuse_over_cap(math.prod(self._sizes[n] for n in names), "table over " + ", ".join(names))
         key, span = self._support.keys(names)
-        return np.bincount(key, weights=self._support.masses, minlength=span)
+        return _group_sum(key, self._support.masses, span)
 
     def grouped(self, groups: Sequence[Sequence[Name]]) -> np.ndarray:
         """The marginal on the variables of ``groups``, as a C-contiguous

@@ -574,9 +574,25 @@ def ravel_keys(support, names):
 
 
 def unique_ranks(key):
-    """Each key's rank among the distinct keys, by np.unique: the reference
-    for the sorted ranks."""
+    """Each key's rank among the distinct keys, by np.unique."""
     return np.unique(key, return_inverse=True)[1].reshape(-1)
+
+
+def unique_group_sums(key, masses):
+    """The masses of each distinct key, in key order, by np.add.reduceat
+    over the rows ordered stably by np.unique's inverse: the reference for
+    the sorted group-by."""
+    ranks = unique_ranks(key)
+    order = np.argsort(ranks, kind="stable")
+    return np.add.reduceat(masses[order], np.searchsorted(ranks[order], np.arange(ranks.max() + 1)))
+
+
+def assert_group_sums_near_fsum(sums, key, masses, ulps):
+    """Each group sum is within ``ulps`` units in the last place of the
+    correctly rounded sum of its masses."""
+    for k, got in zip(np.unique(key), sums):
+        want = math.fsum(masses[key == k])
+        assert abs(got - want) <= ulps * np.spacing(want), (k, got, want)
 
 
 def random_wide_support(rng):
@@ -609,7 +625,6 @@ def test_support_keys_and_ranks_match_ravel_and_unique():
             want, want_span = ravel_keys(support, chosen)
             assert span == want_span and key.dtype == np.intp
             assert np.array_equal(key, want)
-            assert np.array_equal(prob._ranks(key), unique_ranks(want))
     assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
     # Alphabets of 256 and 257 symbols: each partial key's type holds the
     # size it is multiplied by.
@@ -620,20 +635,27 @@ def test_support_keys_and_ranks_match_ravel_and_unique():
             assert np.array_equal(support.keys(names[:k])[0], ravel_keys(support, names[:k])[0])
 
 
-def test_sorted_ranks_on_nearly_sorted_and_repeated_keys():
+def test_group_sums_on_nearly_sorted_and_repeated_keys():
+    # Without a span the sums are those of the keys that occur, in key order;
+    # with one, the dense table, counted in row order at under 4,096 rows a cell.
     rng = np.random.default_rng(29)
     for n in (1, 2, 7, 1000):
         runs = np.sort(rng.integers(0, 50, n))
         swaps = rng.integers(0, n, n // 20 + 1)
         runs[swaps] = runs[swaps[::-1]]
         for key in (runs, runs[::-1].copy(), np.zeros(n, np.intp), rng.integers(0, 3, n)):
-            key = key.astype(np.intp)
-            assert np.array_equal(prob._ranks(key), unique_ranks(key))
+            key, masses = key.astype(np.intp), rng.random(n)
+            sums = prob._group_sum(key, masses)
+            assert np.array_equal(sums, unique_group_sums(key, masses))
+            assert_group_sums_near_fsum(sums, key, masses, 4)
+            table = prob._group_sum(key.copy(), masses, 50)
+            assert np.array_equal(table, np.bincount(key, masses, minlength=50))
 
 
 def test_large_marginals_sum_bit_for_bit_as_by_unique(monkeypatch):
-    # Every marginal takes the sorted path; its group sums are the bincount
-    # over np.unique's ranks of the ravelled key, bit for bit.
+    # Every marginal takes the sorted path; its group sums are np.add.reduceat
+    # over the rows ordered stably by np.unique's inverse of the ravelled
+    # key, bit for bit, and each is within a few ulps of math.fsum.
     monkeypatch.setattr(prob, "_DENSE_CELLS_PER_ROW", 0)
     monkeypatch.setattr(prob, "_SMALL_TABLE", 0)
     rng = np.random.default_rng(31)
@@ -643,8 +665,10 @@ def test_large_marginals_sum_bit_for_bit_as_by_unique(monkeypatch):
         for _ in range(6):
             s = frozenset(str(n) for n in rng.choice(support.names, int(rng.integers(1, 6)), False))
             names = tuple(n for n in support.names if n in s)
-            want = np.bincount(unique_ranks(ravel_keys(support, names)[0]), weights=support.masses)
-            assert np.array_equal(oracle._masses(s), want)
+            key = ravel_keys(support, names)[0]
+            got = oracle._masses(s)
+            assert np.array_equal(got, unique_group_sums(key, support.masses))
+            assert_group_sums_near_fsum(got, key, support.masses, 4)
 
 
 def test_large_keys_leaving_one_variable_out_are_derived():
