@@ -537,12 +537,23 @@ class _Support:
 
 def _group_sum(key: np.ndarray, masses: np.ndarray, span: Optional[int] = None) -> np.ndarray:
     """``masses`` summed by ``key``, the one place a support's masses are
-    added: with ``span``, the dense table over ``range(span)``; without, the
-    sums of the keys that occur, in key order, by one ``np.add.reduceat``
-    over the runs of a stable sort, fast on a row-major support's nearly
-    sorted keys."""
+    added.  With ``span``, the dense table over ``range(span)``: a
+    ``bincount`` in row order, or, when the cells average at least
+    ``_SUM_BLOCK`` rows, one count per block of that many rows with the
+    blocks then added pairwise, so that no running sum is long (``key`` is
+    overwritten then).  Without, the sums of the keys that occur, in key
+    order, by one ``np.add.reduceat`` over the runs of a stable sort, fast
+    on a row-major support's nearly sorted keys; it adds each run pairwise."""
     if span is not None:
-        return np.bincount(key, weights=masses, minlength=span)
+        if key.size < _SUM_BLOCK * span:
+            return np.bincount(key, weights=masses, minlength=span)
+        blocks = -(-key.size // _SUM_BLOCK)
+        key *= blocks  # the key of (cell, block), block last
+        whole = key[: (blocks - 1) * _SUM_BLOCK].reshape(blocks - 1, _SUM_BLOCK)
+        whole += np.arange(blocks - 1)[:, None]
+        key[whole.size :] += blocks - 1
+        table = np.bincount(key, weights=masses, minlength=span * blocks)
+        return np.add.reduce(table.reshape(span, blocks), axis=1)
     order = np.argsort(key, kind="stable")
     ordered = key[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
@@ -572,6 +583,9 @@ def _refuse_over_cap(cells: int, what: str) -> None:
 # size: summing one costs less than setting up a sort or a group-by.
 _DENSE_CELLS_PER_ROW = 4
 _SMALL_TABLE = 1 << 12
+# A running sum over n masses can be off by about n units in the last place;
+# a dense count adds at most this many rows in a row before pairing blocks.
+_SUM_BLOCK = 1 << 12
 
 
 class EntropyOracle:
@@ -621,10 +635,10 @@ class EntropyOracle:
             return table
         have = self._superset(s)
         support = self._support
-        # A group-by reads |S| codes per support row; summing a cached table
-        # that is not larger than that, or small anyway, is cheaper.
+        # Summing a cached table that has no more cells than the support has
+        # rows, or that is small anyway, is cheaper than a group-by.
         if have is not None and (
-            support is None or self._tables[have].size <= max(support.rows * len(s), _SMALL_TABLE)
+            support is None or self._tables[have].size <= max(support.rows, _SMALL_TABLE)
         ):
             names = tuple(n for n in self._order if n in have)
             return self._tables.setdefault(s, _sum_out(names, self._tables[have], s)[1])

@@ -671,6 +671,21 @@ def test_large_marginals_sum_bit_for_bit_as_by_unique(monkeypatch):
             assert_group_sums_near_fsum(got, key, support.masses, 4)
 
 
+def test_dense_group_sums_over_a_million_rows_a_cell_stay_near_fsum():
+    # A running sum of 10^6 masses drifts by hundreds of ulps; the dense
+    # count adds blocks of _SUM_BLOCK rows pairwise and stays within a few.
+    rng = np.random.default_rng(43)
+    n = 3_100_001  # over 10^6 rows in each of three cells, and a last partial block
+    masses = rng.random(n) * (2 / n)
+    codes = np.array([rng.integers(0, 3, n), rng.integers(0, 2, n)], np.uint8)
+    key = codes[0].astype(np.intp)
+    assert np.bincount(key).min() >= 10**6
+    got = EntropyOracle(_Support((("A", 3), ("B", 2)), codes, masses)).grouped([("A",)])
+    assert got.shape == (3,)
+    assert_group_sums_near_fsum(got, key, masses, 4)
+    assert np.array_equal(prob._group_sum(key.copy(), masses, 3), got)
+
+
 def test_large_keys_leaving_one_variable_out_are_derived():
     rng = np.random.default_rng(37)
     for _ in range(20):
