@@ -666,9 +666,17 @@ def casebook(
             raise ValueError(f"need 0 < p < 1, got p={p}")
         if L < 1:
             raise ValueError(f"need L >= 1, got L={L}")
+        # The distortion table has 2 * 3^L * 3 cells.  L is compared with the
+        # largest L the cap admits before any power is taken.
+        top = int(math.log(_MAX_TABLE_CELLS / 6, 3))
+        if L > top:
+            cells = f"{6 * 3**L:,}" if L <= 2 * top else f"6 * 3^{L:,}"
+            raise ValueError(
+                f"the erasure casebook's distortion table would have {cells} cells at L = {L:,}, "
+                f"over the cap of {_MAX_TABLE_CELLS:,}; L must be at most {top}"
+            )
         if not p**L <= D <= 1.0:
             raise ValueError(f"need p^L <= D <= 1, got D={D} with p^L={p**L}")
-        _refuse_over_cap(2 * 3**L * 3, "erasure casebook's distortion table")
         model = _erasure_model(p, L, lam)
         return CasebookInstance(model, _erasure_gamma(p, L, D), x_channel_from_sources(model, ("Y0",)))
     raise ValueError(f"unknown casebook instance {name!r}")

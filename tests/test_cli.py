@@ -638,6 +638,17 @@ def test_model_file_with_a_huge_L_exits_1_at_once(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("L", ["10000000", "1000000000"])
+def test_info_dump_with_a_huge_L_exits_1_at_once(tmp_path, L):
+    # The erasure casebook compares L with the largest L the table cap
+    # admits before any power of 3 is taken; 3^(10^9) has 477 M digits.
+    done = run_process("info", "--dump", "erasure", "--out", str(tmp_path / "er"), "--L", L,
+                       timeout=60, preexec_fn=cap_address_space)
+    assert done.returncode == 1, done.stderr
+    assert f"at L = {int(L):,}, over the cap of 33,554,432; L must be at most 14" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "in_gamma, field, bad, named",
     [
@@ -672,7 +683,7 @@ FUZZ_BASES = {
     "erasure-curve": ("erasure-ceo", {"--p": "0.5", "--L": "1,2", "--curve": "5"}),
 }
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-308", "5e-324",
-               "", ",", "x", "1,,2")
+               "1000000000", "100000000000000000000000", "", ",", "x", "1,,2")
 
 
 def _refuse_constant(name):
@@ -704,6 +715,53 @@ def test_closed_form_flag_fuzz(capsys, base, fmt):
                 json.loads(out, parse_constant=_refuse_constant)
             else:
                 _assert_finite_csv(out)
+
+
+# The same fuzz of the numeric and list flags of info and optimize, each run
+# under the file mutator's alarm.  An encoder count that info would build a
+# casebook from runs in a process capped at 1 GiB instead: an alarm does not
+# interrupt a power of 3 being taken.
+FLAG_FUZZ = {
+    "info": {"--p": "0.5", "--L": "2", "--D": "0.6", "--lam": "1e6"},
+    "optimize": {"--caps": "0.6", "--cardinalities": "3,3", "--budget": "20", "--seed": "1"},
+}
+
+
+def builds_by_L(flag, value):
+    return flag == "--L" and value.isdigit() and int(value) > 0
+
+
+@pytest.mark.parametrize("command", list(FLAG_FUZZ))
+def test_info_and_optimize_flag_fuzz(tmp_path, capsys, command):
+    prefix = str(tmp_path / "er")
+    assert run(capsys, "info", "--dump", "erasure", "--out", prefix)[0] == 0
+    fixed = {"info": ("--dump", "erasure", "--out", prefix + ".fuzz"),
+             "optimize": ("--model", prefix + ".model.json")}[command]
+    flags = FLAG_FUZZ[command]
+    previous = signal.signal(signal.SIGALRM, raise_hung)
+    try:
+        for flag in flags:
+            for value in FUZZ_VALUES:
+                argv = [command, *fixed, *(f"{f}={value if f == flag else v}" for f, v in flags.items())]
+                if builds_by_L(flag, value):
+                    done = run_process(*argv, timeout=60, preexec_fn=cap_address_space)
+                    code, out, err = done.returncode, done.stdout, done.stderr
+                else:
+                    signal.setitimer(signal.ITIMER_REAL, 2.0)
+                    try:
+                        code, out, err = run(capsys, *argv)
+                    except Exception as exc:
+                        pytest.fail(f"{exc!r} escaped main on {argv}")
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code in (0, 1), (argv, code, err)
+                assert "Traceback" not in out + err, argv
+                if code == 1:
+                    assert "error:" in err and "math domain error" not in err, (argv, err)
+                elif command == "optimize":
+                    json.loads(out, parse_constant=_refuse_constant)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sum_rate_curve_over_the_table_cap_exits_1_at_once():
