@@ -667,7 +667,8 @@ def casebook(
         if L < 1:
             raise ValueError(f"need L >= 1, got L={L}")
         # The distortion table has 2 * 3^L * 3 cells.  L is compared with the
-        # largest L the cap admits before any power is taken.
+        # largest L the cap admits before any power is taken, and the count
+        # is written out only while it is short.
         top = int(math.log(_MAX_TABLE_CELLS / 6, 3))
         if L > top:
             cells = f"{6 * 3**L:,}" if L <= 2 * top else f"6 * 3^{L:,}"
