@@ -10,6 +10,7 @@ only the PASS/FAIL lines of ``repro`` print 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -371,10 +372,17 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by ``build_parser`` on first use.
+    Each ``parse_args`` makes a fresh ``Namespace``, so no parsed value
+    carries over from one ``main`` call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "repro" and args.out is not None and args.target != "erasure-figure":
             raise _UsageError(f"--out is read only by the erasure-figure target, not {args.target!r}")
         if args.command == "info" and args.out is not None and not args.dump:

@@ -27,6 +27,7 @@ from mtsc_bounds import (
     __version__,
     optimize_bt_inner_sum_rate,
 )
+from mtsc_bounds import cli
 from mtsc_bounds.cli import main
 
 LN2 = math.log(2.0)
@@ -861,6 +862,125 @@ def test_optimize_json_and_csv_agree_bit_for_bit(tmp_path, capsys, caps, feasibl
         [label, hexed(value)] for label, value in table[1:]]
 
 
+# main parses with one parser per process, built on first use; each parse
+# makes a fresh Namespace.  A run of calls through it gives the same exit
+# codes and bytes as the same calls through a fresh parser each.
+
+
+@pytest.fixture
+def uncached_parser():
+    """An empty parser cache before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, whether it returns or
+    exits (``--help`` and ``--version`` exit through argparse)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def through_both_parsers(monkeypatch, capsys, argvs, files=()):
+    """Exit code, stdout, stderr and the bytes of ``files`` (removed after)
+    of each argv in turn: first through the cached parser, then through a
+    fresh parser per call."""
+    results = []
+    for fresh in (False, True):
+        with monkeypatch.context() as patch:
+            if fresh:
+                patch.setattr(cli, "_parser", cli.build_parser)
+            calls = []
+            for argv in argvs:
+                result = outcome(capsys, argv)
+                written = [Path(f).read_bytes() if os.path.exists(f) else None for f in files]
+                calls.append((*result, written))
+                for f in files:
+                    if os.path.exists(f):
+                        os.remove(f)
+            results.append(calls)
+    return results
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys, uncached_parser):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for argv in (["info"], ["erasure-ceo", "--p", "0.5", "--L", "2", "--D", "0.6"], ["repro", "nope"],
+                 ["gaussian-ceo", "--sigma2", "1", "--noise", "1,1", "--D", "0.5"], ["--help"]):
+        outcome(capsys, argv)
+    assert len(built) == 1
+    assert cli._parser() is cli._parser()
+    # build_parser still returns a new parser on each call.
+    assert build() is not build()
+
+
+def test_no_parsed_value_carries_over_between_calls(tmp_path, monkeypatch, capsys, uncached_parser):
+    prefix = str(tmp_path / "er")
+    main(["info", "--dump", "erasure", "--out", prefix, "--p", "0.5", "--L", "3", "--D", "0.3"])
+    capsys.readouterr()
+    model, gamma, x = (f"{prefix}.{part}.json" for part in ("model", "gamma", "x"))
+    csv_out, dumped = str(tmp_path / "bounds.csv"), str(tmp_path / "P")
+    argvs = [
+        ["bounds", "--model", model, "--gamma", gamma, "--x", x, "--kind", "new-outer", "--bits",
+         "--format", "csv", "--out", csv_out],
+        ["bounds", "--model", model, "--gamma", gamma, "--kind", "bt-inner"],
+        ["repro", "toy", "--out", str(tmp_path / "x")],
+        ["repro", "toy"],
+        ["info", "--dump", "erasure", "--L", "3", "--out", dumped],
+        ["info"],
+        ["erasure-ceo", "--p", "0.5", "--curve", "3", "--L", "1,2"],
+        ["erasure-ceo", "--p", "0.5", "--D", "0.6", "--L", "2"],
+    ]
+    files = [csv_out] + [f"{dumped}.{part}.json" for part in ("model", "gamma", "x")]
+    cached, fresh = through_both_parsers(monkeypatch, capsys, argvs, files)
+    assert cached == fresh
+    assert [code for code, _, _, _ in cached] == [0, 0, 1, 0, 0, 0, 0, 0]
+    # The second call of each pair reads none of the first's flags.
+    (_, _, _, csv_written), (_, bounds_json, _, bounds_written) = cached[0:2]
+    assert csv_written[0].startswith(b"subset,bound_bits\n") and bounds_written == [None] * 4
+    assert json.loads(bounds_json)["bounds"][0].keys() == {"A", "bound_nats"}
+    assert cached[3][1].endswith("PASS\n") and not (tmp_path / "x").exists()
+    (_, _, _, dump_written), (_, _, _, info_written) = cached[4:6]
+    assert dump_written[0] is None and None not in dump_written[1:] and info_written == [None] * 4
+    assert isinstance(json.loads(cached[6][1]), list)
+    assert json.loads(cached[7][1]).keys() == {"p", "L", "D", "sum_rate_nats"}
+    # Two parses in a row give two namespaces, the second without the first's flags.
+    first = cli._parser().parse_args(["erasure-ceo", "--p", "0.5", "--curve", "3", "--L", "1,2"])
+    second = cli._parser().parse_args(["info"])
+    assert first is not second and not hasattr(second, "curve") and second.dump is None
+
+
+# One --help, --version and usage error of the CLI and of each subcommand.
+HELP_AND_USAGE = (
+    ["--help"], ["--version"], [], ["nope"],
+    *([command, "--help"] for command in ("info", "bounds", "erasure-ceo", "gaussian-ceo", "repro",
+                                          "optimize")),
+    ["info", "--L", "two"],
+    ["bounds", "--kind", "bt-inner"],
+    ["erasure-ceo", "--p", "0.5", "--L", "2"],
+    ["gaussian-ceo", "--sigma2", "1", "--noise", "1,1"],
+    ["repro", "nope"],
+    ["optimize", "--model", "m.json", "--caps", "0.6"],
+)
+
+
+def test_help_and_usage_text_is_the_same_through_the_cached_parser(monkeypatch, capsys, uncached_parser):
+    cached, fresh = through_both_parsers(monkeypatch, capsys, HELP_AND_USAGE)
+    assert cached == fresh
+    for argv, (code, out, err, _) in zip(HELP_AND_USAGE, cached):
+        if "--help" in argv or "--version" in argv:
+            assert code == 0 and out and err == "", argv
+        else:
+            assert code == 1 and out == "" and err.startswith("usage: mtsc"), argv
+            assert "error:" in err, argv
+
+
 # A seeded mutator of the files that `bounds` and `optimize` read: one field
 # of a dumped casebook file at a time is replaced or deleted, and every
 # command that reads the file must exit 0, 1 or 2, saying why on a nonzero
@@ -916,7 +1036,7 @@ FOUND_MUTANTS = (
 
 def test_file_mutants_exit_cleanly(tmp_path, capsys):
     # 700 mutated files, each through every command that reads it: over
-    # 2,000 runs.  Building the parser is most of each in-process run.
+    # 2,000 runs, all through the process's one parser.
     cases, docs, runs = [], {}, 0
     for name in ("toy_bt_gamma", "appendix_c"):
         inst = mtsc_bounds.casebook(name)

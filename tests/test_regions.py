@@ -232,6 +232,29 @@ def test_full_observation_identity():
             assert bound == pytest.approx(bo.subset_bounds[mask], abs=1e-10)
 
 
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_both_reductions_at_more_encoders(L):
+    # The two reductions behind "subsumes the classical outer bound", at
+    # 1e-12 on every subset: W deterministic with X = Y0 gives the inner-bound
+    # constraints, and X the whole observation vector gives the outer-bound
+    # constraints.
+    rng = np.random.default_rng(400 + L)
+    for trial in range(10):
+        model = random_ceo_model(rng, L=L, side=1 + trial % 2)
+        inner_gamma = random_gamma(rng, model, w_size=1, t_size=2)
+        no = new_outer_constraints(model, x_channel_from_sources(model, ("Y0",)), inner_gamma)
+        bi = bt_inner_constraints(model, inner_gamma)
+        assert no.subset_bounds.keys() == bi.subset_bounds.keys()
+        for mask, bound in no.subset_bounds.items():
+            assert abs(bound - bi.subset_bounds[mask]) <= 1e-12, (trial, mask)
+        outer_gamma = random_gamma(rng, model, w_size=2, t_size=2)
+        no = new_outer_constraints(model, x_channel_full_observation(model), outer_gamma)
+        bo = bt_outer_constraints(model, outer_gamma)
+        assert no.subset_bounds.keys() == bo.subset_bounds.keys()
+        for mask, bound in no.subset_bounds.items():
+            assert abs(bound - bo.subset_bounds[mask]) <= 1e-12, (trial, mask)
+
+
 def test_new_outer_can_exceed_bt_outer_for_other_x():
     # For a fixed system the improved bound is NOT dominated by the classical
     # one subset-by-subset: exceeding it is what makes the improvement
