@@ -42,8 +42,12 @@ Variable = tuple[Name, int]
 
 
 def _whole(value, field: str) -> int:
-    """``int(value)``, refusing a number it would truncate by naming ``field``."""
-    n = int(value)
+    """``int(value)``, refusing a number it would truncate, or an infinity,
+    by naming ``field``."""
+    try:
+        n = int(value)
+    except OverflowError:
+        n = None
     if not isinstance(value, str) and n != value:
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return n

@@ -30,7 +30,7 @@ from .model import (
     encoder_names,
     source_names,
 )
-from .prob import Channel, JointPmf, _lattice_entropies, _refuse_over_cap, _sum_plogp
+from .prob import Channel, JointPmf, _lattice_entropies, _refuse_over_cap, _sum_plogp, _whole
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 SUPERMODULAR_SLACK = 1e-9  # a pair may fall short of supermodular by this
@@ -382,7 +382,7 @@ _MAX_SEARCH_DISTORTION = 1e280
 class _Point:
     """One evaluated kernel set: its forward pass and what the search reads."""
 
-    kernels: list[np.ndarray]
+    kernels: np.ndarray  # the L kernels' rows, one kernel after another
     q: np.ndarray  # forward result over (side, c, u1..uL flattened)
     lefts: list[np.ndarray]  # left factor of every forward step
     costs: list[np.ndarray]  # per-k decoder cost tables over (side, z_k, u)
@@ -406,12 +406,17 @@ class _InnerEvaluator:
     e_k(y, side, z_k) = sum_y0 p(y0, y, side) d_k(y0, y, side, z_k).  Only Y0
     is summed ahead of time, so this holds for every model.  Contracting the
     tensor with the L kernels gives p(u, side) and every decoder cost at once.
+
+    A kernel set is one flat array: kernel l's rows, row-major, fill
+    ``flat[ends[l]:ends[l + 1]]``, and ``split`` views it as L (|Y_l|, |U_l|)
+    matrices, so every per-entry step runs once over the whole set.  The last
+    forward pass is kept, keyed by the bytes of its kernel set.
     """
 
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
         self.model = model
         self.L = model.L
-        self.cards = tuple(int(c) for c in cardinalities)
+        self.cards = tuple(_whole(c, "cardinalities") for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
         if not _support_is_smaller(model.joint.product(_ONE_CELL_WT)):  # the check's root is dense
@@ -440,6 +445,17 @@ class _InnerEvaluator:
         # forward result, at the decoder's choice of c.
         self.side_rows = np.arange(p_side.size)[:, None]
         self.u_cols = np.arange(math.prod(self.cards))
+        self.sizes = [y * u for y, u in zip(self.y_sizes, self.cards)]
+        self.ends = np.cumsum([0] + self.sizes).tolist()
+        # p(y_l) on each row of kernel l, for the kernel entropies and their gradient.
+        self.weights = np.concatenate([np.repeat(p, u) for p, u in zip(self.p_y, self.cards)])
+        self.smooth_floor = self.floor(1e-3)  # the zero-mass smoothing's uniform share
+        # The first forward step's left factor is the tensor itself.
+        self.left0 = self.table.reshape(self.y_sizes[0], -1)
+        self.left0_t = self.left0.T
+        # The last forward pass, (q, lefts, costs, rate, dists), and the bytes
+        # of its kernel set; points that share it only read it.
+        self._last_key, self._last = None, None
 
     @property
     def seed_mass(self) -> float:
@@ -449,28 +465,36 @@ class _InnerEvaluator:
         dmax = max(float(t.max()) for t in self.model.distortions)
         return min(1e-6, 1e-2 / max(1.0, dmax))
 
-    def identity_kernels(self) -> list[np.ndarray]:
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views."""
+        return [
+            flat[a:b].reshape(y, -1) for a, b, y in zip(self.ends, self.ends[1:], self.y_sizes)
+        ]
+
+    def floor(self, mass: float) -> np.ndarray:
+        """mass / |U_l| on every entry of kernel l: the uniform kernel's
+        share in a mix that gives it weight ``mass``."""
+        return np.repeat([mass / n for n in self.cards], self.sizes)
+
+    def identity_kernels(self) -> np.ndarray:
         """Slightly softened copy kernels u = y mod |U|.
 
         The softening keeps every symbol alive for the multiplicative
         updates; the copy structure makes the start low-distortion.
         """
         soft = self.seed_mass
-        kernels = []
-        for l in range(self.L):
-            n_u = self.cards[l]
-            ker = np.full((self.y_sizes[l], n_u), soft / n_u)
-            ker[np.arange(self.y_sizes[l]), np.arange(self.y_sizes[l]) % n_u] += 1.0 - soft
-            kernels.append(ker)
-        return kernels
+        flat = self.floor(soft)
+        for y_size, ker in zip(self.y_sizes, self.split(flat)):
+            ker[np.arange(y_size), np.arange(y_size) % ker.shape[1]] += 1.0 - soft
+        return flat
 
-    def random_kernels(self, rng) -> list[np.ndarray]:
-        return [
-            rng.dirichlet(np.ones(self.cards[l]), size=self.y_sizes[l])
-            for l in range(self.L)
-        ]
+    def random_kernels(self, rng) -> np.ndarray:
+        return np.concatenate(
+            [rng.dirichlet(np.ones(u), size=y) for y, u in zip(self.y_sizes, self.cards)],
+            axis=None,
+        )
 
-    def _forward(self, kernels) -> tuple[np.ndarray, list[np.ndarray]]:
+    def _forward(self, flat) -> tuple[np.ndarray, list[np.ndarray]]:
         """Contract the tensor with every kernel, one matmul per encoder.
 
         Step l multiplies the tensor, reshaped with the Y_l axis in front,
@@ -478,32 +502,50 @@ class _InnerEvaluator:
         front.  Returns the result over (side, c, u1..uL) with the U axes
         flattened, and the 2-D left factor of every step for the gradient.
         """
-        b = self.table
-        lefts = []
-        for y_size, ker in zip(self.y_sizes, kernels):
+        kernels = self.split(flat)
+        b = self.left0_t @ kernels[0]
+        lefts = [self.left0]
+        for y_size, ker in zip(self.y_sizes[1:], kernels[1:]):
             left = b.reshape(y_size, -1)
             lefts.append(left)
             b = left.T @ ker
         return b.reshape(len(self.ln_ps1), self.table.shape[-1], -1), lefts
 
-    def point(self, kernels, slopes) -> _Point:
-        """One forward pass at these kernels: rate, per-k Bayes distortions
-        and rate + slopes . dists, with the pass kept for the gradient and
-        the decoder.
+    def point(self, flat, slopes) -> _Point:
+        """One forward pass at the kernel set ``flat``: rate, per-k Bayes
+        distortions and rate + slopes . dists, with the pass kept for the
+        gradient and the decoder.  A set with the bytes of the last one
+        evaluated reuses its pass.
 
         The rate is I(Y; U | side) = H(U, side) - H(side) - sum_l H(U_l | Y_l),
-        because the encoders act on disjoint observations.
+        because the encoders act on disjoint observations.  Each H(U_l | Y_l)
+        sums its own kernel's terms, as ``_sum_plogp`` would.
         """
-        q, lefts = self._forward(kernels)
-        own = sum(
-            _sum_plogp(p[:, None] * ker) - h for p, h, ker in zip(self.p_y, self.h_y, kernels)
-        )
-        rate = _sum_plogp(q[:, 0]) - self.h_side - own
-        costs = [q[:, ch] for ch in self.channels]
-        dists = tuple(float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs)
-        return _Point(kernels, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
+        key = flat.tobytes()
+        if key != self._last_key:
+            q, lefts = self._forward(flat)
+            masses = self.weights * flat
+            positive = masses > 0.0
+            masses = masses[positive]
+            terms = np.log(masses)
+            terms *= masses
+            ends = self.ends
+            if masses.size < flat.size:
+                ends = [0] + np.cumsum(positive)[np.subtract(ends[1:], 1)].tolist()
+            own = sum(
+                -float(np.add.reduce(terms[a:b])) - h
+                for a, b, h in zip(ends, ends[1:], self.h_y)
+            )
+            rate = _sum_plogp(q[:, 0]) - self.h_side - own
+            costs = [q[:, ch] for ch in self.channels]
+            dists = tuple(
+                float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs
+            )
+            self._last_key, self._last = key, (q, lefts, costs, rate, dists)
+        q, lefts, costs, rate, dists = self._last
+        return _Point(flat, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
 
-    def gradient(self, point: _Point, slopes) -> list[np.ndarray]:
+    def gradient(self, point: _Point, slopes) -> np.ndarray:
         """Exact kernel-space gradient of rate + slopes . dists at ``point``.
 
         With the Bayes decoder of the point fixed, the value depends on the
@@ -513,9 +555,9 @@ class _InnerEvaluator:
         per kernel for its gradient and one to step back.  The kernel
         entropies add p(y_l) (ln K_l + 1).  Logarithms are floored so
         boundary points (exact zeros in kernels) get finite pull-in/push-out
-        coefficients.
+        coefficients.  The gradient is laid out as the kernel set is.
         """
-        kernels, q, costs = point.kernels, point.q, point.costs
+        flat, q, costs = point.kernels, point.q, point.costs
         # Decoder choices for the gradient are the true Bayes argmins, except
         # on zero-mass decoder profiles, where the argmin is arbitrary and an
         # adversarial pick (large penalties) would wall off every unused
@@ -523,8 +565,7 @@ class _InnerEvaluator:
         argmins = [c.argmin(axis=1) for c in costs]  # axes (side, u)
         dead = [np.maximum.reduce(c, axis=1) == 0.0 for c in costs]
         if any(d.any() for d in dead):
-            smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
-            q_smooth, _ = self._forward(smoothed)
+            q_smooth, _ = self._forward((1.0 - 1e-3) * flat + self.smooth_floor)
             for k, ch in enumerate(self.channels):
                 argmins[k] = np.where(dead[k], q_smooth[:, ch].argmin(axis=1), argmins[k])
 
@@ -532,14 +573,16 @@ class _InnerEvaluator:
         f[:, 0] = self.ln_ps1[:, None] - (np.log(np.maximum(q[:, 0], 1e-300)) + 1.0)
         for k, ch in enumerate(self.channels):
             f[:, ch][self.side_rows, argmins[k], self.u_cols] = slopes[k]
-        grads = [None] * self.L
+        grad = np.log(np.maximum(flat, 1e-300))
+        grad += 1.0
+        grad *= self.weights
+        grads, kernels = self.split(grad), self.split(flat)
         g = f.reshape(-1, self.cards[-1])  # d value / d (output of step L)
         for l in range(self.L - 1, -1, -1):
-            ln_k1 = np.log(np.maximum(kernels[l], 1e-300)) + 1.0
-            grads[l] = point.lefts[l] @ g + self.p_y[l][:, None] * ln_k1
+            grads[l] += point.lefts[l] @ g
             if l:
                 g = (kernels[l] @ g.T).reshape(-1, self.cards[l - 1])
-        return grads
+        return grad
 
     def bayes_decoder(self, point: _Point) -> Channel:
         """The deterministic Bayes decoder of ``point``: one one-hot row per
@@ -554,12 +597,8 @@ class _InnerEvaluator:
 
     def as_aux_system(self, point: _Point) -> AuxSystem:
         encoders = tuple(
-            Channel(
-                ((f"Y{l}", self.y_sizes[l - 1]), ("W", 1), ("T", 1)),
-                (f"U{l}", self.cards[l - 1]),
-                point.kernels[l - 1],
-            )
-            for l in range(1, self.L + 1)
+            Channel(((f"Y{l}", ker.shape[0]), ("W", 1), ("T", 1)), (f"U{l}", ker.shape[1]), ker)
+            for l, ker in enumerate(self.split(point.kernels), start=1)
         )
         return AuxSystem(_ONE_CELL_WT, encoders, self.bayes_decoder(point))
 
@@ -589,23 +628,26 @@ class _SearchState:
         return self.evals >= self.budget
 
 
-def _mirror_step(kernels, grads, step) -> tuple[list[np.ndarray], float]:
-    """The kernels K exp(-step G), each row renormalized, and the total L1
-    distance they moved.  The exponent is clipped to [-700, 700]: each row
-    sums to 1 and its logs are at least -700, so no row sum is 0.  One pass
-    per kernel, in place, with the ufuncs called directly."""
-    cand, move = [], 0.0
-    for k, g in zip(kernels, grads):
-        c = -step * g
-        np.maximum(c, -700.0, out=c)
-        np.minimum(c, 700.0, out=c)
-        np.exp(c, out=c)
-        c *= k
-        c /= np.add.reduce(c, axis=1, keepdims=True)
-        cand.append(c)
-        d = c - k
-        move += float(np.add.reduce(np.abs(d, out=d), axis=None))
-    return cand, move
+def _mirror_step(evaluator, kernels, grads, step) -> tuple[np.ndarray, float]:
+    """The kernel set K exp(-step G), each row renormalized, and the total L1
+    distance it moved.  The exponent is clipped to [-700, 700]: each row
+    sums to 1 and its logs are at least -700, so no row sum is 0.  The
+    per-entry steps run once over the flat set, in place, with the ufuncs
+    called directly; each row sum, and each kernel's share of the move, is
+    reduced on its own."""
+    c = -step * grads
+    np.maximum(c, -700.0, out=c)
+    np.minimum(c, 700.0, out=c)
+    np.exp(c, out=c)
+    c *= kernels
+    for view in evaluator.split(c):
+        view /= np.add.reduce(view, axis=1, keepdims=True)
+    d = c - kernels
+    np.abs(d, out=d)
+    move = 0.0
+    for a, b in zip(evaluator.ends, evaluator.ends[1:]):
+        move += float(np.add.reduce(d[a:b]))
+    return c, move
 
 
 def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
@@ -631,7 +673,7 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
         for _bt in range(60):
             if state.exhausted:
                 break
-            cand, move = _mirror_step(point.kernels, grads, step)
+            cand, move = _mirror_step(evaluator, point.kernels, grads, step)
             if move <= 1e-15:
                 break
             trial = evaluator.point(cand, slopes)
@@ -662,13 +704,14 @@ def _slope_search(evaluator, kernels, state):
     the final polish at the bracketed slopes runs only while budget remains.
     """
     eps = evaluator.seed_mass
+    floor = evaluator.floor(eps)
 
-    def soften(mats):
+    def soften(flat):
         # Multiplicative updates cannot regrow a symbol once its mass hits
         # exact zero; re-seeding a trace of every symbol at solve boundaries
         # lets supports killed at one slope return at another, while symbols
         # that should stay dead are re-killed within an iteration.
-        return [(1.0 - eps) * m + eps / m.shape[1] for m in mats]
+        return (1.0 - eps) * flat + floor
 
     K = len(state.caps)
     slopes = np.full(K, 64.0)
@@ -728,13 +771,14 @@ def optimize_bt_inner_sum_rate(
     begins only while some remains.  The result is an upper estimate of the
     inner-bound optimum: every reported point is achievable.  Deterministic
     given ``seed``; of equal points the earliest wins.  Raises
-    ``ValueError`` on a negative ``seed``, or when the search's forward
-    table, or the dense joint of the result's check, would have more than
-    2^25 cells.
+    ``ValueError`` on a non-integral ``cardinalities`` entry, ``budget`` or
+    ``seed``, on a negative ``seed``, or when the search's forward table, or
+    the dense joint of the result's check, would have more than 2^25 cells.
     """
     caps = tuple(float(c) for c in distortion_caps)
     if len(caps) != model.K or any(math.isnan(c) for c in caps):
         raise ValueError(f"need {model.K} distortion caps, none NaN, got {caps}")
+    budget, seed = _whole(budget, "budget"), _whole(seed, "seed")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if seed < 0:

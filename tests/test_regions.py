@@ -1,5 +1,6 @@
 """Tests for constraint evaluators, vertices, classical bounds, and the optimizer."""
 
+import dataclasses
 import json
 import math
 import os
@@ -1109,10 +1110,11 @@ def random_source_model(rng, L, K, side):
 
 
 def zeroed_kernels(rng, ev):
-    """Random kernels with exact zeros: an unused column where |U_l| > 1 (so
-    some decoder profiles carry no mass) and scattered zero entries."""
-    kernels = ev.random_kernels(rng)
-    for ker in kernels:
+    """A random flat kernel set with exact zeros: an unused column where
+    |U_l| > 1 (so some decoder profiles carry no mass) and scattered zero
+    entries."""
+    flat = ev.random_kernels(rng)
+    for ker in ev.split(flat):
         if ker.shape[1] > 1:
             ker[:, rng.integers(ker.shape[1])] = 0.0
             ker[rng.random(ker.shape) < 0.2] = 0.0
@@ -1120,7 +1122,12 @@ def zeroed_kernels(rng, ev):
             if row.sum() == 0.0:
                 row[rng.integers(ker.shape[1])] = 1.0
         ker /= ker.sum(axis=1, keepdims=True)
-    return kernels
+    return flat
+
+
+def joined(kernels):
+    """A list of kernels as one flat kernel set: the rows of each in turn."""
+    return np.concatenate(kernels, axis=None)
 
 
 class DenseInnerEvaluator:
@@ -1218,12 +1225,13 @@ def test_optimizer_matches_the_dense_evaluator(L, K):
         ev = _InnerEvaluator(model, cards)
         dense = DenseInnerEvaluator(model, cards)
         slopes = rng.uniform(0.5, 5.0, size=K)
-        for kernels in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
-            point = ev.point(kernels, slopes)
+        for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
+            kernels = ev.split(flat)
+            point = ev.point(flat, slopes)
             want_rate, want_dists = dense.evaluate(kernels)
             assert point.rate == pytest.approx(want_rate, abs=1e-12)
             assert point.dists == pytest.approx(want_dists, abs=1e-12)
-            grads = ev.gradient(point, slopes)
+            grads = ev.split(ev.gradient(point, slopes))
             want = dense.lagrangian_grad(kernels, slopes)
             assert (point.value, point.rate) == pytest.approx((want[0], want[2]), abs=1e-12)
             assert point.dists == pytest.approx(want[3], abs=1e-12)
@@ -1249,7 +1257,7 @@ def test_optimizer_gradient_matches_finite_differences():
         kernels = [rng.dirichlet(np.ones(3), n) * 0.8 + 0.2 / 3 for n in ev.y_sizes]
         kernels = [k / k.sum(axis=1, keepdims=True) for k in kernels]
         slopes = np.linspace(1.3, 2.1, model.K)
-        grads = ev.gradient(ev.point(kernels, slopes), slopes)
+        grads = ev.split(ev.gradient(ev.point(joined(kernels), slopes), slopes))
         eps = 1e-7
         for m in range(model.L):
             for i in range(ev.y_sizes[m]):
@@ -1261,7 +1269,9 @@ def test_optimizer_gradient_matches_finite_differences():
                     km = [k.copy() for k in kernels]
                     km[m][i, j] -= eps
                     km[m][i, j + 1] += eps
-                    fd = (ev.point(kp, slopes).value - ev.point(km, slopes).value) / (2 * eps)
+                    fd = (
+                        ev.point(joined(kp), slopes).value - ev.point(joined(km), slopes).value
+                    ) / (2 * eps)
                     want = grads[m][i, j] - grads[m][i, j + 1]
                     assert fd == pytest.approx(want, abs=1e-6)
 
@@ -1275,10 +1285,23 @@ def wrapped_sum_plogp(masses):
     return float(-terms.sum())
 
 
+def wrapped_forward(ev, kernels):
+    """The optimizer's former forward chain over a list of kernels, each
+    step's left factor a reshape of the last product, kept as a test-only
+    oracle."""
+    b = ev.table
+    lefts = []
+    for y_size, ker in zip(ev.y_sizes, kernels):
+        left = b.reshape(y_size, -1)
+        lefts.append(left)
+        b = left.T @ ker
+    return b.reshape(len(ev.ln_ps1), ev.table.shape[-1], -1), lefts
+
+
 def wrapped_point(ev, kernels, slopes):
     """The optimizer's former forward pass, through numpy's Python-level
     wrappers (``ndarray.sum`` and ``min``), kept as a test-only oracle."""
-    q, lefts = ev._forward(kernels)
+    q, lefts = wrapped_forward(ev, kernels)
     own = sum(
         wrapped_sum_plogp(p[:, None] * ker) - h for p, h, ker in zip(ev.p_y, ev.h_y, kernels)
     )
@@ -1296,7 +1319,7 @@ def wrapped_gradient(ev, point, slopes):
     dead = [c.max(axis=1) == 0.0 for c in costs]
     if any(np.any(d) for d in dead):
         smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
-        q_smooth, _ = ev._forward(smoothed)
+        q_smooth, _ = wrapped_forward(ev, smoothed)
         for k, ch in enumerate(ev.channels):
             argmins[k] = np.where(dead[k], q_smooth[:, ch].argmin(axis=1), argmins[k])
     f = np.zeros_like(q)
@@ -1322,6 +1345,23 @@ def wrapped_mirror_step(kernels, grads, step):
     return cand, move
 
 
+# Adapters that run the list-based oracles above on flat kernel sets.
+
+
+def flat_wrapped_point(ev, flat, slopes):
+    return dataclasses.replace(wrapped_point(ev, ev.split(flat), slopes), kernels=flat)
+
+
+def flat_wrapped_gradient(ev, point, slopes):
+    listed = dataclasses.replace(point, kernels=ev.split(point.kernels))
+    return joined(wrapped_gradient(ev, listed, slopes))
+
+
+def flat_wrapped_mirror_step(ev, flat, grads, step):
+    cand, move = wrapped_mirror_step(ev.split(flat), ev.split(grads), step)
+    return joined(cand), move
+
+
 def same_bits(got, want):
     """Equal shape, dtype and bytes, so -0.0 and 0.0 differ."""
     if isinstance(got, float):
@@ -1341,52 +1381,107 @@ def test_entropy_kernel_matches_the_wrapped_sum_bit_for_bit():
 @pytest.mark.parametrize("K", [1, 2])
 def test_evaluation_loop_matches_the_wrapped_oracle_bit_for_bit(L, K):
     rng = np.random.default_rng(2100 + 10 * L + K)
-    dead_seen = False
-    for trial in range(6):
+    dead_seen = pairwise_seen = False
+    # Six trials draw |U_l| from 2..4, four more from 2..9: rows of 8 or more
+    # entries are summed pairwise by numpy.
+    for trial, top in enumerate([5] * 6 + [10] * 4):
         model = random_source_model(rng, L, K, side=1 + trial % 2)
-        ev = _InnerEvaluator(model, [int(c) for c in rng.integers(2, 5, size=L)])
+        ev = _InnerEvaluator(model, [int(c) for c in rng.integers(2, top, size=L)])
+        pairwise_seen |= max(ev.cards) >= 8
         assert all(same_bits(h, wrapped_sum_plogp(p)) for h, p in zip(ev.h_y, ev.p_y))
         slopes = rng.uniform(0.5, 5.0, size=K)
-        for kernels in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
-            got, want = ev.point(kernels, slopes), wrapped_point(ev, kernels, slopes)
+        for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
+            kernels = ev.split(flat)
+            got, want = ev.point(flat, slopes), wrapped_point(ev, kernels, slopes)
             assert same_bits(got.q, want.q)
             assert all(same_bits(a, b) for a, b in zip(got.costs, want.costs))
             for a, b in zip((got.rate, got.value) + got.dists, (want.rate, want.value) + want.dists):
                 assert same_bits(a, b)
             dead_seen |= any(bool((c.max(axis=1) == 0.0).any()) for c in got.costs)
             grads, want_grads = ev.gradient(got, slopes), wrapped_gradient(ev, want, slopes)
-            assert all(same_bits(a, b) for a, b in zip(grads, want_grads))
-            steps = [(t, grads, want_grads) for t in (1e-3, 0.5, 1e8)]
+            assert all(same_bits(a, b) for a, b in zip(ev.split(grads), want_grads))
+            steps = [(t, grads, joined(want_grads)) for t in (1e-3, 0.5, 1e8)]
             # Exponents of up to 900 in size: some rows clipped at one end only.
-            wide = [rng.uniform(-900.0, 900.0, size=k.shape) for k in kernels]
+            wide = rng.uniform(-900.0, 900.0, size=flat.shape)
             steps.append((1.0, wide, wide))
             for step, g_got, g_want in steps:
-                cand, move = _mirror_step(kernels, g_got, step)
-                want_cand, want_move = wrapped_mirror_step(kernels, g_want, step)
+                cand, move = _mirror_step(ev, flat, g_got, step)
+                want_cand, want_move = flat_wrapped_mirror_step(ev, flat, g_want, step)
                 assert same_bits(move, want_move)
-                assert all(same_bits(a, b) for a, b in zip(cand, want_cand))
+                assert same_bits(cand, want_cand)
     assert dead_seen  # the smoothed pass for zero-mass profiles was exercised
+    assert pairwise_seen
+
+
+def fingerprint(res):
+    """Every output of a search, as bytes: what the oracle runs must equal."""
+    return (
+        res.sum_rate.hex(), [d.hex() for d in res.distortions], res.evaluations,
+        res.restarts, res.message, [k.rows.tobytes() for k in res.gamma.encoder_kernels],
+    )
+
+
+def use_the_wrapped_oracle(monkeypatch):
+    """Run every search step through the list-based oracles, without the
+    cached forward pass."""
+    monkeypatch.setattr(_InnerEvaluator, "point", flat_wrapped_point)
+    monkeypatch.setattr(_InnerEvaluator, "gradient", flat_wrapped_gradient)
+    monkeypatch.setattr(mtsc_bounds.regions, "_mirror_step", flat_wrapped_mirror_step)
 
 
 def test_optimizer_matches_the_wrapped_oracle_bit_for_bit(monkeypatch):
+    # The last two are benchmark searches: erasure L = 3 and 2 at caps 0.6
+    # and 0.8, seed 1.
     cases = [
-        (casebook("erasure", p=0.5, L=2, D=0.6).model, [0.4], [3, 3], 1500),
-        (casebook("erasure", p=0.5, L=3, D=0.6).model, [0.6], [3, 3, 3], 800),
-        (two_distortion_model(), [0.2, 0.1], [2, 2], 800),
+        (casebook("erasure", p=0.5, L=2, D=0.6).model, [0.4], [3, 3], 1500, 3),
+        (casebook("erasure", p=0.5, L=3, D=0.6).model, [0.6], [3, 3, 3], 800, 3),
+        (two_distortion_model(), [0.2, 0.1], [2, 2], 800, 3),
+        (casebook("erasure", p=0.5, L=3, D=0.6).model, [0.6], [3, 3, 3], 4000, 1),
+        (casebook("erasure", p=0.5, L=2, D=0.6).model, [0.8], [3, 3], 10_000, 1),
     ]
 
-    def search(model, caps, cards, budget):
-        res = optimize_bt_inner_sum_rate(model, caps, cards, budget=budget, seed=3)
-        return (
-            res.sum_rate.hex(), [d.hex() for d in res.distortions], res.evaluations,
-            res.restarts, res.message, [k.rows.tobytes() for k in res.gamma.encoder_kernels],
-        )
+    def search(model, caps, cards, budget, seed):
+        return fingerprint(optimize_bt_inner_sum_rate(model, caps, cards, budget=budget, seed=seed))
 
     got = [search(*case) for case in cases]
-    monkeypatch.setattr(_InnerEvaluator, "point", wrapped_point)
-    monkeypatch.setattr(_InnerEvaluator, "gradient", wrapped_gradient)
-    monkeypatch.setattr(mtsc_bounds.regions, "_mirror_step", wrapped_mirror_step)
+    use_the_wrapped_oracle(monkeypatch)
     assert got == [search(*case) for case in cases]
+
+
+def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
+    model = casebook("erasure", p=0.5, L=3, D=0.6).model
+    ev = _InnerEvaluator(model, [3, 3, 3])
+    flat = ev.random_kernels(np.random.default_rng(0))
+    first = ev.point(flat, [2.0])
+    again = ev.point(flat.copy(), [5.0])
+    assert again.q is first.q and again.rate == first.rate and again.dists == first.dists
+    assert same_bits(again.value, first.rate + 5.0 * first.dists[0])
+    moved = flat.copy()
+    moved[0] = np.nextafter(moved[0], 1.0)
+    assert ev.point(moved, [2.0]).q is not first.q
+
+    # One search counted both ways: the oracle makes a forward pass for every
+    # evaluation and every smoothed pass, the search fewer, with the same result.
+    passes = {"search": 0, "oracle": 0}
+    forward, oracle_forward = _InnerEvaluator._forward, wrapped_forward
+
+    def counted(self, flat):
+        passes["search"] += 1
+        return forward(self, flat)
+
+    def oracle_counted(ev, kernels):
+        passes["oracle"] += 1
+        return oracle_forward(ev, kernels)
+
+    monkeypatch.setattr(_InnerEvaluator, "_forward", counted)
+    monkeypatch.setitem(globals(), "wrapped_forward", oracle_counted)
+    res = optimize_bt_inner_sum_rate(model, [0.6], [3, 3, 3], budget=4000, seed=1)
+    use_the_wrapped_oracle(monkeypatch)
+    want = optimize_bt_inner_sum_rate(model, [0.6], [3, 3, 3], budget=4000, seed=1)
+    assert res.evaluations == 1314
+    assert fingerprint(res) == fingerprint(want)
+    assert passes["oracle"] > res.evaluations
+    assert 0 < passes["search"] < passes["oracle"]
 
 
 @pytest.mark.parametrize("budget", [10_000, 800, 400, 40, 1])
@@ -1565,6 +1660,27 @@ def test_optimizer_validates_arguments():
         optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=0, seed=0)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=10, seed=-1)
+
+
+def test_optimizer_refuses_non_integral_cardinalities():
+    inst = casebook("erasure", p=0.5, L=2, D=0.6)
+    with pytest.raises(ValueError, match=r"cardinalities must be an integer, got 3\.7"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [3.7, 3], budget=10, seed=0)
+    assert optimize_bt_inner_sum_rate(inst.model, [0.6], [3.0, 3], budget=10, seed=0).feasible
+
+
+@pytest.mark.parametrize("budget", [2.5, math.inf])
+def test_optimizer_refuses_a_non_integral_budget(budget):
+    inst = casebook("erasure", p=0.5, L=2, D=0.6)
+    with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=budget, seed=0)
+    assert optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=3.0, seed=0).evaluations == 3
+
+
+def test_optimizer_refuses_a_non_integral_seed():
+    inst = casebook("erasure", p=0.5, L=2, D=0.6)
+    with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
+        optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=10, seed=1.5)
 
 
 def two_distortion_model():
