@@ -25,34 +25,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError
-from .model import casebook
-from .prob import _binary_entropies, _refuse_over_cap
+from .model import _erasure_params, casebook
+from .prob import _binary_entropies, _refuse_over_cap, _whole
 from .regions import bt_outer_constraints
 
 
 @dataclass(frozen=True)
 class ErasureParams:
-    """Problem parameters; requires 0 < p < 1 and p^L <= D <= 1."""
+    """Problem parameters, checked by ``model._erasure_params``."""
 
     p: float
     L: int
     D: float
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise InfeasibleError(f"need 0 < p < 1, got p={self.p}")
-        if self.L < 1:
-            raise InfeasibleError(f"need L >= 1, got L={self.L}")
-        if not self.p**self.L <= self.D <= 1.0:
-            raise InfeasibleError(
-                f"need p^L <= D <= 1, got D={self.D} with p^L={self.p ** self.L}"
-            )
-
-
-def _check_p(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
+        object.__setattr__(self, "L", _erasure_params(self.p, self.L, self.D))
 
 
 def g_function(x: float, p: float) -> float:
@@ -60,7 +47,7 @@ def g_function(x: float, p: float) -> float:
 
     Defined on [p, infinity); continuous at x = 1.  In nats.
     """
-    _check_p(p)
+    _erasure_params(p)
     if not x >= p:
         raise ValueError(f"g is defined on [p, inf), got x={x} < p={p}")
     return float(_g_vec(x, p))
@@ -80,12 +67,13 @@ def erasure_sum_rate(params: ErasureParams) -> float:
 def sum_rate_curve(p: float, Ls: Sequence[int], n: int) -> list[tuple[float, int, float]]:
     """(D, L, sum rate) triples on an n-point D-grid [p^L, 1] for each L;
     refused over the table cap before any grid is built."""
+    n = _whole(n, "n")
     if n < 2:
         raise ValueError("need at least 2 grid points")
     _refuse_over_cap(n * len(Ls), "sum-rate curve")
     rows = []
-    for L in map(int, Ls):
-        ErasureParams(p, L, 1.0)  # validates p and L; the grid lies in [p^L, 1]
+    for L in Ls:
+        L = _erasure_params(p, L)  # the grid lies in [p^L, 1]
         D = np.linspace(p**L, 1.0, n)
         rows += zip(D.tolist(), [L] * n, _sum_rate(D, p, L).tolist())
     return rows
@@ -200,7 +188,7 @@ def g_shape_report(p: float) -> ShapeReport:
       (2)  e^x log(e^x - p) - e^x (x + 1) + e^{2x} / (e^x - p) >= 0
     Returns the worst margins; see ``ShapeReport.passed`` for the thresholds.
     """
-    _check_p(p)
+    _erasure_params(p)
     x = np.linspace(math.log(p), 1.0, SHAPE_GRID)
     # exp(log p) can round below p, outside the domain of g.
     vals = _g_vec(np.maximum(np.exp(x), p), p)
@@ -224,9 +212,7 @@ def g_shape_report(p: float) -> ShapeReport:
 def g_root_shape_report(p: float, L: int) -> RootShapeReport:
     """Check that y -> g(y^{1/L}) is nonincreasing and convex on a uniform
     10,000-point grid over [p^L, 1.5]."""
-    _check_p(p)
-    if L < 1:
-        raise ValueError(f"need L >= 1, got L={L}")
+    L = _erasure_params(p, L)
     vals = _g_of_root(np.linspace(p**L, 1.5, SHAPE_GRID), p, L)
     return RootShapeReport(
         p=p,

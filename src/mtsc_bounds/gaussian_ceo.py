@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleError
+from .prob import _whole
 from .regions import RatePoint
 
 MEMBERSHIP_SLACK = 1e-12
@@ -163,7 +164,7 @@ def oohama_gap(params: GaussianParams, q: Sequence[float], A: Iterable[int]) -> 
     test channels attain equality (for singletons trivially, and in fact for
     every subset, which is what makes the region description tight).
     """
-    members = sorted(set(int(l) for l in A))
+    members = sorted({_whole(l, "A") for l in A})
     if not members or members[0] < 1 or members[-1] > params.L:
         raise ValueError(f"A must be a nonempty subset of 1..{params.L}, got {A}")
     q = tuple(float(v) for v in q)

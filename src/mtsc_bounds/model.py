@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, MarkovCheckError, VariableError
+from .errors import AlphabetMismatchError, InfeasibleError, MarkovCheckError, VariableError
 from .prob import Channel, EntropyOracle, JointPmf, _code_dtype, _refuse_over_cap, _Support
 from .prob import _MAX_TABLE_CELLS, _whole
 
@@ -68,6 +68,8 @@ class SourceModel:
         sizes = tuple(_whole(s, "reproduction_sizes") for s in self.reproduction_sizes)
         if len(sizes) != K or any(s < 1 for s in sizes):
             raise ValueError(f"need K={K} positive reproduction sizes, got {sizes}")
+        if len(self.distortions) != K:
+            raise ValueError(f"need K={K} distortion tables, got {len(self.distortions)}")
         tables = []
         for k, table in enumerate(self.distortions):
             table = np.asarray(table, dtype=float)
@@ -81,8 +83,6 @@ class SourceModel:
             table = table.copy()
             table.flags.writeable = False
             tables.append(table)
-        if len(tables) != K:
-            raise ValueError(f"need K={K} distortion tables, got {len(tables)}")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "distortions", tuple(tables))
@@ -173,7 +173,9 @@ class AuxSystem:
                     f"size {kernels[l].output[1]}"
                 )
         if dec.inputs[-1][1] != t_size:
-            raise AlphabetMismatchError("decoder T size disagrees with wt_pmf")
+            raise AlphabetMismatchError(
+                f"decoder T size {dec.inputs[-1][1]} disagrees with wt_pmf's {t_size}"
+            )
         if dec.output[0] != "Z":
             raise VariableError("decoder kernel must output 'Z'")
         object.__setattr__(self, "encoder_kernels", kernels)
@@ -273,8 +275,11 @@ def _check_alphabets(model: SourceModel, gamma: AuxSystem) -> None:
                 f"encoder kernel {l} expects |Y{l}|={have}, model has {want}"
             )
     side = gamma.decoder_kernel.inputs[model.L][1]
-    if side != model.joint.size_of(f"Y{model.L + 1}"):
-        raise AlphabetMismatchError("decoder side-information size disagrees with model")
+    want = model.joint.size_of(f"Y{model.L + 1}")
+    if side != want:
+        raise AlphabetMismatchError(
+            f"decoder side-information size {side} disagrees with the model's {want}"
+        )
     if gamma.decoder_kernel.output[1] != model.z_size:
         raise AlphabetMismatchError(
             f"decoder output size {gamma.decoder_kernel.output[1]} != "
@@ -464,6 +469,7 @@ def _distortions(model: SourceModel, table: np.ndarray) -> tuple[float, ...]:
 
 def expected_distortion(model: SourceModel, gamma: AuxSystem, k: int) -> float:
     """Exact expected distortion for measure ``k`` (0-based)."""
+    k = _whole(k, "k")
     if not 0 <= k < model.K:
         raise IndexError(f"distortion index {k} out of range for K={model.K}")
     return expected_distortions(model, gamma)[k]
@@ -567,6 +573,23 @@ def _toy_gamma(fold_w_into_t: bool) -> AuxSystem:
     return AuxSystem(wt, encoders, decoder)
 
 
+def _erasure_params(p: float, L=1, D: float = 1.0) -> int:
+    """The one check of the erasure CEO parameters, returning L as an int:
+    0 < p < 1, a whole L >= 1 within the float range and p^L <= D <= 1."""
+    if not 0.0 < p < 1.0:
+        raise InfeasibleError(f"need 0 < p < 1, got p={p}")
+    L = _whole(L, "L", InfeasibleError)
+    if L < 1:
+        raise InfeasibleError(f"need L >= 1, got L={L}")
+    try:
+        floor = p**L
+    except OverflowError:
+        raise InfeasibleError(f"need L within the float range, got L >= 2^{L.bit_length() - 1}") from None
+    if not floor <= D <= 1.0:
+        raise InfeasibleError(f"need p^L <= D <= 1, got D={D} with p^L={floor}")
+    return L
+
+
 # Symbol order for ternary {-1, 0, +1} variables: index = value + 1.
 # Binary +/-1 variables use index 0 <-> -1, index 1 <-> +1.
 
@@ -653,7 +676,7 @@ def casebook(
       the correlated (W1, W2) construction exhibiting outer-bound looseness;
     * ``"erasure"``: binary erasure CEO instance with the symmetric erasure
       test channels hitting erasure rate D exactly and never erring
-      (takes p, L, D, lam; requires L >= 1 and p^L <= D <= 1).
+      (takes p, L, D, lam; checked by ``_erasure_params``, L at most 14).
     """
     if name in ("toy", "toy_bt_gamma"):
         model = _toy_model()
@@ -662,10 +685,7 @@ def casebook(
         model = _erasure_model(0.5, 2, lam)
         return CasebookInstance(model, _appendix_c_gamma(), x_channel_from_sources(model, ("Y0",)))
     if name == "erasure":
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"need 0 < p < 1, got p={p}")
-        if L < 1:
-            raise ValueError(f"need L >= 1, got L={L}")
+        L = _erasure_params(p, L, D)
         # The distortion table has 2 * 3^L * 3 cells.  L is compared with the
         # largest L the cap admits before any power is taken, and the count
         # is written out only while it is short.
@@ -676,8 +696,6 @@ def casebook(
                 f"the erasure casebook's distortion table would have {cells} cells at L = {L:,}, "
                 f"over the cap of {_MAX_TABLE_CELLS:,}; L must be at most {top}"
             )
-        if not p**L <= D <= 1.0:
-            raise ValueError(f"need p^L <= D <= 1, got D={D} with p^L={p**L}")
         model = _erasure_model(p, L, lam)
         return CasebookInstance(model, _erasure_gamma(p, L, D), x_channel_from_sources(model, ("Y0",)))
     raise ValueError(f"unknown casebook instance {name!r}")

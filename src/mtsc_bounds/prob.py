@@ -41,15 +41,15 @@ Name = str
 Variable = tuple[Name, int]
 
 
-def _whole(value, field: str) -> int:
-    """``int(value)``, refusing a number it would truncate, or an infinity,
-    by naming ``field``."""
+def _whole(value, field: str, error: type[ValueError] = ValueError) -> int:
+    """``int(value)``, refusing a number it would truncate, an infinity, a NaN
+    or text ``int`` cannot read with an ``error`` that names ``field``."""
     try:
         n = int(value)
-    except OverflowError:
+    except (OverflowError, ValueError):
         n = None
-    if not isinstance(value, str) and n != value:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+    if n is None or n != value and not isinstance(value, str):
+        raise error(f"{field} must be an integer, got {value!r}")
     return n
 
 

@@ -5,7 +5,7 @@ encoder l is in A), so a constraint set holds 2^L - 1 subset rate lower
 bounds plus the K expected distortions.  The representation caps L at 16
 and the 2^25-cell table cap a dense model at about 6; a sparse one is
 evaluated on its support, every evaluator on the erasure casebook up to
-L = 10.
+L = 14, the largest the casebook's table cap admits.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ SUPERMODULAR_SLACK = 1e-9  # a pair may fall short of supermodular by this
 def _mask_of(members: Iterable[int]) -> int:
     mask = 0
     for l in members:
-        mask |= 1 << (int(l) - 1)
+        mask |= 1 << (_whole(l, "subset member") - 1)
     return mask
 
 
@@ -58,6 +58,8 @@ class RegionConstraints:
     distortions: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "L", _whole(self.L, "L"))
+        object.__setattr__(self, "K", _whole(self.K, "K"))
         bounds = self.subset_bounds
         if bounds.keys() != set(range(1, 1 << self.L)):
             raise ValueError(
@@ -316,7 +318,7 @@ def contrapolymatroid_vertex(
     subset constraint and their sum equals the full-set bound.
     """
     L = constraints.L
-    order = tuple(int(l) for l in order)
+    order = tuple(_whole(l, "order") for l in order)
     if sorted(order) != list(range(1, L + 1)):
         raise ValueError(f"order must be a permutation of 1..{L}, got {order}")
     check_supermodular(constraints)

@@ -672,6 +672,15 @@ def test_non_integral_field_exits_1_naming_it(tmp_path, in_gamma, field, bad, na
     assert named in done.stderr and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("mode", [("--D", "0.6"), ("--curve", "3")])
+def test_erasure_ceo_with_an_L_past_the_float_range_exits_1_naming_it(mode):
+    # p^L of L = 10^400 would raise OverflowError; it has 1,329 bits.
+    done = run_process("erasure-ceo", "--p", "0.5", "--L", str(10**400), *mode)
+    assert done.returncode == 1, done.stderr
+    assert "error: need L within the float range, got L >= 2^1328" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 # A flag fuzz of the closed-form subcommands: one flag at a time is
 # set to a value at or past the ends of the float range, or to malformed
 # text.  Each case must exit 0 with finite, parseable output, or exit 1 with
@@ -684,7 +693,7 @@ FUZZ_BASES = {
     "erasure-curve": ("erasure-ceo", {"--p": "0.5", "--L": "1,2", "--curve": "5"}),
 }
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-308", "5e-324",
-               "1000000000", "100000000000000000000000", "", ",", "x", "1,,2")
+               "1000000000", "100000000000000000000000", str(10**400), "", ",", "x", "1,,2")
 
 
 def _refuse_constant(name):

@@ -1,6 +1,7 @@
 """Tests for the binary erasure CEO closed forms and shape facts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mtsc_bounds import (
     ErasureParams,
     InfeasibleError,
     binary_entropy,
+    casebook,
     erasure_bt_counterexample,
     erasure_sum_rate,
     g_function,
@@ -109,6 +111,67 @@ def test_params_validation():
         ErasureParams(0.0, 2, 0.5)
     with pytest.raises(InfeasibleError):
         ErasureParams(0.5, 0, 0.5)
+
+
+# Every entry point that reads the erasure parameters, called with L.
+L_ENTRY_POINTS = {
+    "ErasureParams": lambda L: ErasureParams(0.5, L, 0.6),
+    "casebook": lambda L: casebook("erasure", p=0.5, L=L, D=0.6),
+    "sum_rate_curve": lambda L: sum_rate_curve(0.5, [L], 3),
+    "g_root_shape_report": lambda L: g_root_shape_report(0.5, L),
+}
+
+
+@pytest.mark.parametrize("entry", list(L_ENTRY_POINTS))
+@pytest.mark.parametrize("L", [2.5, math.inf, math.nan])
+def test_a_non_whole_L_is_refused_naming_it(entry, L):
+    with pytest.raises(InfeasibleError, match=re.escape(f"L must be an integer, got {L!r}")):
+        L_ENTRY_POINTS[entry](L)
+
+
+@pytest.mark.parametrize("entry", list(L_ENTRY_POINTS))
+def test_an_L_past_the_float_range_is_refused_naming_it(entry):
+    # p^L of such an L would raise OverflowError; 10^400 has 1,329 bits.
+    with pytest.raises(InfeasibleError, match=re.escape("need L within the float range, got L >= 2^1328")):
+        L_ENTRY_POINTS[entry](10**400)
+
+
+def test_a_whole_float_L_reads_as_that_integer():
+    params = ErasureParams(0.5, 2.0, 0.6)
+    assert params == ErasureParams(0.5, 2, 0.6) and type(params.L) is int
+    got, want = casebook("erasure", L=2.0), casebook("erasure", L=2)
+    assert got.model.to_json() == want.model.to_json()
+    assert got.gamma.to_json() == want.gamma.to_json()
+    assert sum_rate_curve(0.5, [2.0], 5) == sum_rate_curve(0.5, [2], 5)
+    assert g_root_shape_report(0.5, 2.0) == g_root_shape_report(0.5, 2)
+
+
+@pytest.mark.parametrize(
+    "p, L, D, message",
+    [
+        (0.0, 2, 0.6, "need 0 < p < 1, got p=0.0"),
+        (math.nan, 2, 0.6, "need 0 < p < 1, got p=nan"),
+        (0.5, 0, 0.6, "need L >= 1, got L=0"),
+        (0.5, 2, 0.2, "need p^L <= D <= 1, got D=0.2 with p^L=0.25"),
+        (0.5, 2, math.nan, "need p^L <= D <= 1, got D=nan with p^L=0.25"),
+    ],
+)
+def test_the_erasure_entry_points_share_one_message(p, L, D, message):
+    calls = [lambda: ErasureParams(p, L, D), lambda: casebook("erasure", p=p, L=L, D=D)]
+    if "D=" not in message:  # the entry points that take no D
+        calls += [lambda: sum_rate_curve(p, [L], 3), lambda: g_root_shape_report(p, L)]
+    if "p=" in message:
+        calls += [lambda: g_shape_report(p), lambda: g_function(0.5, p)]
+    for call in calls:
+        with pytest.raises(InfeasibleError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_curve_refuses_a_non_integral_grid_size():
+    with pytest.raises(ValueError, match=r"n must be an integer, got 2\.5"):
+        sum_rate_curve(0.5, [2], 2.5)
+    assert sum_rate_curve(0.5, [2], 3.0) == sum_rate_curve(0.5, [2], 3)
 
 
 def test_sum_rate_nonincreasing_in_d():

@@ -325,6 +325,13 @@ def test_oohama_gap_singletons_are_tight():
         assert abs(oohama_gap(params, (q1, 1.0), (1,))) <= 1e-12
 
 
+def test_oohama_gap_refuses_a_non_integral_member():
+    params = GaussianParams(1.0, (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"A must be an integer, got 1\.5"):
+        oohama_gap(params, (0.5, 0.5), [1.5])
+    assert oohama_gap(params, (0.5, 0.5), [1.0, 2]) == oohama_gap(params, (0.5, 0.5), [1, 2])
+
+
 def test_oohama_gap_vanishing_information():
     params = GaussianParams(1.0, (1.0, 1.0))
     gap = oohama_gap(params, (1e9, 1e9), (1, 2))

@@ -24,6 +24,7 @@ from mtsc_bounds import (
     casebook,
     check_chi,
     check_gamma_class,
+    chi_residual,
     conditional_mutual_information,
     expected_distortion,
     expected_distortions,
@@ -229,6 +230,22 @@ def test_check_chi_rejects_trivial_x_on_correlated_observations():
     assert report.worst == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, params, trivial_worst",
+    [("erasure", {"p": 0.5, "L": 3, "D": 0.6}, 0.4332), ("appendix_c", {}, 0.1733)],
+)
+def test_chi_residual_of_the_full_joint_matches_check_chi(name, params, trivial_worst):
+    # The casebook's X = Y0 passes; a constant X fails on observations
+    # correlated through the hidden source.
+    inst = casebook(name, **params)
+    for x, passed in ((inst.x, True), (x_channel_trivial(inst.model), False)):
+        report = chi_residual(build_full_joint(inst.model, inst.gamma, x), inst.model.L)
+        want = check_chi(inst.model, x)
+        assert report.worst == pytest.approx(want.worst, abs=1e-12)
+        assert report.passed is want.passed is passed
+    assert report.worst == pytest.approx(trivial_worst, abs=1e-4)
+
+
 def test_markov_coupling_property():
     # X attached by build_full_joint interacts with the auxiliary system only
     # through the sources.
@@ -293,6 +310,13 @@ def test_expected_distortion_index_range():
     inst = casebook("toy")
     with pytest.raises(IndexError):
         expected_distortion(inst.model, inst.gamma, 1)
+
+
+def test_expected_distortion_refuses_a_non_integral_index():
+    inst = casebook("toy")
+    with pytest.raises(ValueError, match=r"k must be an integer, got 0\.5"):
+        expected_distortion(inst.model, inst.gamma, 0.5)
+    assert expected_distortion(inst.model, inst.gamma, 0.0) == expected_distortions(inst.model, inst.gamma)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -836,6 +836,30 @@ def test_vertex_validates_order():
         contrapolymatroid_vertex(c, (1, 1))
 
 
+def test_vertex_refuses_a_non_integral_order():
+    inst = casebook("erasure", p=0.5, L=2, D=0.6)
+    c = bt_inner_constraints(inst.model, inst.gamma)
+    with pytest.raises(ValueError, match=r"order must be an integer, got 1\.5"):
+        contrapolymatroid_vertex(c, (1.5, 2))
+    assert contrapolymatroid_vertex(c, (1.0, 2)) == contrapolymatroid_vertex(c, (1, 2))
+
+
+def test_region_bound_refuses_a_non_integral_member():
+    c = RegionConstraints(2, 1, {0b01: 1.0, 0b10: 2.0, 0b11: 3.0}, (0.0,))
+    with pytest.raises(ValueError, match=r"subset member must be an integer, got 1\.7"):
+        c.bound([1.7])
+    assert c.bound([2.0]) == c.bound([2]) == 2.0
+
+
+@pytest.mark.parametrize("L, K, named", [(1.5, 1, "L must be an integer, got 1.5"),
+                                         (1, 1.5, "K must be an integer, got 1.5")])
+def test_region_constraints_refuse_a_non_integral_size(L, K, named):
+    with pytest.raises(ValueError, match=named):
+        RegionConstraints(L, K, {1: 0.1}, (0.0,))
+    whole = RegionConstraints(1.0, 1.0, {1: 0.1}, (0.0,))
+    assert (type(whole.L), type(whole.K)) == (int, int) and whole.bound([1]) == 0.1
+
+
 def pair_loop_check(constraints, slack=1e-9):
     """The all-pairs supermodularity check, kept as a test-only oracle."""
     L = constraints.L
