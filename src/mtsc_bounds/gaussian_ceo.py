@@ -164,6 +164,7 @@ def oohama_gap(params: GaussianParams, q: Sequence[float], A: Iterable[int]) -> 
     test channels attain equality (for singletons trivially, and in fact for
     every subset, which is what makes the region description tight).
     """
+    A = tuple(A)  # read once: an iterator is spent by the check
     members = sorted({_whole(l, "A") for l in A})
     if not members or members[0] < 1 or members[-1] > params.L:
         raise ValueError(f"A must be a nonempty subset of 1..{params.L}, got {A}")

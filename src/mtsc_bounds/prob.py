@@ -467,14 +467,15 @@ def _block_sums(table: np.ndarray, free: int) -> np.ndarray:
 class _Support:
     """The cells of a joint that no factor zeroes, in row-major order.
 
-    ``codes`` has one C-contiguous row per variable, holding every cell's
-    symbol in the smallest unsigned integer type that fits, and ``masses``
-    the cells' probabilities.  Built from a dense pmf and extended by kernels, it holds
-    the nonzero cells of the dense joint the same extensions build, with bit
-    for bit its masses, in the same order.
+    ``codes`` is a tuple of one C-contiguous array per variable, holding
+    every cell's symbol in the smallest unsigned type that fits its
+    alphabet, and ``masses`` the cells' probabilities.  Built from a dense
+    pmf and extended by kernels, it holds the nonzero cells of the dense
+    joint the same extensions build, with bit for bit its masses, in the
+    same order.
     """
 
-    def __init__(self, variables: tuple[Variable, ...], codes: np.ndarray, masses: np.ndarray):
+    def __init__(self, variables: tuple[Variable, ...], codes: tuple, masses: np.ndarray):
         self.variables = variables
         self.codes = codes
         self.masses = masses
@@ -484,7 +485,8 @@ class _Support:
     @classmethod
     def of(cls, joint: JointPmf) -> "_Support":
         cells = np.flatnonzero(joint.probs)
-        codes = np.array(np.unravel_index(cells, joint.shape), dtype=_code_dtype(joint.shape))
+        symbols = np.unravel_index(cells, joint.shape)
+        codes = tuple(c.astype(_code_dtype((k,))) for c, k in zip(symbols, joint.shape))
         return cls(joint.variables, codes, joint.probs[cells])
 
     @property
@@ -494,19 +496,15 @@ class _Support:
     def extend(self, channel: "Channel") -> "_Support":
         """Attach ``channel``'s output, as ``JointPmf.extend``: each cell
         splits into one cell per positive entry of its kernel row, with mass
-        the single product cell mass * entry."""
+        the single product cell mass * entry.  Its codes are kept, or
+        gathered by cell where a row has more than one positive entry."""
         key, _ = self.keys(name for name, _ in channel.inputs)
         entries = channel.rows[key]  # each cell's kernel row
         parent, outs = np.nonzero(entries)  # row-major: by cell, then output
-        dtype = np.promote_types(self.codes.dtype, _code_dtype((channel.output[1],)))
-        # ``take`` into rows of one array keeps the codes C-contiguous, one
-        # row per variable; ``codes[:, parent]`` would come back F-ordered.
-        codes = np.empty((len(self.variables) + 1, parent.size), dtype)
-        if parent.size == self.rows:  # one positive entry per row: ``parent`` is every row
-            codes[:-1] = self.codes
-        else:
-            np.take(self.codes.astype(dtype, copy=False), parent, axis=1, out=codes[:-1], mode="clip")
-        codes[-1] = outs
+        codes = self.codes
+        if parent.size != self.rows:  # else one positive entry per row: ``parent`` is every row
+            codes = tuple(c[parent] for c in codes)
+        codes += (outs.astype(_code_dtype((channel.output[1],))),)
         masses = self.masses[parent] * entries[parent, outs]
         return _Support(self.variables + (channel.output,), codes, masses)
 
@@ -522,13 +520,13 @@ class _Support:
         sizes = [self.variables[i][1] for i in index]
         span = math.prod(sizes)
         if span > _MAX_KEY:
-            occurring, key = np.unique(self.codes[index], axis=1, return_inverse=True)
+            tuples = np.stack([self.codes[i] for i in index])
+            occurring, key = np.unique(tuples, axis=1, return_inverse=True)
             return key.reshape(-1), occurring.shape[1]
-        # np.ravel_multi_index's integer by Horner's rule, one contiguous row
-        # of codes at a time.  An axis of one symbol has code 0 and is
-        # skipped, and each partial key is held in the narrowest type that
-        # holds its span (and so the size it is multiplied by), so there is
-        # less to read and write.
+        # np.ravel_multi_index's integer by Horner's rule, one code array at
+        # a time.  An axis of one symbol has code 0 and is skipped, and each
+        # partial key is held in the narrowest type that holds its span (and
+        # so the size it is multiplied by), so there is less to read and write.
         key, partial = np.zeros(self.rows, np.uint8), 1
         for i, size in zip(index, sizes):
             if size > 1:

@@ -36,10 +36,13 @@ FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 SUPERMODULAR_SLACK = 1e-9  # a pair may fall short of supermodular by this
 
 
-def _mask_of(members: Iterable[int]) -> int:
+def _mask_of(members: Iterable[int], L: int) -> int:
     mask = 0
-    for l in members:
-        mask |= 1 << (_whole(l, "subset member") - 1)
+    for member in members:
+        l = _whole(member, "subset member")
+        if not 1 <= l <= L:
+            raise ValueError(f"subset member {l} out of range 1..{L} for L={L}")
+        mask |= 1 << (l - 1)
     return mask
 
 
@@ -86,7 +89,7 @@ class RegionConstraints:
 
     def bound(self, subset) -> float:
         """Bound for a subset given as a bitmask or an iterable of encoder indices."""
-        mask = subset if isinstance(subset, int) else _mask_of(subset)
+        mask = subset if isinstance(subset, int) else _mask_of(subset, self.L)
         if not 1 <= mask < (1 << self.L):
             raise ValueError(f"subset mask {mask} out of range for L={self.L}")
         return self.subset_bounds[mask]
@@ -429,6 +432,10 @@ class _InnerEvaluator:
         dmax = max(float(t.max()) for t in model.distortions)
         if dmax > _MAX_SEARCH_DISTORTION:
             raise ValueError(f"the search takes distortions up to {_MAX_SEARCH_DISTORTION:g}, got {dmax!r}")
+        # The softening scale that keeps every symbol alive without tripping
+        # large penalty entries (stray mass times the worst table entry stays
+        # well below the ordinary cost scale).
+        self.seed_mass = min(1e-6, 1e-2 / max(1.0, dmax))
         self.y_sizes = tuple(model.observation_size(l) for l in range(1, self.L + 1))
         src = model.joint.table  # axes: y0, y1..yL, side
         p_obs = src.sum(axis=0)  # axes: y1..yL, side
@@ -458,14 +465,6 @@ class _InnerEvaluator:
         # The last forward pass, (q, lefts, costs, rate, dists), and the bytes
         # of its kernel set; points that share it only read it.
         self._last_key, self._last = None, None
-
-    @property
-    def seed_mass(self) -> float:
-        """Softening scale that keeps every symbol alive without tripping
-        large penalty entries (stray mass times the worst table entry stays
-        well below the ordinary cost scale)."""
-        dmax = max(float(t.max()) for t in self.model.distortions)
-        return min(1e-6, 1e-2 / max(1.0, dmax))
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views."""

@@ -332,6 +332,13 @@ def test_oohama_gap_refuses_a_non_integral_member():
     assert oohama_gap(params, (0.5, 0.5), [1.0, 2]) == oohama_gap(params, (0.5, 0.5), [1, 2])
 
 
+def test_oohama_gap_names_the_members_of_a_spent_iterator():
+    params = GaussianParams(1.0, (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"subset of 1\.\.2, got \(5,\)$"):
+        oohama_gap(params, (0.5, 0.5), (l for l in [5]))
+    assert oohama_gap(params, (0.5, 0.5), (l for l in [1, 2])) == oohama_gap(params, (0.5, 0.5), [1, 2])
+
+
 def test_oohama_gap_vanishing_information():
     params = GaussianParams(1.0, (1.0, 1.0))
     gap = oohama_gap(params, (1e9, 1e9), (1, 2))

@@ -503,6 +503,23 @@ def random_built_joint(rng, zero_frac):
     return joint, support
 
 
+def assert_narrow_contiguous_codes(support):
+    """``codes`` is a tuple of one C-contiguous array per variable, each in
+    the narrowest unsigned type of that variable's own alphabet."""
+    assert isinstance(support.codes, tuple) and len(support.codes) == len(support.variables)
+    for codes, (name, size) in zip(support.codes, support.variables):
+        assert codes.shape == (support.rows,) and codes.flags.c_contiguous, name
+        assert codes.dtype == np.min_scalar_type(size - 1), (name, size, codes.dtype)
+
+
+def assert_codes_are_cells(codes, cells, shape):
+    """Each variable's codes are its row of np.unravel_index of the cells."""
+    want = np.unravel_index(cells, shape)
+    assert len(codes) == len(want)
+    for got, row in zip(codes, want):
+        assert np.array_equal(got, row)
+
+
 @pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.7])
 def test_support_holds_the_nonzero_cells_bit_for_bit(zero_frac):
     rng = np.random.default_rng(int(zero_frac * 10))
@@ -511,8 +528,9 @@ def test_support_holds_the_nonzero_cells_bit_for_bit(zero_frac):
         cells = np.flatnonzero(joint.probs)
         assert support.names == joint.names
         assert np.array_equal(support.masses[support.masses > 0], joint.probs[cells])
-        kept = support.codes[:, support.masses > 0]
-        assert np.array_equal(kept, np.array(np.unravel_index(cells, joint.shape)))
+        assert_narrow_contiguous_codes(support)
+        kept = support.masses > 0
+        assert_codes_are_cells([c[kept] for c in support.codes], cells, joint.shape)
 
 
 @pytest.mark.parametrize("dense_cells_per_row, small_table", [(0, 0), (4, 1 << 12), (10**9, 0)])
@@ -551,7 +569,7 @@ def test_support_keys_rank_tuples_past_the_int64_range():
     codes = rng.integers(5, size=(40, 2000)).astype(np.uint8)
     codes[:, 1000:] = codes[:, :1000]  # every tuple twice
     variables = tuple((f"V{i}", 5) for i in range(40))
-    support = _Support(variables, codes, np.full(2000, 1 / 2000))
+    support = _Support(variables, tuple(codes), np.full(2000, 1 / 2000))
     key, span = support.keys(n for n, _ in variables)
     assert key.max() < span <= 1 << 62
     tuples = [tuple(column) for column in codes.T.tolist()]
@@ -570,7 +588,7 @@ def ravel_keys(support, names):
     sizes = [support.variables[i][1] for i in index]
     if not index:
         return np.zeros(support.rows, np.intp), 1
-    return np.ravel_multi_index(support.codes[index], sizes), math.prod(sizes)
+    return np.ravel_multi_index([support.codes[i] for i in index], sizes), math.prod(sizes)
 
 
 def unique_ranks(key):
@@ -597,15 +615,15 @@ def assert_group_sums_near_fsum(sums, key, masses, ulps):
 
 def random_wide_support(rng):
     """A support with size-1 axes, rows in row-major order (so keys over
-    leading axes come nearly sorted), and uint8 codes or, once one alphabet
-    exceeds 256 symbols, uint16."""
+    leading axes come nearly sorted), and uint8 codes but for, at random,
+    one alphabet of 300 symbols, whose codes are uint16."""
     sizes = [int(rng.choice([1, 2, 3, 5])) for _ in range(4)]
     names = ("A", "B", "C", "D")
     joint = sparse_joint(rng, names, sizes, 0.4)
     support = _Support.of(joint)
     for name, inputs, out in (("E", ("A", "C"), 1), ("F", ("B",), 4), ("G", ("E", "D"), 3)):
         if name == "F" and rng.random() < 0.5:
-            out = 300  # promotes every code to uint16
+            out = 300  # F's codes are uint16; the others stay uint8
         variables = tuple((n, support.variables[support._row[n]][1]) for n in inputs)
         support = support.extend(sparse_channel(rng, variables, (name, out), 0.5))
     return support
@@ -616,8 +634,8 @@ def test_support_keys_and_ranks_match_ravel_and_unique():
     dtypes = set()
     for _ in range(40):
         support = random_wide_support(rng)
-        dtypes.add(support.codes.dtype)
-        assert support.codes.flags.c_contiguous
+        assert_narrow_contiguous_codes(support)
+        dtypes.update(c.dtype for c in support.codes)
         names = support.names
         for _ in range(8):
             chosen = [str(n) for n in rng.permutation(names)[: int(rng.integers(0, len(names) + 1))]]
@@ -626,10 +644,15 @@ def test_support_keys_and_ranks_match_ravel_and_unique():
             assert span == want_span and key.dtype == np.intp
             assert np.array_equal(key, want)
     assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
-    # Alphabets of 256 and 257 symbols: each partial key's type holds the
-    # size it is multiplied by.
-    codes = np.array([[0, 255, 7, 255], [1, 0, 2, 2], [256, 3, 0, 256]], np.uint16)
+    # Alphabets of 256 and 257 symbols, with uint8 and uint16 codes: each
+    # partial key's type holds the size it is multiplied by.
+    codes = (
+        np.array([0, 255, 7, 255], np.uint8),
+        np.array([1, 0, 2, 2], np.uint8),
+        np.array([256, 3, 0, 256], np.uint16),
+    )
     support = _Support((("A", 256), ("B", 3), ("C", 257)), codes, np.full(4, 0.25))
+    assert_narrow_contiguous_codes(support)
     for names in permutations(support.names):
         for k in range(4):
             assert np.array_equal(support.keys(names[:k])[0], ravel_keys(support, names[:k])[0])
@@ -661,6 +684,7 @@ def test_large_marginals_sum_bit_for_bit_as_by_unique(monkeypatch):
     rng = np.random.default_rng(31)
     for _ in range(20):
         support = random_wide_support(rng)
+        assert_narrow_contiguous_codes(support)
         oracle = EntropyOracle(support)
         for _ in range(6):
             s = frozenset(str(n) for n in rng.choice(support.names, int(rng.integers(1, 6)), False))
@@ -680,7 +704,7 @@ def test_dense_group_sums_over_a_million_rows_a_cell_stay_near_fsum():
     codes = np.array([rng.integers(0, 3, n), rng.integers(0, 2, n)], np.uint8)
     key = codes[0].astype(np.intp)
     assert np.bincount(key).min() >= 10**6
-    got = EntropyOracle(_Support((("A", 3), ("B", 2)), codes, masses)).grouped([("A",)])
+    got = EntropyOracle(_Support((("A", 3), ("B", 2)), tuple(codes), masses)).grouped([("A",)])
     assert got.shape == (3,)
     assert_group_sums_near_fsum(got, key, masses, 4)
     assert np.array_equal(prob._group_sum(key.copy(), masses, 3), got)
@@ -690,6 +714,7 @@ def test_large_keys_leaving_one_variable_out_are_derived():
     rng = np.random.default_rng(37)
     for _ in range(20):
         support = random_wide_support(rng)
+        assert_narrow_contiguous_codes(support)
         oracle = EntropyOracle(support)
         full = support.names
         assert np.array_equal(oracle._large_key(full), support.keys(full)[0])
@@ -708,10 +733,45 @@ def test_support_extend_writes_contiguous_codes():
     support = _Support.of(joint)
     channel = sparse_channel(np.random.default_rng(42), (("B", 4),), ("C", 300), 0.5)
     extended = support.extend(channel)
-    assert extended.codes.flags.c_contiguous and extended.codes.dtype == np.uint16
+    assert_narrow_contiguous_codes(extended)
     dense = joint.extend(channel)
-    cells = np.flatnonzero(dense.probs)
-    assert np.array_equal(extended.codes, np.array(np.unravel_index(cells, dense.shape)))
+    assert_codes_are_cells(extended.codes, np.flatnonzero(dense.probs), dense.shape)
+
+
+def test_support_extend_shares_the_codes_it_keeps():
+    # A kernel with one positive entry per row keeps every cell: the new
+    # support holds its parent's code arrays themselves.  Any other kernel
+    # gathers new arrays and leaves its parent's as they were.
+    joint = sparse_joint(np.random.default_rng(47), ("A", "B"), [3, 4], 0.3)
+    support = _Support.of(joint)
+    before = [c.copy() for c in support.codes]
+    one = Channel.deterministic((("A", 3), ("B", 4)), ("C", 5), lambda a, b: (a + b) % 5)
+    kept = support.extend(one)
+    assert kept.rows == support.rows
+    assert all(new is old for new, old in zip(kept.codes, support.codes))
+    split = support.extend(sparse_channel(np.random.default_rng(48), (("B", 4),), ("D", 3), 0.0))
+    assert split.rows > support.rows
+    assert not any(new is old for new, old in zip(split.codes, support.codes))
+    assert all(np.array_equal(c, b) for c, b in zip(support.codes, before))
+    for extended in (kept, split):
+        assert_narrow_contiguous_codes(extended)
+
+
+def test_support_codes_take_the_type_of_their_own_alphabet():
+    # A 300-symbol output gets uint16 codes; the other variables keep uint8,
+    # through extends that keep and that gather their codes.
+    joint = sparse_joint(np.random.default_rng(53), ("A", "B"), [3, 4], 0.3)
+    dense, support = joint, _Support.of(joint)
+    channels = (
+        sparse_channel(np.random.default_rng(54), (("B", 4),), ("C", 300), 0.5),
+        Channel.deterministic((("A", 3),), ("D", 2), lambda a: a % 2),
+        sparse_channel(np.random.default_rng(55), (("D", 2),), ("E", 3), 0.0),
+    )
+    for channel in channels:
+        dense, support = dense.extend(channel), support.extend(channel)
+        assert_narrow_contiguous_codes(support)
+    assert [c.dtype for c in support.codes] == [np.uint8, np.uint8, np.uint16, np.uint8, np.uint8]
+    assert_codes_are_cells(support.codes, np.flatnonzero(dense.probs), dense.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from mtsc_bounds import (
     x_channel_full_observation,
     x_channel_trivial,
 )
-from mtsc_bounds.model import MARKOV_TOL, source_names
+from mtsc_bounds.model import MARKOV_TOL, _system_oracle, source_names
 from mtsc_bounds.prob import EntropyOracle, _lattice_entropies, _sum_plogp
 from mtsc_bounds.regions import (
     _conditional_entropies,
@@ -687,6 +687,20 @@ def test_berger_tung_bounds_meet_the_erasure_sum_rate_at_l9_and_l10(L):
         assert peak < 25e6, (evaluate.__name__, peak)
 
 
+def test_support_build_at_l11_keeps_one_narrow_code_array_per_variable():
+    # 354,294 support rows over 28 variables.  Extends that keep every cell
+    # (the decoder and X) share their parent's codes: the build peaks near 36 MB.
+    inst = casebook("erasure", p=0.5, L=11, D=0.3)
+    tracemalloc.start()
+    try:
+        oracle = _system_oracle(inst.model, inst.gamma, inst.x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle._support.rows == 2 * 3**11
+    assert peak <= 40e6, peak
+
+
 def noisy_erasure_system(L):
     """The erasure casebook at D = 0.3 with every encoder kernel mixed with
     the uniform one at 1e-3, so that no encoder entry is zero."""
@@ -849,6 +863,14 @@ def test_region_bound_refuses_a_non_integral_member():
     with pytest.raises(ValueError, match=r"subset member must be an integer, got 1\.7"):
         c.bound([1.7])
     assert c.bound([2.0]) == c.bound([2]) == 2.0
+
+
+def test_region_bound_names_a_member_out_of_range():
+    c = RegionConstraints(2, 1, {0b01: 1.0, 0b10: 2.0, 0b11: 3.0}, (0.0,))
+    for members, bad in (([0, 1], 0), ([-1], -1), ([1, 5], 5)):
+        with pytest.raises(ValueError, match=rf"^subset member {bad} out of range 1\.\.2 for L=2$"):
+            c.bound(members)
+    assert c.bound([2, 1]) == c.bound(iter([1, 2])) == 3.0
 
 
 @pytest.mark.parametrize("L, K, named", [(1.5, 1, "L must be an integer, got 1.5"),
