@@ -415,7 +415,9 @@ class _InnerEvaluator:
     A kernel set is one flat array: kernel l's rows, row-major, fill
     ``flat[ends[l]:ends[l + 1]]``, and ``split`` views it as L (|Y_l|, |U_l|)
     matrices, so every per-entry step runs once over the whole set.  The last
-    forward pass is kept, keyed by the bytes of its kernel set.
+    forward pass is kept, keyed by the bytes of its kernel set.  A stack of
+    sets, one a row, is evaluated by one pass (``stack``) and then set by set
+    (``stacked_point``), with the same results as ``point``.
     """
 
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
@@ -465,12 +467,25 @@ class _InnerEvaluator:
         # The last forward pass, (q, lefts, costs, rate, dists), and the bytes
         # of its kernel set; points that share it only read it.
         self._last_key, self._last = None, None
+        # The kernel sets of one stacked pass: up to 16, with at most 4,096
+        # cells of the pass's largest forward array a set, so a stack stays
+        # small in memory.  Under 4 a stack saves too little: 0, and every
+        # trial is evaluated on its own.
+        cells = largest = self.table.size
+        for y, u in zip(self.y_sizes, self.cards):
+            cells = cells // y * u
+            largest = max(largest, cells)
+        self.stack_size = min(16, 4096 // largest)
+        if self.stack_size < 4:
+            self.stack_size = 0
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views."""
-        return [
-            flat[a:b].reshape(y, -1) for a, b, y in zip(self.ends, self.ends[1:], self.y_sizes)
-        ]
+        """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views; of a
+        stack of sets, one set a row, as (rows, |Y_l|, |U_l|) views."""
+        spans = zip(self.ends, self.ends[1:], self.y_sizes)
+        if flat.ndim == 1:
+            return [flat[a:b].reshape(y, -1) for a, b, y in spans]
+        return [flat[:, a:b].reshape(len(flat), y, -1) for a, b, y in spans]
 
     def floor(self, mass: float) -> np.ndarray:
         """mass / |U_l| on every entry of kernel l: the uniform kernel's
@@ -502,15 +517,19 @@ class _InnerEvaluator:
         into K_l and appends U_l at the back, so the next Y axis comes to the
         front.  Returns the result over (side, c, u1..uL) with the U axes
         flattened, and the 2-D left factor of every step for the gradient.
+        A stack of kernel sets, one set a row, runs as one stacked matmul a
+        step, with the same products as one set at a time: the results and
+        every left factor after the first gain the stack's axis in front.
         """
         kernels = self.split(flat)
+        lead = flat.shape[:-1]
         b = self.left0_t @ kernels[0]
         lefts = [self.left0]
         for y_size, ker in zip(self.y_sizes[1:], kernels[1:]):
-            left = b.reshape(y_size, -1)
+            left = b.reshape(lead + (y_size, -1))
             lefts.append(left)
-            b = left.T @ ker
-        return b.reshape(len(self.ln_ps1), self.table.shape[-1], -1), lefts
+            b = left.swapaxes(-1, -2) @ ker
+        return b.reshape(lead + (len(self.ln_ps1), self.table.shape[-1], -1)), lefts
 
     def point(self, flat, slopes) -> _Point:
         """One forward pass at the kernel set ``flat``: rate, per-k Bayes
@@ -543,8 +562,62 @@ class _InnerEvaluator:
                 float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs
             )
             self._last_key, self._last = key, (q, lefts, costs, rate, dists)
+        return self._last_point(flat, slopes)
+
+    def _last_point(self, flat, slopes) -> _Point:
         q, lefts, costs, rate, dists = self._last
         return _Point(flat, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
+
+    def stack(self, flats) -> tuple:
+        """One forward pass over a stack of kernel sets, one set a row, and
+        the parts of each set's rate and distortions that run entry by entry
+        over the whole stack, for ``stacked_point`` to finish set by set.
+
+        Each positive mass of the kernel entropies and of p(u, side) is
+        compacted in row-major order, as ``point`` compacts one set's, so a
+        set's terms are one contiguous run; ``ends`` and ``q_ends`` hold
+        where each kernel's run and each set's p(u, side) run end.
+        """
+        qs, lefts = self._forward(flats)
+        rows, n = flats.shape
+        masses = self.weights * flats
+        positive = masses > 0.0
+        masses = masses[positive]
+        terms = np.log(masses)
+        terms *= masses
+        lasts = np.add.outer(np.arange(0, rows * n, n), np.subtract(self.ends[1:], 1)).ravel()
+        ends = lasts + 1 if masses.size == flats.size else np.cumsum(positive)[lasts]
+        p_u = qs[:, :, 0].reshape(rows, -1)
+        positive = p_u > 0.0
+        p_u = p_u[positive]
+        q_terms = np.log(p_u)
+        q_terms *= p_u
+        q_ends = np.cumsum(np.count_nonzero(positive, axis=1))
+        dists = [
+            np.add.reduce(np.minimum.reduce(qs[:, :, ch], axis=2).reshape(rows, -1), axis=1)
+            for ch in self.channels
+        ]
+        return (
+            flats, qs, lefts, terms, [0] + ends.tolist(), q_terms, [0] + q_ends.tolist(),
+            list(zip(*(d.tolist() for d in dists))),
+        )
+
+    def stacked_point(self, stack, i, slopes) -> _Point:
+        """Set ``i`` of a ``stack``, evaluated as ``point`` evaluates it: the
+        same sums over the same terms in the same order.  It becomes the
+        last forward pass."""
+        flats, qs, lefts, terms, ends, q_terms, q_ends, dists = stack
+        ends = ends[i * self.L : (i + 1) * self.L + 1]
+        own = sum(
+            -float(np.add.reduce(terms[a:b])) - h for a, b, h in zip(ends, ends[1:], self.h_y)
+        )
+        rate = float(-np.add.reduce(q_terms[q_ends[i] : q_ends[i + 1]])) - self.h_side - own
+        q = qs[i]
+        costs = [q[:, ch] for ch in self.channels]
+        flat = flats[i]
+        self._last_key = flat.tobytes()
+        self._last = (q, lefts[:1] + [left[i] for left in lefts[1:]], costs, rate, dists[i])
+        return self._last_point(flat, slopes)
 
     def gradient(self, point: _Point, slopes) -> np.ndarray:
         """Exact kernel-space gradient of rate + slopes . dists at ``point``.
@@ -629,24 +702,28 @@ class _SearchState:
         return self.evals >= self.budget
 
 
-def _mirror_step(evaluator, kernels, grads, step) -> tuple[np.ndarray, float]:
+def _mirror_step(evaluator, kernels, grads, step) -> tuple[np.ndarray, float | list[float]]:
     """The kernel set K exp(-step G), each row renormalized, and the total L1
     distance it moved.  The exponent is clipped to [-700, 700]: each row
     sums to 1 and its logs are at least -700, so no row sum is 0.  The
     per-entry steps run once over the flat set, in place, with the ufuncs
     called directly; each row sum, and each kernel's share of the move, is
-    reduced on its own."""
+    reduced on its own.  With a column of steps, it makes one set a step,
+    stacked, with a list of their moves, each as if made on its own."""
     c = -step * grads
     np.maximum(c, -700.0, out=c)
     np.minimum(c, 700.0, out=c)
     np.exp(c, out=c)
     c *= kernels
     for view in evaluator.split(c):
-        view /= np.add.reduce(view, axis=1, keepdims=True)
+        view /= np.add.reduce(view, axis=-1, keepdims=True)
     d = c - kernels
     np.abs(d, out=d)
+    spans = zip(evaluator.ends, evaluator.ends[1:])
+    if d.ndim == 2:
+        return c, sum(np.add.reduce(d[:, a:b], axis=1) for a, b in spans).tolist()
     move = 0.0
-    for a, b in zip(evaluator.ends, evaluator.ends[1:]):
+    for a, b in spans:
         move += float(np.add.reduce(d[a:b]))
     return c, move
 
@@ -670,20 +747,8 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
         if state.exhausted:
             break
         grads = evaluator.gradient(point, slopes)
-        accepted = False
-        for _bt in range(60):
-            if state.exhausted:
-                break
-            cand, move = _mirror_step(evaluator, point.kernels, grads, step)
-            if move <= 1e-15:
-                break
-            trial = evaluator.point(cand, slopes)
-            state.note(trial)
-            if trial.value <= point.value - 1e-6 * move:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        trial, step = _line_search(evaluator, point, grads, step, slopes, state)
+        if trial is None:
             break
         improvement = point.value - trial.value
         point = trial
@@ -691,6 +756,63 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
         if improvement <= _TOL * max(1.0, abs(point.value)):
             break
     return point
+
+
+def _line_search(evaluator, point, grads, step, slopes, state):
+    """Backtracking from ``step``, halving it after each rejected trial, for
+    up to 60 trials: each trial is noted, and the first to pass the Armijo
+    test is returned with its step.  Returns None for the trial when the
+    budget runs out, a trial would move the kernels by 1e-15 or less, or
+    every trial is rejected.
+
+    Trials 1 and 2 are evaluated one at a time: most line searches end at
+    trial 1.  The rest, when the evaluator stacks sets, go to
+    ``_stacked_trials``, which evaluates them a stack at a time and walks
+    them in the same order, with the same results.
+    """
+    for trial_count in range(60):
+        if state.exhausted:
+            break
+        if trial_count == 2 and evaluator.stack_size:
+            return _stacked_trials(evaluator, point, grads, step, slopes, state, 58)
+        cand, move = _mirror_step(evaluator, point.kernels, grads, step)
+        if move <= 1e-15:
+            break
+        trial = evaluator.point(cand, slopes)
+        state.note(trial)
+        if trial.value <= point.value - 1e-6 * move:
+            return trial, step
+        step *= 0.5
+    return None, step
+
+
+def _stacked_trials(evaluator, point, grads, step, slopes, state, trials):
+    """Up to ``trials`` trials of a line search from ``step``, as
+    ``_line_search`` makes them one at a time, with the same results.
+
+    Each trial is fixed by (point, gradient, step), and the step only
+    halves, so the next ``stack_size`` trials, no more than the budget left,
+    are made as one stacked mirror step and evaluated as one stacked pass.
+    They are then walked in order: the move stop, then the set's own sums,
+    the note and the Armijo test.  Sets after the accepted one are dropped,
+    never noted or counted.
+    """
+    while trials and not state.exhausted:
+        steps = [step]
+        for _ in range(min(evaluator.stack_size, trials, state.budget - state.evals) - 1):
+            steps.append(steps[-1] * 0.5)
+        cands, moves = _mirror_step(evaluator, point.kernels, grads, np.array(steps)[:, None])
+        stack = evaluator.stack(cands)
+        for i, move in enumerate(moves):
+            if move <= 1e-15:
+                return None, step
+            trial = evaluator.stacked_point(stack, i, slopes)
+            state.note(trial)
+            if trial.value <= point.value - 1e-6 * move:
+                return trial, step
+            step *= 0.5
+        trials -= len(steps)
+    return None, step
 
 
 def _slope_search(evaluator, kernels, state):

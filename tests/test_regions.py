@@ -55,6 +55,8 @@ from mtsc_bounds.regions import (
     _locally_supermodular,
     _mirror_step,
     _Point,
+    _SearchState,
+    _stacked_trials,
     subset_label,
 )
 
@@ -1467,12 +1469,31 @@ def fingerprint(res):
     )
 
 
+def one_trial_at_a_time(ev, point, grads, step, slopes, state, trials):
+    """The trials of ``_stacked_trials``, each made by ``_mirror_step`` and
+    evaluated by ``point`` on its own, as a line search makes its first two;
+    kept as a test-only oracle."""
+    for _ in range(trials):
+        if state.exhausted:
+            break
+        cand, move = mtsc_bounds.regions._mirror_step(ev, point.kernels, grads, step)
+        if move <= 1e-15:
+            break
+        trial = ev.point(cand, slopes)
+        state.note(trial)
+        if trial.value <= point.value - 1e-6 * move:
+            return trial, step
+        step *= 0.5
+    return None, step
+
+
 def use_the_wrapped_oracle(monkeypatch):
-    """Run every search step through the list-based oracles, without the
-    cached forward pass."""
+    """Run every search step through the list-based oracles, one trial at a
+    time, without the cached forward pass."""
     monkeypatch.setattr(_InnerEvaluator, "point", flat_wrapped_point)
     monkeypatch.setattr(_InnerEvaluator, "gradient", flat_wrapped_gradient)
     monkeypatch.setattr(mtsc_bounds.regions, "_mirror_step", flat_wrapped_mirror_step)
+    monkeypatch.setattr(mtsc_bounds.regions, "_stacked_trials", one_trial_at_a_time)
 
 
 def test_optimizer_matches_the_wrapped_oracle_bit_for_bit(monkeypatch):
@@ -1492,6 +1513,172 @@ def test_optimizer_matches_the_wrapped_oracle_bit_for_bit(monkeypatch):
     got = [search(*case) for case in cases]
     use_the_wrapped_oracle(monkeypatch)
     assert got == [search(*case) for case in cases]
+
+
+def stacked_test_models(rng, count):
+    """Random models for the stacked pass, with L from 1 to 4, one or two
+    measures and |U_l| from 2 to 9: rows of 8 or more entries are summed
+    pairwise by numpy."""
+    for trial in range(count):
+        L, K = 1 + trial % 4, 1 + trial % 2
+        model = random_source_model(rng, L, K, side=1 + trial % 3)
+        yield model, [int(c) for c in rng.integers(2, 10, size=L)], rng.uniform(0.5, 5.0, size=K)
+
+
+def halvings(step, count):
+    steps = [step]
+    for _ in range(count - 1):
+        steps.append(steps[-1] * 0.5)
+    return steps
+
+
+def test_stacked_pass_matches_single_points_bit_for_bit():
+    rng = np.random.default_rng(3100)
+    seen = {"pairwise": False, "zeros": False, "no zeros": False, "repeats": False}
+    for model, cards, slopes in stacked_test_models(rng, 12):
+        ev, single = _InnerEvaluator(model, cards), _InnerEvaluator(model, cards)
+        seen["pairwise"] |= max(cards) >= 8
+        for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
+            grads = ev.gradient(ev.point(flat, slopes), slopes)
+            # Exponents of up to 900 in size, and a first step of 1e8: rows
+            # clipped at both ends, the same set at several steps.
+            wide = rng.uniform(-900.0, 900.0, size=flat.shape)
+            for g, first in ((grads, 1.0), (grads, 1e8), (wide, 1.0)):
+                steps = halvings(first, 16)
+                cands, moves = _mirror_step(ev, flat, g, np.array(steps)[:, None])
+                stack = ev.stack(cands)
+                for i, step in enumerate(steps):
+                    cand, move = _mirror_step(ev, flat, g, step)
+                    assert same_bits(cands[i], cand) and same_bits(moves[i], move)
+                    got, want = ev.stacked_point(stack, i, slopes), single.point(cand, slopes)
+                    assert ev._last_key == cand.tobytes()
+                    assert same_bits(got.kernels, want.kernels) and same_bits(got.q, want.q)
+                    assert len(got.lefts) == len(want.lefts) and len(got.costs) == len(want.costs)
+                    for a, b in zip(got.lefts + got.costs, want.lefts + want.costs):
+                        assert same_bits(a, b)
+                    floats = zip((got.rate, got.value) + got.dists, (want.rate, want.value) + want.dists)
+                    assert all(same_bits(a, b) for a, b in floats)
+                    assert same_bits(ev.gradient(got, slopes), single.gradient(want, slopes))
+                zeros = bool((cands == 0.0).any())
+                seen["zeros" if zeros else "no zeros"] = True
+                rows = [c.tobytes() for c in cands]
+                seen["repeats"] |= any(a == b for a, b in zip(rows, rows[1:]))
+    assert all(seen.values()), seen
+
+
+def test_stacked_trials_walk_as_single_trials():
+    # Each walk starts at a point and runs up to 58 trials against a
+    # budget; both see the same trials in the same order and stop alike.
+    rng = np.random.default_rng(3200)
+    stops = dict.fromkeys(
+        ["accepted", "accepted in a later stack", "move at the first set", "move after some sets",
+         "budget", "all 58"],
+        0,
+    )
+    for model, cards, slopes in stacked_test_models(rng, 12):
+        caps = tuple(rng.uniform(0.0, 1.0, size=len(slopes)))
+        ev = _InnerEvaluator(model, cards)
+        for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
+            grads = ev.gradient(ev.point(flat, slopes), slopes)
+            wide = rng.uniform(-900.0, 900.0, size=flat.shape)
+            # (first step, gradient, budget, start value): a start value of
+            # -inf rejects every trial, so a walk ends on its move, its
+            # budget, or its 58 trials.  At a first step of 1e8 every
+            # exponent of a gradient row of one sign is clipped alike, and
+            # the set does not move.
+            cases = [
+                (1e4, grads, 100, None),
+                (30.0, grads, 100, None),
+                (1e8, grads, 100, None),
+                (1.0, grads * 1e-12, 100, -math.inf),
+                (1e8, wide, 5, -math.inf),
+                (1e8, wide, 21, -math.inf),
+                (1e8, wide, 100, -math.inf),
+            ]
+            for step, g, budget, value in cases:
+                walked = []
+                for walk in (_stacked_trials, one_trial_at_a_time):
+                    walker = _InnerEvaluator(model, cards)
+                    start = walker.point(flat, slopes)
+                    if value is not None:
+                        start = dataclasses.replace(start, value=value)
+                    state = _SearchState(caps, budget)
+                    trial, last = walk(walker, start, g, step, slopes, state, 58)
+                    best = state.best
+                    walked.append((
+                        None if trial is None else (trial.kernels.tobytes(), trial.value.hex()),
+                        last.hex(), state.evals, walker._last_key,
+                        None if best is None else (best.kernels.tobytes(), best.rate.hex()),
+                    ))
+                assert walked[0] == walked[1]
+                trial, _, evals, _, _ = walked[0]
+                if trial is not None:
+                    stops["accepted"] += 1
+                    stops["accepted in a later stack"] += evals > ev.stack_size
+                elif evals == budget:
+                    stops["budget"] += 1
+                elif evals == 58:
+                    stops["all 58"] += 1
+                else:
+                    stops["move at the first set" if evals == 0 else "move after some sets"] += 1
+    assert all(stops.values()), stops
+
+
+@pytest.mark.parametrize(
+    "L, D, evaluations, sum_rate",
+    [
+        (2, 0.4, 779, "0x1.272ce50f9e24ep+0"),
+        (2, 0.6, 880, "0x1.500472de368a8p-1"),
+        (2, 0.8, 1822, "0x1.309d3d9f6165cp-2"),
+        (3, 0.4, 1255, "0x1.1b7ca04591b23p+0"),
+        (3, 0.6, 1314, "0x1.4b19c74e5e72ap-1"),
+        (3, 0.8, 1332, "0x1.2f1a83feae09cp-2"),
+    ],
+)
+def test_benchmark_searches_keep_their_results(monkeypatch, L, D, evaluations, sum_rate):
+    # The benchmark's six searches (|U_l| = 3, seed 1) at the results they
+    # had with every trial evaluated on its own (numpy 2.4 with OpenBLAS on
+    # x86-64).  Most of their trials now go through stacked passes.
+    stacked = []
+    stacked_point = _InnerEvaluator.stacked_point
+
+    def counted(self, stack, i, slopes):
+        stacked.append(i)
+        return stacked_point(self, stack, i, slopes)
+
+    monkeypatch.setattr(_InnerEvaluator, "stacked_point", counted)
+    model = casebook("erasure", p=0.5, L=L, D=0.6).model
+    budget = 10_000 if L == 2 else 4_000
+    res = optimize_bt_inner_sum_rate(model, [D], [3] * L, budget=budget, seed=1)
+    assert (res.evaluations, res.sum_rate.hex()) == (evaluations, sum_rate)
+    assert len(stacked) > res.evaluations // 4
+
+
+def test_stack_size_follows_the_cells_of_a_forward_pass():
+    # Erasure at |U_l| = 3: forward arrays of 4 * 3^L cells, and up to 4,096
+    # cells a stacked set; under 4 sets a stack, 0, and trials go one at a time.
+    sizes = {}
+    for L in range(2, 9):
+        model = casebook("erasure", p=0.5, L=L, D=0.6).model
+        sizes[L] = _InnerEvaluator(model, [3] * L).stack_size
+    assert sizes == {2: 16, 3: 16, 4: 12, 5: 4, 6: 0, 7: 0, 8: 0}
+    # A wider last alphabet makes the last forward array the largest.
+    model = casebook("erasure", p=0.5, L=3, D=0.6).model
+    assert _InnerEvaluator(model, [2, 4, 9]).stack_size == 4096 // (4 * 2 * 4 * 9)
+
+
+def test_optimizer_at_l8_peaks_under_16_mb():
+    # The erasure L = 8 search of the closed-form test, with its result
+    # check, peaks near 9.6 MB.
+    model = casebook("erasure", p=0.5, L=8, D=0.6).model
+    tracemalloc.start()
+    try:
+        res = optimize_bt_inner_sum_rate(model, [0.6], [3] * 8, budget=1000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.feasible and res.evaluations == 1000
+    assert peak <= 16e6, peak
 
 
 def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
@@ -1533,19 +1720,27 @@ def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
 @pytest.mark.parametrize("budget", [10_000, 800, 400, 40, 1])
 def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
     # 400, 40 and 1 run out inside restart 0, the others in later restarts.
+    # A point is evaluated on its own or as one set of a stacked pass.
     calls = []
-    point = _InnerEvaluator.point
+    point, stacked_point = _InnerEvaluator.point, _InnerEvaluator.stacked_point
 
     def counted(self, kernels, slopes):
-        calls.append(None)
+        calls.append("point")
         return point(self, kernels, slopes)
 
+    def stacked_counted(self, stack, i, slopes):
+        calls.append("stacked")
+        return stacked_point(self, stack, i, slopes)
+
     monkeypatch.setattr(_InnerEvaluator, "point", counted)
+    monkeypatch.setattr(_InnerEvaluator, "stacked_point", stacked_counted)
     inst = casebook("erasure", p=0.5, L=2, D=0.6)
     res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=budget, seed=1)
     assert res.feasible
     assert res.evaluations == len(calls)
     assert res.evaluations <= budget
+    if budget >= 400:
+        assert "stacked" in calls
 
 
 def test_optimizer_reaches_erasure_target_quickly():
