@@ -552,17 +552,20 @@ class _InnerEvaluator:
             ends = self.ends
             if masses.size < flat.size:
                 ends = [0] + np.cumsum(positive)[np.subtract(ends[1:], 1)].tolist()
-            own = sum(
-                -float(np.add.reduce(terms[a:b])) - h
-                for a, b, h in zip(ends, ends[1:], self.h_y)
-            )
-            rate = _sum_plogp(q[:, 0]) - self.h_side - own
+            rate = _sum_plogp(q[:, 0]) - self.h_side - self._own(terms, ends)
             costs = [q[:, ch] for ch in self.channels]
             dists = tuple(
                 float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs
             )
             self._last_key, self._last = key, (q, lefts, costs, rate, dists)
         return self._last_point(flat, slopes)
+
+    def _own(self, terms, ends) -> float:
+        """sum_l H(U_l | Y_l): H(U_l, Y_l) from kernel l's m ln m terms,
+        ``terms[ends[l]:ends[l + 1]]``, less H(Y_l)."""
+        return sum(
+            -float(np.add.reduce(terms[a:b])) - h for a, b, h in zip(ends, ends[1:], self.h_y)
+        )
 
     def _last_point(self, flat, slopes) -> _Point:
         q, lefts, costs, rate, dists = self._last
@@ -607,10 +610,7 @@ class _InnerEvaluator:
         same sums over the same terms in the same order.  It becomes the
         last forward pass."""
         flats, qs, lefts, terms, ends, q_terms, q_ends, dists = stack
-        ends = ends[i * self.L : (i + 1) * self.L + 1]
-        own = sum(
-            -float(np.add.reduce(terms[a:b])) - h for a, b, h in zip(ends, ends[1:], self.h_y)
-        )
+        own = self._own(terms, ends[i * self.L : (i + 1) * self.L + 1])
         rate = float(-np.add.reduce(q_terms[q_ends[i] : q_ends[i + 1]])) - self.h_side - own
         q = qs[i]
         costs = [q[:, ch] for ch in self.channels]
