@@ -94,10 +94,18 @@ def sum_rate_curve_csv(p: float, Ls: Sequence[int], n: int) -> str:
 
 
 def _g_of_root(s: np.ndarray, p: float, L: int) -> np.ndarray:
-    """G(s) = g(s^{1/L}) elementwise for s >= p^L; the root is clipped to
-    [p, 1], as (p^L)^{1/L} can round below p."""
-    x = np.clip(np.asarray(s, float), p**L, 1.0) ** (1.0 / L)
-    return _g_vec(np.clip(x, p, 1.0), p)
+    """G(s) = g(s^{1/L}) elementwise for s >= p^L, at every L.  With
+    a = log(s) / L, e = 1 - s^{1/L} = -expm1(a) and d = e / (1 - p), the
+    e log e terms of the two entropies cancel, so near s^{1/L} = 1 no nearly
+    equal entropies are subtracted: g = -(1-e) a - e log(1-p) + (1-p-e) log1p(-d).
+    a is at least log p, as p^L can underflow to 0 and (p^L)^{1/L} round
+    below p; where d rounds to 1 or above the last term is 0."""
+    s = np.clip(np.asarray(s, float), p**L, 1.0)
+    a = np.maximum(np.log(s, out=np.full(s.shape, -np.inf), where=s > 0.0) / L, math.log(p))
+    e = -np.expm1(a)
+    d = e / (1.0 - p)
+    tail = np.log1p(-d, out=np.zeros(s.shape), where=d < 1.0)
+    return -(1.0 - e) * a - e * math.log1p(-p) + (1.0 - p - e) * tail
 
 
 def _g_vec(x: np.ndarray, p: float) -> np.ndarray:

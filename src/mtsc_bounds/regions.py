@@ -469,7 +469,7 @@ class _InnerEvaluator:
         self._last_key, self._last = None, None
         # The kernel sets of one stacked pass: up to 16, with at most 4,096
         # cells of the pass's largest forward array a set, so a stack stays
-        # small in memory.  Under 4 a stack saves too little: 0, and every
+        # small in memory.  Under 4 a stack saves too little: 1, and every
         # trial is evaluated on its own.
         cells = largest = self.table.size
         for y, u in zip(self.y_sizes, self.cards):
@@ -477,7 +477,7 @@ class _InnerEvaluator:
             largest = max(largest, cells)
         self.stack_size = min(16, 4096 // largest)
         if self.stack_size < 4:
-            self.stack_size = 0
+            self.stack_size = 1
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views; of a
@@ -765,53 +765,39 @@ def _line_search(evaluator, point, grads, step, slopes, state):
     budget runs out, a trial would move the kernels by 1e-15 or less, or
     every trial is rejected.
 
-    Trials 1 and 2 are evaluated one at a time: most line searches end at
-    trial 1.  The rest, when the evaluator stacks sets, go to
-    ``_stacked_trials``, which evaluates them a stack at a time and walks
-    them in the same order, with the same results.
-    """
-    for trial_count in range(60):
-        if state.exhausted:
-            break
-        if trial_count == 2 and evaluator.stack_size:
-            return _stacked_trials(evaluator, point, grads, step, slopes, state, 58)
-        cand, move = _mirror_step(evaluator, point.kernels, grads, step)
-        if move <= 1e-15:
-            break
-        trial = evaluator.point(cand, slopes)
-        state.note(trial)
-        if trial.value <= point.value - 1e-6 * move:
-            return trial, step
-        step *= 0.5
-    return None, step
-
-
-def _stacked_trials(evaluator, point, grads, step, slopes, state, trials):
-    """Up to ``trials`` trials of a line search from ``step``, as
-    ``_line_search`` makes them one at a time, with the same results.
-
     Each trial is fixed by (point, gradient, step), and the step only
-    halves, so the next ``stack_size`` trials, no more than the budget left,
-    are made as one stacked mirror step and evaluated as one stacked pass.
-    They are then walked in order: the move stop, then the set's own sums,
+    halves, so trials are made in batches: 1, 1 (most line searches end at
+    trial 1), then ``stack_size`` at a time, no more than the trials or the
+    budget left.  A batch of one is one mirror step evaluated by ``point``;
+    a larger one is one stacked mirror step evaluated by one stacked pass.
+    Each batch is walked in order: the move stop, then the set's own sums,
     the note and the Armijo test.  Sets after the accepted one are dropped,
     never noted or counted.
     """
-    while trials and not state.exhausted:
-        steps = [step]
-        for _ in range(min(evaluator.stack_size, trials, state.budget - state.evals) - 1):
-            steps.append(steps[-1] * 0.5)
-        cands, moves = _mirror_step(evaluator, point.kernels, grads, np.array(steps)[:, None])
-        stack = evaluator.stack(cands)
+    made = 0
+    while made < 60 and not state.exhausted:
+        size = 1 if made < 2 else min(evaluator.stack_size, 60 - made, state.budget - state.evals)
+        if size == 1:
+            cand, move = _mirror_step(evaluator, point.kernels, grads, step)
+            cands, moves, stack = (cand,), (move,), None
+        else:
+            steps = [step]
+            for _ in range(size - 1):
+                steps.append(steps[-1] * 0.5)
+            cands, moves = _mirror_step(evaluator, point.kernels, grads, np.array(steps)[:, None])
+            stack = evaluator.stack(cands)
         for i, move in enumerate(moves):
             if move <= 1e-15:
                 return None, step
-            trial = evaluator.stacked_point(stack, i, slopes)
+            if stack is None:
+                trial = evaluator.point(cands[i], slopes)
+            else:
+                trial = evaluator.stacked_point(stack, i, slopes)
             state.note(trial)
             if trial.value <= point.value - 1e-6 * move:
                 return trial, step
             step *= 0.5
-        trials -= len(steps)
+        made += size
     return None, step
 
 

@@ -1,5 +1,6 @@
 """Tests for the binary erasure CEO closed forms and shape facts."""
 
+import decimal
 import math
 import re
 
@@ -102,6 +103,43 @@ def test_sum_rate_endpoints():
             floor = (1 - p**L) * LN2 + L * binary_entropy(p)
             got = erasure_sum_rate(ErasureParams(p, L, p**L))
             assert got == pytest.approx(floor, abs=1e-12), (p, L)
+
+
+def sum_rate_decimal(p, L, D):
+    """(1 - D) log 2 + L g(D^{1/L}) in 50-digit decimal arithmetic, from the
+    exact values of the floats p and D, with g as the difference of entropies."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p, D, one = decimal.Decimal(p), decimal.Decimal(D), decimal.Decimal(1)
+
+        def h(x):
+            return -sum((t * t.ln() for t in (x, one - x) if t > 0), decimal.Decimal(0))
+
+        x = (D.ln() / L).exp()
+        g = h(x) - (one - p) * h((x - p) / (one - p))
+        return float((one - D) * decimal.Decimal(2).ln() + L * g)
+
+
+def test_sum_rate_against_a_decimal_reference_up_to_huge_l():
+    # Near x = 1, h(x) - (1 - p) h((x - p) / (1 - p)) subtracts nearly equal
+    # entropies; taken that way in floats, the sum rate was off by 4.5 at
+    # L = 10^15.
+    for p in (0.1, 0.3, 0.5, 0.9):
+        for L in (3, 8, 12, 100, 1_000, 10**6, 10**9, 10**12, 10**15):
+            for D in (0.3, 0.6, 0.9, 0.99, 1.0):
+                if p**L <= D:
+                    got = erasure_sum_rate(ErasureParams(p, L, D))
+                    assert abs(got - sum_rate_decimal(p, L, D)) <= 2e-15, (p, L, D)
+    # The limit as L grows is (1 - D) log 2 + log D log(1 - p).
+    got = erasure_sum_rate(ErasureParams(0.5, 10**15, 0.6))
+    assert got == pytest.approx(0.4 * LN2 + math.log(0.6) * math.log(0.5), abs=1e-12)
+    # At D = p^L, 1 - D^{1/L} can round to more than 1 - p; g(p) = h(p).
+    for L in (1, 2, 3):
+        floor = (1 - 0.057**L) * LN2 + L * binary_entropy(0.057)
+        assert erasure_sum_rate(ErasureParams(0.057, L, 0.057**L)) == pytest.approx(floor, abs=1e-12)
+    # p^L underflows to 0 here, and the root of p^L is still p.
+    (D, _, floor), *_ = sum_rate_curve(0.5, [10**15], 3)
+    assert D == 0.0 and floor == pytest.approx(LN2 + 10**15 * LN2, rel=1e-15)
 
 
 def test_params_validation():

@@ -52,11 +52,11 @@ from mtsc_bounds.prob import EntropyOracle, _lattice_entropies, _sum_plogp
 from mtsc_bounds.regions import (
     _conditional_entropies,
     _InnerEvaluator,
+    _line_search,
     _locally_supermodular,
     _mirror_step,
     _Point,
     _SearchState,
-    _stacked_trials,
     subset_label,
 )
 
@@ -1469,11 +1469,10 @@ def fingerprint(res):
     )
 
 
-def one_trial_at_a_time(ev, point, grads, step, slopes, state, trials):
-    """The trials of ``_stacked_trials``, each made by ``_mirror_step`` and
-    evaluated by ``point`` on its own, as a line search makes its first two;
-    kept as a test-only oracle."""
-    for _ in range(trials):
+def one_trial_at_a_time(ev, point, grads, step, slopes, state):
+    """The up to 60 trials of ``_line_search``, each made by ``_mirror_step``
+    and evaluated by ``point`` on its own; kept as a test-only reference."""
+    for _ in range(60):
         if state.exhausted:
             break
         cand, move = mtsc_bounds.regions._mirror_step(ev, point.kernels, grads, step)
@@ -1489,11 +1488,22 @@ def one_trial_at_a_time(ev, point, grads, step, slopes, state, trials):
 
 def use_the_wrapped_oracle(monkeypatch):
     """Run every search step through the list-based oracles, one trial at a
-    time, without the cached forward pass."""
+    time (a stack size of 1, and no stacked pass), without the cached
+    forward pass."""
+    init = _InnerEvaluator.__init__
+
+    def one_set_a_batch(self, *args):
+        init(self, *args)
+        self.stack_size = 1
+
+    def no_stack(self, flats):
+        raise AssertionError("a stacked pass under the wrapped oracle")
+
+    monkeypatch.setattr(_InnerEvaluator, "__init__", one_set_a_batch)
+    monkeypatch.setattr(_InnerEvaluator, "stack", no_stack)
     monkeypatch.setattr(_InnerEvaluator, "point", flat_wrapped_point)
     monkeypatch.setattr(_InnerEvaluator, "gradient", flat_wrapped_gradient)
     monkeypatch.setattr(mtsc_bounds.regions, "_mirror_step", flat_wrapped_mirror_step)
-    monkeypatch.setattr(mtsc_bounds.regions, "_stacked_trials", one_trial_at_a_time)
 
 
 def test_optimizer_matches_the_wrapped_oracle_bit_for_bit(monkeypatch):
@@ -1567,12 +1577,14 @@ def test_stacked_pass_matches_single_points_bit_for_bit():
 
 
 def test_stacked_trials_walk_as_single_trials():
-    # Each walk starts at a point and runs up to 58 trials against a
-    # budget; both see the same trials in the same order and stop alike.
+    # Each walk starts at a point and runs up to 60 trials against a budget:
+    # the line search at the evaluator's own stack size and at a stack size
+    # of 1, and the one-at-a-time reference.  All three see the same trials
+    # in the same order and stop alike.
     rng = np.random.default_rng(3200)
     stops = dict.fromkeys(
         ["accepted", "accepted in a later stack", "move at the first set", "move after some sets",
-         "budget", "all 58"],
+         "budget", "all 60"],
         0,
     )
     for model, cards, slopes in stacked_test_models(rng, 12):
@@ -1583,7 +1595,7 @@ def test_stacked_trials_walk_as_single_trials():
             wide = rng.uniform(-900.0, 900.0, size=flat.shape)
             # (first step, gradient, budget, start value): a start value of
             # -inf rejects every trial, so a walk ends on its move, its
-            # budget, or its 58 trials.  At a first step of 1e8 every
+            # budget, or its 60 trials.  At a first step of 1e8 every
             # exponent of a gradient row of one sign is clipped alike, and
             # the set does not move.
             cases = [
@@ -1597,28 +1609,31 @@ def test_stacked_trials_walk_as_single_trials():
             ]
             for step, g, budget, value in cases:
                 walked = []
-                for walk in (_stacked_trials, one_trial_at_a_time):
+                for walk, stack_size in (
+                    (_line_search, ev.stack_size), (_line_search, 1), (one_trial_at_a_time, 1),
+                ):
                     walker = _InnerEvaluator(model, cards)
+                    walker.stack_size = stack_size
                     start = walker.point(flat, slopes)
                     if value is not None:
                         start = dataclasses.replace(start, value=value)
                     state = _SearchState(caps, budget)
-                    trial, last = walk(walker, start, g, step, slopes, state, 58)
+                    trial, last = walk(walker, start, g, step, slopes, state)
                     best = state.best
                     walked.append((
                         None if trial is None else (trial.kernels.tobytes(), trial.value.hex()),
                         last.hex(), state.evals, walker._last_key,
                         None if best is None else (best.kernels.tobytes(), best.rate.hex()),
                     ))
-                assert walked[0] == walked[1]
+                assert walked[0] == walked[1] == walked[2]
                 trial, _, evals, _, _ = walked[0]
                 if trial is not None:
                     stops["accepted"] += 1
-                    stops["accepted in a later stack"] += evals > ev.stack_size
+                    stops["accepted in a later stack"] += ev.stack_size > 1 and evals > 2 + ev.stack_size
                 elif evals == budget:
                     stops["budget"] += 1
-                elif evals == 58:
-                    stops["all 58"] += 1
+                elif evals == 60:
+                    stops["all 60"] += 1
                 else:
                     stops["move at the first set" if evals == 0 else "move after some sets"] += 1
     assert all(stops.values()), stops
@@ -1656,15 +1671,54 @@ def test_benchmark_searches_keep_their_results(monkeypatch, L, D, evaluations, s
 
 def test_stack_size_follows_the_cells_of_a_forward_pass():
     # Erasure at |U_l| = 3: forward arrays of 4 * 3^L cells, and up to 4,096
-    # cells a stacked set; under 4 sets a stack, 0, and trials go one at a time.
+    # cells a stacked set; under 4 sets a stack, 1, and trials go one at a time.
     sizes = {}
     for L in range(2, 9):
         model = casebook("erasure", p=0.5, L=L, D=0.6).model
         sizes[L] = _InnerEvaluator(model, [3] * L).stack_size
-    assert sizes == {2: 16, 3: 16, 4: 12, 5: 4, 6: 0, 7: 0, 8: 0}
+    assert sizes == {2: 16, 3: 16, 4: 12, 5: 4, 6: 1, 7: 1, 8: 1}
     # A wider last alphabet makes the last forward array the largest.
     model = casebook("erasure", p=0.5, L=3, D=0.6).model
     assert _InnerEvaluator(model, [2, 4, 9]).stack_size == 4096 // (4 * 2 * 4 * 9)
+
+
+@pytest.mark.parametrize("budget, stacks", [(30, [16, 12]), (100, [16, 16, 16, 10])])
+def test_a_line_search_stacks_its_trials_past_the_second(monkeypatch, budget, stacks):
+    # Every trial rejected: trials 1 and 2 go through ``point`` one at a
+    # time, the rest through stacks of up to 16 sets, no more than the
+    # budget or the 60 trials leave.
+    calls, sizes = [], []
+    point, stack, stacked_point = (
+        _InnerEvaluator.point, _InnerEvaluator.stack, _InnerEvaluator.stacked_point,
+    )
+
+    def counted(self, flat, slopes):
+        calls.append("point")
+        return point(self, flat, slopes)
+
+    def counted_stack(self, flats):
+        sizes.append(len(flats))
+        return stack(self, flats)
+
+    def stacked_counted(self, stack, i, slopes):
+        calls.append("stacked")
+        return stacked_point(self, stack, i, slopes)
+
+    model = casebook("erasure", p=0.5, L=2, D=0.6).model
+    ev = _InnerEvaluator(model, [3, 3])
+    rng = np.random.default_rng(3300)
+    flat, slopes = ev.random_kernels(rng), [2.0]
+    start = dataclasses.replace(ev.point(flat, slopes), value=-math.inf)
+    # Exponents of up to 900 in size keep every trial moving.
+    wide = rng.uniform(-900.0, 900.0, size=flat.shape)
+    monkeypatch.setattr(_InnerEvaluator, "point", counted)
+    monkeypatch.setattr(_InnerEvaluator, "stack", counted_stack)
+    monkeypatch.setattr(_InnerEvaluator, "stacked_point", stacked_counted)
+    state = _SearchState((0.6,), budget)
+    trial, _ = _line_search(ev, start, wide, 1e8, slopes, state)
+    assert trial is None and ev.stack_size == 16
+    assert calls == ["point"] * 2 + ["stacked"] * (state.evals - 2)
+    assert sizes == stacks and state.evals == 2 + sum(stacks)
 
 
 def test_optimizer_at_l8_peaks_under_16_mb():
