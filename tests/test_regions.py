@@ -1,6 +1,7 @@
 """Tests for constraint evaluators, vertices, classical bounds, and the optimizer."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -1667,6 +1668,30 @@ def test_benchmark_searches_keep_their_results(monkeypatch, L, D, evaluations, s
     res = optimize_bt_inner_sum_rate(model, [D], [3] * L, budget=budget, seed=1)
     assert (res.evaluations, res.sum_rate.hex()) == (evaluations, sum_rate)
     assert len(stacked) > res.evaluations // 4
+
+
+@pytest.mark.parametrize(
+    "L, cards, budget, sum_rate, kernels_sha256",
+    [
+        (4, [3] * 4, 800, "0x1.48ebc2af864b0p-1",
+         "f6267e3c4a4a8b8ba11593a9857cc9ae50cfadf1c2bb318748e1e7e4719b7859"),
+        (5, [3] * 5, 600, "0x1.47b057f457e2cp-1",
+         "052cc41d4c4d6613b26ea30b3224c0c8387f385aa28b6b6ae2f6116edc7c837c"),
+        (6, [3] * 6, 400, "0x1.471b097895776p-1",
+         "962fc9d7d358c45249fb0224a733e5e90565cbc5f953a7512e5c4a1be1d14d9f"),
+        (3, [2, 4, 9], 600, "0x1.5004e757eb28cp-1",
+         "ad3a73027bc2479b04899174e38998773ce84f19ee5cbaba95327cd0dcf5c9c2"),
+    ],
+)
+def test_searches_past_l3_keep_their_results(L, cards, budget, sum_rate, kernels_sha256):
+    # Erasure at D = 0.6 and seed L: stacks of 12, 4 and 1 set, and kernels
+    # of unequal row lengths (|U_l| = 2, 4, 9, a stack of 14).  Each budget
+    # binds.  The pins are the results on numpy 2.4 with OpenBLAS on x86-64.
+    model = casebook("erasure", p=0.5, L=L, D=0.6).model
+    res = optimize_bt_inner_sum_rate(model, [0.6], cards, budget=budget, seed=L)
+    kernels = b"".join(k.rows.tobytes() for k in res.gamma.encoder_kernels)
+    assert (res.evaluations, res.sum_rate.hex()) == (budget, sum_rate)
+    assert hashlib.sha256(kernels).hexdigest() == kernels_sha256
 
 
 def test_stack_size_follows_the_cells_of_a_forward_pass():
