@@ -11,6 +11,7 @@ L = 14, the largest the casebook's table cap admits.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -383,7 +384,7 @@ _TOL = 1e-12  # relative improvement below which a solve stops
 _MAX_SEARCH_DISTORTION = 1e280
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Point:
     """One evaluated kernel set: its forward pass and what the search reads."""
 
@@ -452,12 +453,23 @@ class _InnerEvaluator:
         p_side = p_obs.reshape(-1, p_obs.shape[-1]).sum(axis=0)
         self.h_side = _sum_plogp(p_side)
         self.ln_ps1 = np.log(np.maximum(p_side, 1e-300)) + 1.0
-        # Index arrays that write one entry per (side, u) column of the
-        # forward result, at the decoder's choice of c.
-        self.side_rows = np.arange(p_side.size)[:, None]
-        self.u_cols = np.arange(math.prod(self.cards))
+        # Flat indices into the forward result that write one entry per
+        # (side, u) column of measure k, at the decoder's choice z:
+        # slope_cols[k] + z * |U|.
+        n_u = math.prod(self.cards)
+        cols = np.arange(p_side.size)[:, None] * self.table.shape[-1] * n_u + np.arange(n_u)
+        self.slope_cols = [cols + ch.start * n_u for ch in self.channels]
         self.sizes = [y * u for y, u in zip(self.y_sizes, self.cards)]
         self.ends = np.cumsum([0] + self.sizes).tolist()
+        self.lasts = np.subtract(self.ends[1:], 1)  # each kernel's last entry
+        # Runs of consecutive kernels of one shape (|Y_l|, |U_l|), as
+        # (start, end, kernels, |U_l|) in the flat set: a per-row or
+        # per-kernel step makes one reduce a run.
+        self.runs = []
+        for (y, u), run in itertools.groupby(zip(self.y_sizes, self.cards)):
+            n = len(list(run))
+            start = self.runs[-1][1] if self.runs else 0
+            self.runs.append((start, start + n * y * u, n, u))
         # p(y_l) on each row of kernel l, for the kernel entropies and their gradient.
         self.weights = np.concatenate([np.repeat(p, u) for p, u in zip(self.p_y, self.cards)])
         self.smooth_floor = self.floor(1e-3)  # the zero-mass smoothing's uniform share
@@ -551,7 +563,7 @@ class _InnerEvaluator:
             terms *= masses
             ends = self.ends
             if masses.size < flat.size:
-                ends = [0] + np.cumsum(positive)[np.subtract(ends[1:], 1)].tolist()
+                ends = [0] + positive.cumsum()[self.lasts].tolist()
             rate = _sum_plogp(q[:, 0]) - self.h_side - self._own(terms, ends)
             costs = [q[:, ch] for ch in self.channels]
             dists = tuple(
@@ -588,14 +600,14 @@ class _InnerEvaluator:
         masses = masses[positive]
         terms = np.log(masses)
         terms *= masses
-        lasts = np.add.outer(np.arange(0, rows * n, n), np.subtract(self.ends[1:], 1)).ravel()
-        ends = lasts + 1 if masses.size == flats.size else np.cumsum(positive)[lasts]
+        lasts = np.add.outer(np.arange(0, rows * n, n), self.lasts).ravel()
+        ends = lasts + 1 if masses.size == flats.size else positive.cumsum()[lasts]
         p_u = qs[:, :, 0].reshape(rows, -1)
         positive = p_u > 0.0
         p_u = p_u[positive]
         q_terms = np.log(p_u)
         q_terms *= p_u
-        q_ends = np.cumsum(np.count_nonzero(positive, axis=1))
+        q_ends = np.add.reduce(positive, axis=1).cumsum()
         dists = [
             np.add.reduce(np.minimum.reduce(qs[:, :, ch], axis=2).reshape(rows, -1), axis=1)
             for ch in self.channels
@@ -637,17 +649,24 @@ class _InnerEvaluator:
         # adversarial pick (large penalties) would wall off every unused
         # symbol; there a slightly smoothed joint breaks the tie sensibly.
         argmins = [c.argmin(axis=1) for c in costs]  # axes (side, u)
-        dead = [np.maximum.reduce(c, axis=1) == 0.0 for c in costs]
-        if any(d.any() for d in dead):
+        tops = [np.maximum.reduce(c, axis=1) for c in costs]
+        if not all(t.all() for t in tops):
             q_smooth, _ = self._forward((1.0 - 1e-3) * flat + self.smooth_floor)
             for k, ch in enumerate(self.channels):
-                argmins[k] = np.where(dead[k], q_smooth[:, ch].argmin(axis=1), argmins[k])
+                argmins[k] = np.where(tops[k] == 0.0, q_smooth[:, ch].argmin(axis=1), argmins[k])
 
         f = np.zeros(q.shape)
-        f[:, 0] = self.ln_ps1[:, None] - (np.log(np.maximum(q[:, 0], 1e-300)) + 1.0)
-        for k, ch in enumerate(self.channels):
-            f[:, ch][self.side_rows, argmins[k], self.u_cols] = slopes[k]
-        grad = np.log(np.maximum(flat, 1e-300))
+        ln_q1 = np.maximum(q[:, 0], 1e-300)
+        np.log(ln_q1, out=ln_q1)
+        ln_q1 += 1.0
+        np.subtract(self.ln_ps1[:, None], ln_q1, out=f[:, 0])
+        n_u = q.shape[-1]
+        for k, cols in enumerate(self.slope_cols):
+            at = argmins[k] * n_u
+            at += cols
+            f.reshape(-1)[at] = slopes[k]
+        grad = np.maximum(flat, 1e-300)
+        np.log(grad, out=grad)
         grad += 1.0
         grad *= self.weights
         grads, kernels = self.split(grad), self.split(flat)
@@ -684,6 +703,7 @@ class _SearchState:
 
     def __init__(self, caps, budget):
         self.caps = caps
+        self.limits = tuple(c + FEASIBILITY_SLACK for c in caps)  # a point meets a cap at or under
         self.budget = budget
         self.evals = 0
         self.restart = 0  # the restart now running
@@ -692,8 +712,9 @@ class _SearchState:
 
     def note(self, point: _Point):
         self.evals += 1
-        if all(d <= c + FEASIBILITY_SLACK for d, c in zip(point.dists, self.caps)) and (
-            self.best is None or point.rate < self.best.rate - 1e-12
+        best = self.best
+        if (best is None or point.rate < best.rate - 1e-12) and all(
+            d <= c for d, c in zip(point.dists, self.limits)
         ):
             self.best, self.best_restart = point, self.restart
 
@@ -707,25 +728,28 @@ def _mirror_step(evaluator, kernels, grads, step) -> tuple[np.ndarray, float | l
     distance it moved.  The exponent is clipped to [-700, 700]: each row
     sums to 1 and its logs are at least -700, so no row sum is 0.  The
     per-entry steps run once over the flat set, in place, with the ufuncs
-    called directly; each row sum, and each kernel's share of the move, is
-    reduced on its own.  With a column of steps, it makes one set a step,
-    stacked, with a list of their moves, each as if made on its own."""
+    called directly.  Each row sum, and each kernel's share of the move, is
+    reduced on its own, one reduce a run of kernels of one shape, and the
+    shares are added in kernel order.  With a column of steps, it makes
+    one set a step, stacked, with a list of their moves, each as if made
+    on its own."""
     c = -step * grads
     np.maximum(c, -700.0, out=c)
     np.minimum(c, 700.0, out=c)
     np.exp(c, out=c)
     c *= kernels
-    for view in evaluator.split(c):
-        view /= np.add.reduce(view, axis=-1, keepdims=True)
+    lead = c.shape[:-1]
+    for a, b, _, u in evaluator.runs:
+        rows = c[..., a:b].reshape(lead + (-1, u))
+        rows /= np.add.reduce(rows, axis=-1, keepdims=True)
     d = c - kernels
     np.abs(d, out=d)
-    spans = zip(evaluator.ends, evaluator.ends[1:])
-    if d.ndim == 2:
-        return c, sum(np.add.reduce(d[:, a:b], axis=1) for a, b in spans).tolist()
     move = 0.0
-    for a, b in spans:
-        move += float(np.add.reduce(d[a:b]))
-    return c, move
+    for a, b, n, _ in evaluator.runs:
+        shares = np.add.reduce(d[..., a:b].reshape(lead + (n, -1)), axis=-1)
+        for share in shares.T if lead else shares.tolist():
+            move += share
+    return c, move.tolist() if lead else move
 
 
 def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
@@ -832,11 +856,11 @@ def _slope_search(evaluator, kernels, state):
         if state.exhausted:
             break
         dists = point.dists
-        if all(d <= c + FEASIBILITY_SLACK for d, c in zip(dists, state.caps)):
+        if all(d <= c for d, c in zip(dists, state.limits)):
             anchor = point.kernels
         moved = False
         for k in range(K):
-            if dists[k] > state.caps[k] + FEASIBILITY_SLACK:
+            if dists[k] > state.limits[k]:
                 lo[k] = max(lo[k], slopes[k])
                 slopes[k] = (
                     slopes[k] * 4.0

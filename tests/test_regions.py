@@ -1577,6 +1577,77 @@ def test_stacked_pass_matches_single_points_bit_for_bit():
     assert all(seen.values()), seen
 
 
+def per_kernel_mirror_step(ev, flat, grads, step):
+    """The mirror step kernel by kernel: each kernel's rows renormalized,
+    and its share of the move reduced, on their own, the shares added in
+    kernel order; kept as a test-only reference for the per-shape runs."""
+    c = -step * grads
+    np.maximum(c, -700.0, out=c)
+    np.minimum(c, 700.0, out=c)
+    np.exp(c, out=c)
+    c *= flat
+    for view in ev.split(c):
+        view /= np.add.reduce(view, axis=-1, keepdims=True)
+    d = np.abs(c - flat)
+    spans = list(zip(ev.ends, ev.ends[1:]))
+    if d.ndim == 2:
+        moves = np.zeros(len(d))
+        for a, b in spans:
+            moves += np.add.reduce(d[:, a:b], axis=1)
+        return c, moves.tolist()
+    move = 0.0
+    for a, b in spans:
+        move += float(np.add.reduce(d[a:b]))
+    return c, move
+
+
+@pytest.mark.parametrize(
+    "model, cards, shapes",
+    [
+        (casebook("erasure", p=0.5, L=5, D=0.6).model, [3, 3, 2, 2, 3], [3, 2, 3]),
+        (casebook("erasure", p=0.5, L=3, D=0.6).model, [2, 4, 9], [2, 4, 9]),
+        (casebook("erasure", p=0.5, L=3, D=0.6).model, [3, 3, 3], [3]),
+        # |Y_l| of 3, 3, 1, 3: a run also ends where |Y_l| changes.
+        (random_source_model(np.random.default_rng(5), 4, 1, side=2), [2, 2, 2, 2], [2, 2, 2]),
+    ],
+    ids=["U-3-3-2-2-3", "U-2-4-9", "U-3-3-3", "Y-3-3-1-3"],
+)
+def test_mirror_step_runs_match_a_per_kernel_loop_bit_for_bit(model, cards, shapes):
+    ev = _InnerEvaluator(model, cards)
+    # The runs cover the kernels in order, each run one shape, the next run
+    # another.
+    assert [u for _, _, _, u in ev.runs] == shapes
+    kernels = []
+    for a, b, n, u in ev.runs:
+        size = (b - a) // n
+        kernels += [(a + j * size, a + (j + 1) * size, size // u, u) for j in range(n)]
+    assert kernels == list(zip(ev.ends, ev.ends[1:], ev.y_sizes, ev.cards))
+    starts = {a for a, _, _, _ in ev.runs}
+    for l in range(1, ev.L):
+        same = (ev.y_sizes[l], ev.cards[l]) == (ev.y_sizes[l - 1], ev.cards[l - 1])
+        assert (ev.ends[l] in starts) != same
+    rng = np.random.default_rng(3150)
+    slopes = [2.0] * model.K
+    zeros_seen = False
+    for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev), zeroed_kernels(rng, ev)):
+        zeros_seen |= bool((flat == 0.0).any())
+        grads = ev.gradient(ev.point(flat, slopes), slopes)
+        # Exponents of up to 900 in size: rows clipped at one end or both.
+        wide = rng.uniform(-900.0, 900.0, size=flat.shape)
+        for g in (grads, wide):
+            steps = [1e-3, 0.5, 1.0, 1e8, np.array(halvings(1.0, 16))[:, None],
+                     np.array(halvings(1e8, 16))[:, None]]
+            for step in steps:
+                cand, move = _mirror_step(ev, flat, g, step)
+                want_cand, want_move = per_kernel_mirror_step(ev, flat, g, step)
+                assert same_bits(cand, want_cand)
+                if isinstance(want_move, float):
+                    assert same_bits(move, want_move)
+                else:
+                    assert [m.hex() for m in move] == [m.hex() for m in want_move]
+    assert zeros_seen
+
+
 def test_stacked_trials_walk_as_single_trials():
     # Each walk starts at a point and runs up to 60 trials against a budget:
     # the line search at the evaluator's own stack size and at a stack size
