@@ -415,10 +415,12 @@ class _InnerEvaluator:
 
     A kernel set is one flat array: kernel l's rows, row-major, fill
     ``flat[ends[l]:ends[l + 1]]``, and ``split`` views it as L (|Y_l|, |U_l|)
-    matrices, so every per-entry step runs once over the whole set.  The last
-    forward pass is kept, keyed by the bytes of its kernel set.  A stack of
-    sets, one a row, is evaluated by one pass (``stack``) and then set by set
-    (``stacked_point``), with the same results as ``point``.
+    matrices, so every per-entry step runs once over the whole set.  The
+    mirror step's row sums and per-kernel sums run once a run of kernels of
+    one shape (``runs``).  The last forward pass is kept, keyed by the bytes
+    of its kernel set.  A stack of sets, one a row, is evaluated by one pass
+    (``stack``) and then set by set (``stacked_point``), with the same
+    results as ``point``.
     """
 
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
@@ -453,12 +455,10 @@ class _InnerEvaluator:
         p_side = p_obs.reshape(-1, p_obs.shape[-1]).sum(axis=0)
         self.h_side = _sum_plogp(p_side)
         self.ln_ps1 = np.log(np.maximum(p_side, 1e-300)) + 1.0
-        # Flat indices into the forward result that write one entry per
-        # (side, u) column of measure k, at the decoder's choice z:
-        # slope_cols[k] + z * |U|.
-        n_u = math.prod(self.cards)
-        cols = np.arange(p_side.size)[:, None] * self.table.shape[-1] * n_u + np.arange(n_u)
-        self.slope_cols = [cols + ch.start * n_u for ch in self.channels]
+        # Index arrays that write one entry per (side, u) column of the
+        # forward result, at the decoder's choice of c.
+        self.side_rows = np.arange(p_side.size)[:, None]
+        self.u_cols = np.arange(math.prod(self.cards))
         self.sizes = [y * u for y, u in zip(self.y_sizes, self.cards)]
         self.ends = np.cumsum([0] + self.sizes).tolist()
         self.lasts = np.subtract(self.ends[1:], 1)  # each kernel's last entry
@@ -660,11 +660,8 @@ class _InnerEvaluator:
         np.log(ln_q1, out=ln_q1)
         ln_q1 += 1.0
         np.subtract(self.ln_ps1[:, None], ln_q1, out=f[:, 0])
-        n_u = q.shape[-1]
-        for k, cols in enumerate(self.slope_cols):
-            at = argmins[k] * n_u
-            at += cols
-            f.reshape(-1)[at] = slopes[k]
+        for k, ch in enumerate(self.channels):
+            f[:, ch][self.side_rows, argmins[k], self.u_cols] = slopes[k]
         grad = np.maximum(flat, 1e-300)
         np.log(grad, out=grad)
         grad += 1.0
@@ -702,7 +699,6 @@ class _SearchState:
     must be better by more than 1e-12, so earlier restarts win ties."""
 
     def __init__(self, caps, budget):
-        self.caps = caps
         self.limits = tuple(c + FEASIBILITY_SLACK for c in caps)  # a point meets a cap at or under
         self.budget = budget
         self.evals = 0
@@ -846,7 +842,7 @@ def _slope_search(evaluator, kernels, state):
         # that should stay dead are re-killed within an iteration.
         return (1.0 - eps) * flat + floor
 
-    K = len(state.caps)
+    K = len(state.limits)
     slopes = np.full(K, 64.0)
     lo = np.zeros(K)
     hi = np.full(K, np.inf)
