@@ -1944,6 +1944,23 @@ def test_optimizer_never_beats_the_erasure_closed_form(L, budget):
     assert closed - 1e-9 <= res.sum_rate <= closed + 1e-3
 
 
+@pytest.mark.parametrize(
+    "L, D, budget, seed",
+    [(2, D, 10_000, 1) for D in (0.4, 0.6, 0.8)] + [(3, D, 4_000, 1) for D in (0.4, 0.6, 0.8)]
+    + [(2, 0.6, 1500, 2), (3, 0.6, 800, 3), (4, 0.6, 800, 4), (5, 0.6, 600, 5), (6, 0.6, 400, 6),
+       (8, 0.6, 1000, 8)],
+)
+def test_the_search_lands_on_the_erasure_curve_at_its_own_distortion(L, D, budget, seed):
+    # The benchmark's six searches and the closed-form cases: whatever
+    # distortion a search ends at, its rate is the closed form there, so its
+    # gap at the cap is set by how close to the cap it ends.
+    model = casebook("erasure", p=0.5, L=L, D=0.6).model
+    res = optimize_bt_inner_sum_rate(model, [D], [3] * L, budget=budget, seed=seed)
+    assert res.feasible
+    own = erasure_sum_rate(ErasureParams(0.5, L, res.distortions[0]))
+    assert abs(res.sum_rate - own) <= 1e-12, (res.sum_rate, own)
+
+
 def test_optimizer_meets_the_erasure_closed_form_at_l8():
     # The check of the result takes the support path, whose lattice table
     # has 3^8 * 511 cells, under the optimizer's cap.
