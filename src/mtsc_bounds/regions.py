@@ -418,9 +418,7 @@ class _InnerEvaluator:
     matrices, so every per-entry step runs once over the whole set.  The
     mirror step's row sums and per-kernel sums run once a run of kernels of
     one shape (``runs``).  The last forward pass is kept, keyed by the bytes
-    of its kernel set.  A stack of sets, one a row, is evaluated by one pass
-    (``stack``) and then set by set (``stacked_point``), with the same
-    results as ``point``.
+    of its kernel set.
     """
 
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
@@ -479,25 +477,10 @@ class _InnerEvaluator:
         # The last forward pass, (q, lefts, costs, rate, dists), and the bytes
         # of its kernel set; points that share it only read it.
         self._last_key, self._last = None, None
-        # The kernel sets of one stacked pass: up to 16, with at most 4,096
-        # cells of the pass's largest forward array a set, so a stack stays
-        # small in memory.  Under 4 a stack saves too little: 1, and every
-        # trial is evaluated on its own.
-        cells = largest = self.table.size
-        for y, u in zip(self.y_sizes, self.cards):
-            cells = cells // y * u
-            largest = max(largest, cells)
-        self.stack_size = min(16, 4096 // largest)
-        if self.stack_size < 4:
-            self.stack_size = 1
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views; of a
-        stack of sets, one set a row, as (rows, |Y_l|, |U_l|) views."""
-        spans = zip(self.ends, self.ends[1:], self.y_sizes)
-        if flat.ndim == 1:
-            return [flat[a:b].reshape(y, -1) for a, b, y in spans]
-        return [flat[:, a:b].reshape(len(flat), y, -1) for a, b, y in spans]
+        """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views."""
+        return [flat[a:b].reshape(y, -1) for a, b, y in zip(self.ends, self.ends[1:], self.y_sizes)]
 
     def floor(self, mass: float) -> np.ndarray:
         """mass / |U_l| on every entry of kernel l: the uniform kernel's
@@ -529,19 +512,15 @@ class _InnerEvaluator:
         into K_l and appends U_l at the back, so the next Y axis comes to the
         front.  Returns the result over (side, c, u1..uL) with the U axes
         flattened, and the 2-D left factor of every step for the gradient.
-        A stack of kernel sets, one set a row, runs as one stacked matmul a
-        step, with the same products as one set at a time: the results and
-        every left factor after the first gain the stack's axis in front.
         """
         kernels = self.split(flat)
-        lead = flat.shape[:-1]
         b = self.left0_t @ kernels[0]
         lefts = [self.left0]
         for y_size, ker in zip(self.y_sizes[1:], kernels[1:]):
-            left = b.reshape(lead + (y_size, -1))
+            left = b.reshape(y_size, -1)
             lefts.append(left)
-            b = left.swapaxes(-1, -2) @ ker
-        return b.reshape(lead + (len(self.ln_ps1), self.table.shape[-1], -1)), lefts
+            b = left.T @ ker
+        return b.reshape(len(self.ln_ps1), self.table.shape[-1], -1), lefts
 
     def point(self, flat, slopes) -> _Point:
         """One forward pass at the kernel set ``flat``: rate, per-k Bayes
@@ -564,72 +543,17 @@ class _InnerEvaluator:
             ends = self.ends
             if masses.size < flat.size:
                 ends = [0] + positive.cumsum()[self.lasts].tolist()
-            rate = _sum_plogp(q[:, 0]) - self.h_side - self._own(terms, ends)
+            own = sum(
+                -float(np.add.reduce(terms[a:b])) - h for a, b, h in zip(ends, ends[1:], self.h_y)
+            )
+            rate = _sum_plogp(q[:, 0]) - self.h_side - own
             costs = [q[:, ch] for ch in self.channels]
             dists = tuple(
                 float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs
             )
             self._last_key, self._last = key, (q, lefts, costs, rate, dists)
-        return self._last_point(flat, slopes)
-
-    def _own(self, terms, ends) -> float:
-        """sum_l H(U_l | Y_l): H(U_l, Y_l) from kernel l's m ln m terms,
-        ``terms[ends[l]:ends[l + 1]]``, less H(Y_l)."""
-        return sum(
-            -float(np.add.reduce(terms[a:b])) - h for a, b, h in zip(ends, ends[1:], self.h_y)
-        )
-
-    def _last_point(self, flat, slopes) -> _Point:
         q, lefts, costs, rate, dists = self._last
         return _Point(flat, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
-
-    def stack(self, flats) -> tuple:
-        """One forward pass over a stack of kernel sets, one set a row, and
-        the parts of each set's rate and distortions that run entry by entry
-        over the whole stack, for ``stacked_point`` to finish set by set.
-
-        Each positive mass of the kernel entropies and of p(u, side) is
-        compacted in row-major order, as ``point`` compacts one set's, so a
-        set's terms are one contiguous run; ``ends`` and ``q_ends`` hold
-        where each kernel's run and each set's p(u, side) run end.
-        """
-        qs, lefts = self._forward(flats)
-        rows, n = flats.shape
-        masses = self.weights * flats
-        positive = masses > 0.0
-        masses = masses[positive]
-        terms = np.log(masses)
-        terms *= masses
-        lasts = np.add.outer(np.arange(0, rows * n, n), self.lasts).ravel()
-        ends = lasts + 1 if masses.size == flats.size else positive.cumsum()[lasts]
-        p_u = qs[:, :, 0].reshape(rows, -1)
-        positive = p_u > 0.0
-        p_u = p_u[positive]
-        q_terms = np.log(p_u)
-        q_terms *= p_u
-        q_ends = np.add.reduce(positive, axis=1).cumsum()
-        dists = [
-            np.add.reduce(np.minimum.reduce(qs[:, :, ch], axis=2).reshape(rows, -1), axis=1)
-            for ch in self.channels
-        ]
-        return (
-            flats, qs, lefts, terms, [0] + ends.tolist(), q_terms, [0] + q_ends.tolist(),
-            list(zip(*(d.tolist() for d in dists))),
-        )
-
-    def stacked_point(self, stack, i, slopes) -> _Point:
-        """Set ``i`` of a ``stack``, evaluated as ``point`` evaluates it: the
-        same sums over the same terms in the same order.  It becomes the
-        last forward pass."""
-        flats, qs, lefts, terms, ends, q_terms, q_ends, dists = stack
-        own = self._own(terms, ends[i * self.L : (i + 1) * self.L + 1])
-        rate = float(-np.add.reduce(q_terms[q_ends[i] : q_ends[i + 1]])) - self.h_side - own
-        q = qs[i]
-        costs = [q[:, ch] for ch in self.channels]
-        flat = flats[i]
-        self._last_key = flat.tobytes()
-        self._last = (q, lefts[:1] + [left[i] for left in lefts[1:]], costs, rate, dists[i])
-        return self._last_point(flat, slopes)
 
     def gradient(self, point: _Point, slopes) -> np.ndarray:
         """Exact kernel-space gradient of rate + slopes . dists at ``point``.
@@ -719,33 +643,31 @@ class _SearchState:
         return self.evals >= self.budget
 
 
-def _mirror_step(evaluator, kernels, grads, step) -> tuple[np.ndarray, float | list[float]]:
-    """The kernel set K exp(-step G), each row renormalized, and the total L1
-    distance it moved.  The exponent is clipped to [-700, 700]: each row
-    sums to 1 and its logs are at least -700, so no row sum is 0.  The
-    per-entry steps run once over the flat set, in place, with the ufuncs
-    called directly.  Each row sum, and each kernel's share of the move, is
-    reduced on its own, one reduce a run of kernels of one shape, and the
-    shares are added in kernel order.  With a column of steps, it makes
-    one set a step, stacked, with a list of their moves, each as if made
-    on its own."""
+def _mirror_step(evaluator, kernels, grads, step) -> tuple[np.ndarray, float, float]:
+    """The kernel set K' = K exp(-step G), each row renormalized, the total
+    L1 distance it moved, and its first-order decrease <G, K - K'>, at least
+    0 up to rounding.  The exponent is clipped to [-700, 700]: each row sums
+    to 1 and its logs are at least -700, so no row sum is 0.  The per-entry
+    steps run once over the flat set, in place, with the ufuncs called
+    directly.  Each row sum, and each kernel's share of the move, is reduced
+    on its own, one reduce a run of kernels of one shape, and the shares are
+    added in kernel order."""
     c = -step * grads
     np.maximum(c, -700.0, out=c)
     np.minimum(c, 700.0, out=c)
     np.exp(c, out=c)
     c *= kernels
-    lead = c.shape[:-1]
     for a, b, _, u in evaluator.runs:
-        rows = c[..., a:b].reshape(lead + (-1, u))
-        rows /= np.add.reduce(rows, axis=-1, keepdims=True)
+        rows = c[a:b].reshape(-1, u)
+        rows /= np.add.reduce(rows, axis=1, keepdims=True)
     d = c - kernels
+    decrease = -float(np.dot(grads, d))
     np.abs(d, out=d)
     move = 0.0
     for a, b, n, _ in evaluator.runs:
-        shares = np.add.reduce(d[..., a:b].reshape(lead + (n, -1)), axis=-1)
-        for share in shares.T if lead else shares.tolist():
+        for share in np.add.reduce(d[a:b].reshape(n, -1), axis=1).tolist():
             move += share
-    return c, move.tolist() if lead else move
+    return c, move, decrease
 
 
 def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
@@ -780,44 +702,23 @@ def _md_minimize(evaluator, kernels, slopes, state, max_iters) -> _Point:
 
 def _line_search(evaluator, point, grads, step, slopes, state):
     """Backtracking from ``step``, halving it after each rejected trial, for
-    up to 60 trials: each trial is noted, and the first to pass the Armijo
-    test is returned with its step.  Returns None for the trial when the
-    budget runs out, a trial would move the kernels by 1e-15 or less, or
-    every trial is rejected.
-
-    Each trial is fixed by (point, gradient, step), and the step only
-    halves, so trials are made in batches: 1, 1 (most line searches end at
-    trial 1), then ``stack_size`` at a time, no more than the trials or the
-    budget left.  A batch of one is one mirror step evaluated by ``point``;
-    a larger one is one stacked mirror step evaluated by one stacked pass.
-    Each batch is walked in order: the move stop, then the set's own sums,
-    the note and the Armijo test.  Sets after the accepted one are dropped,
-    never noted or counted.
+    up to 60 trials: each trial is noted, and the first whose value falls by
+    at least 1e-4 of its step's first-order decrease (the Armijo test) is
+    returned with its step.  Returns None for the trial when the budget runs
+    out, a trial would move the kernels by 1e-15 or less, or every trial is
+    rejected.
     """
-    made = 0
-    while made < 60 and not state.exhausted:
-        size = 1 if made < 2 else min(evaluator.stack_size, 60 - made, state.budget - state.evals)
-        if size == 1:
-            cand, move = _mirror_step(evaluator, point.kernels, grads, step)
-            cands, moves, stack = (cand,), (move,), None
-        else:
-            steps = [step]
-            for _ in range(size - 1):
-                steps.append(steps[-1] * 0.5)
-            cands, moves = _mirror_step(evaluator, point.kernels, grads, np.array(steps)[:, None])
-            stack = evaluator.stack(cands)
-        for i, move in enumerate(moves):
-            if move <= 1e-15:
-                return None, step
-            if stack is None:
-                trial = evaluator.point(cands[i], slopes)
-            else:
-                trial = evaluator.stacked_point(stack, i, slopes)
-            state.note(trial)
-            if trial.value <= point.value - 1e-6 * move:
-                return trial, step
-            step *= 0.5
-        made += size
+    for _ in range(60):
+        if state.exhausted:
+            break
+        cand, move, decrease = _mirror_step(evaluator, point.kernels, grads, step)
+        if move <= 1e-15:
+            return None, step
+        trial = evaluator.point(cand, slopes)
+        state.note(trial)
+        if trial.value <= point.value - 1e-4 * decrease:
+            return trial, step
+        step *= 0.5
     return None, step
 
 
@@ -869,7 +770,7 @@ def _slope_search(evaluator, kernels, state):
                 if lo[k] == 0.0 and slopes[k] > 1e-3:
                     slopes[k] = slopes[k] / 4.0
                     moved = True
-                elif hi[k] - lo[k] > 1e-6 * max(1.0, hi[k]):
+                elif hi[k] - lo[k] > 1e-7 * max(1.0, hi[k]):
                     slopes[k] = 0.5 * (lo[k] + slopes[k])
                     moved = True
         if not moved or bool(np.any(slopes > 1e14)):

@@ -1387,11 +1387,13 @@ def wrapped_gradient(ev, point, slopes):
 
 def wrapped_mirror_step(kernels, grads, step):
     """The optimizer's former mirror step, with ``np.clip`` and list
-    comprehensions, kept as a test-only oracle."""
+    comprehensions, kept as a test-only oracle.  The first-order decrease
+    <G, K - K'> is one dot product over the flat sets."""
     cand = [k * np.exp(np.clip(-step * g, -700, 700)) for k, g in zip(kernels, grads)]
     cand = [c / c.sum(axis=1, keepdims=True) for c in cand]
     move = sum(float(np.abs(c - k).sum()) for c, k in zip(cand, kernels))
-    return cand, move
+    decrease = float(np.dot(joined(grads), joined(kernels) - joined(cand)))
+    return cand, move, decrease
 
 
 # Adapters that run the list-based oracles above on flat kernel sets.
@@ -1407,8 +1409,8 @@ def flat_wrapped_gradient(ev, point, slopes):
 
 
 def flat_wrapped_mirror_step(ev, flat, grads, step):
-    cand, move = wrapped_mirror_step(ev.split(flat), ev.split(grads), step)
-    return joined(cand), move
+    cand, move, decrease = wrapped_mirror_step(ev.split(flat), ev.split(grads), step)
+    return joined(cand), move, decrease
 
 
 def same_bits(got, want):
@@ -1454,9 +1456,10 @@ def test_evaluation_loop_matches_the_wrapped_oracle_bit_for_bit(L, K):
             wide = rng.uniform(-900.0, 900.0, size=flat.shape)
             steps.append((1.0, wide, wide))
             for step, g_got, g_want in steps:
-                cand, move = _mirror_step(ev, flat, g_got, step)
-                want_cand, want_move = flat_wrapped_mirror_step(ev, flat, g_want, step)
-                assert same_bits(move, want_move)
+                cand, move, decrease = _mirror_step(ev, flat, g_got, step)
+                want_cand, want_move, want_decrease = flat_wrapped_mirror_step(ev, flat, g_want, step)
+                # The decrease is equal as a number: a zero may carry either sign.
+                assert same_bits(move, want_move) and decrease == want_decrease
                 assert same_bits(cand, want_cand)
     assert dead_seen  # the smoothed pass for zero-mass profiles was exercised
     assert pairwise_seen
@@ -1470,38 +1473,30 @@ def fingerprint(res):
     )
 
 
-def one_trial_at_a_time(ev, point, grads, step, slopes, state):
-    """The up to 60 trials of ``_line_search``, each made by ``_mirror_step``
-    and evaluated by ``point`` on its own; kept as a test-only reference."""
+def armijo_reference(ev, point, grads, step, slopes, state):
+    """The up to 60 trials of a backtracking line search, each made by the
+    list-based mirror step and accepted once its value falls by 1e-4 of
+    <G, K - K'>, taken from the trial's own kernels; kept as a test-only
+    reference for ``_line_search``."""
+    kernels = ev.split(point.kernels)
     for _ in range(60):
         if state.exhausted:
             break
-        cand, move = mtsc_bounds.regions._mirror_step(ev, point.kernels, grads, step)
+        cand, move, _ = wrapped_mirror_step(kernels, ev.split(grads), step)
         if move <= 1e-15:
             break
+        cand = joined(cand)
         trial = ev.point(cand, slopes)
         state.note(trial)
-        if trial.value <= point.value - 1e-6 * move:
+        if trial.value <= point.value - 1e-4 * float(np.dot(grads, point.kernels - cand)):
             return trial, step
         step *= 0.5
     return None, step
 
 
 def use_the_wrapped_oracle(monkeypatch):
-    """Run every search step through the list-based oracles, one trial at a
-    time (a stack size of 1, and no stacked pass), without the cached
-    forward pass."""
-    init = _InnerEvaluator.__init__
-
-    def one_set_a_batch(self, *args):
-        init(self, *args)
-        self.stack_size = 1
-
-    def no_stack(self, flats):
-        raise AssertionError("a stacked pass under the wrapped oracle")
-
-    monkeypatch.setattr(_InnerEvaluator, "__init__", one_set_a_batch)
-    monkeypatch.setattr(_InnerEvaluator, "stack", no_stack)
+    """Run every search step through the list-based oracles, without the
+    cached forward pass."""
     monkeypatch.setattr(_InnerEvaluator, "point", flat_wrapped_point)
     monkeypatch.setattr(_InnerEvaluator, "gradient", flat_wrapped_gradient)
     monkeypatch.setattr(mtsc_bounds.regions, "_mirror_step", flat_wrapped_mirror_step)
@@ -1526,55 +1521,14 @@ def test_optimizer_matches_the_wrapped_oracle_bit_for_bit(monkeypatch):
     assert got == [search(*case) for case in cases]
 
 
-def stacked_test_models(rng, count):
-    """Random models for the stacked pass, with L from 1 to 4, one or two
+def random_search_models(rng, count):
+    """Random models for the line search, with L from 1 to 4, one or two
     measures and |U_l| from 2 to 9: rows of 8 or more entries are summed
     pairwise by numpy."""
     for trial in range(count):
         L, K = 1 + trial % 4, 1 + trial % 2
         model = random_source_model(rng, L, K, side=1 + trial % 3)
         yield model, [int(c) for c in rng.integers(2, 10, size=L)], rng.uniform(0.5, 5.0, size=K)
-
-
-def halvings(step, count):
-    steps = [step]
-    for _ in range(count - 1):
-        steps.append(steps[-1] * 0.5)
-    return steps
-
-
-def test_stacked_pass_matches_single_points_bit_for_bit():
-    rng = np.random.default_rng(3100)
-    seen = {"pairwise": False, "zeros": False, "no zeros": False, "repeats": False}
-    for model, cards, slopes in stacked_test_models(rng, 12):
-        ev, single = _InnerEvaluator(model, cards), _InnerEvaluator(model, cards)
-        seen["pairwise"] |= max(cards) >= 8
-        for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
-            grads = ev.gradient(ev.point(flat, slopes), slopes)
-            # Exponents of up to 900 in size, and a first step of 1e8: rows
-            # clipped at both ends, the same set at several steps.
-            wide = rng.uniform(-900.0, 900.0, size=flat.shape)
-            for g, first in ((grads, 1.0), (grads, 1e8), (wide, 1.0)):
-                steps = halvings(first, 16)
-                cands, moves = _mirror_step(ev, flat, g, np.array(steps)[:, None])
-                stack = ev.stack(cands)
-                for i, step in enumerate(steps):
-                    cand, move = _mirror_step(ev, flat, g, step)
-                    assert same_bits(cands[i], cand) and same_bits(moves[i], move)
-                    got, want = ev.stacked_point(stack, i, slopes), single.point(cand, slopes)
-                    assert ev._last_key == cand.tobytes()
-                    assert same_bits(got.kernels, want.kernels) and same_bits(got.q, want.q)
-                    assert len(got.lefts) == len(want.lefts) and len(got.costs) == len(want.costs)
-                    for a, b in zip(got.lefts + got.costs, want.lefts + want.costs):
-                        assert same_bits(a, b)
-                    floats = zip((got.rate, got.value) + got.dists, (want.rate, want.value) + want.dists)
-                    assert all(same_bits(a, b) for a, b in floats)
-                    assert same_bits(ev.gradient(got, slopes), single.gradient(want, slopes))
-                zeros = bool((cands == 0.0).any())
-                seen["zeros" if zeros else "no zeros"] = True
-                rows = [c.tobytes() for c in cands]
-                seen["repeats"] |= any(a == b for a, b in zip(rows, rows[1:]))
-    assert all(seen.values()), seen
 
 
 def per_kernel_mirror_step(ev, flat, grads, step):
@@ -1589,14 +1543,8 @@ def per_kernel_mirror_step(ev, flat, grads, step):
     for view in ev.split(c):
         view /= np.add.reduce(view, axis=-1, keepdims=True)
     d = np.abs(c - flat)
-    spans = list(zip(ev.ends, ev.ends[1:]))
-    if d.ndim == 2:
-        moves = np.zeros(len(d))
-        for a, b in spans:
-            moves += np.add.reduce(d[:, a:b], axis=1)
-        return c, moves.tolist()
     move = 0.0
-    for a, b in spans:
+    for a, b in zip(ev.ends, ev.ends[1:]):
         move += float(np.add.reduce(d[a:b]))
     return c, move
 
@@ -1635,31 +1583,25 @@ def test_mirror_step_runs_match_a_per_kernel_loop_bit_for_bit(model, cards, shap
         # Exponents of up to 900 in size: rows clipped at one end or both.
         wide = rng.uniform(-900.0, 900.0, size=flat.shape)
         for g in (grads, wide):
-            steps = [1e-3, 0.5, 1.0, 1e8, np.array(halvings(1.0, 16))[:, None],
-                     np.array(halvings(1e8, 16))[:, None]]
-            for step in steps:
-                cand, move = _mirror_step(ev, flat, g, step)
+            for step in (1e-3, 0.5, 1.0, 1e8):
+                cand, move, decrease = _mirror_step(ev, flat, g, step)
                 want_cand, want_move = per_kernel_mirror_step(ev, flat, g, step)
-                assert same_bits(cand, want_cand)
-                if isinstance(want_move, float):
-                    assert same_bits(move, want_move)
-                else:
-                    assert [m.hex() for m in move] == [m.hex() for m in want_move]
+                assert same_bits(cand, want_cand) and same_bits(move, want_move)
+                assert decrease == float(np.dot(g, flat - want_cand))
     assert zeros_seen
 
 
 def test_stacked_trials_walk_as_single_trials():
     # Each walk starts at a point and runs up to 60 trials against a budget:
-    # the line search at the evaluator's own stack size and at a stack size
-    # of 1, and the one-at-a-time reference.  All three see the same trials
-    # in the same order and stop alike.
+    # the line search, one trial at a time, and the reference of its Armijo
+    # rule.  Both see the same trials in the same order and stop alike.
     rng = np.random.default_rng(3200)
     stops = dict.fromkeys(
-        ["accepted", "accepted in a later stack", "move at the first set", "move after some sets",
-         "budget", "all 60"],
+        ["accepted at trial 1", "accepted after a halving", "move at the first trial",
+         "move after some trials", "budget", "all 60"],
         0,
     )
-    for model, cards, slopes in stacked_test_models(rng, 12):
+    for model, cards, slopes in random_search_models(rng, 12):
         caps = tuple(rng.uniform(0.0, 1.0, size=len(slopes)))
         ev = _InnerEvaluator(model, cards)
         for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev)):
@@ -1673,6 +1615,7 @@ def test_stacked_trials_walk_as_single_trials():
             cases = [
                 (1e4, grads, 100, None),
                 (30.0, grads, 100, None),
+                (1e-2, grads, 100, None),
                 (1e8, grads, 100, None),
                 (1.0, grads * 1e-12, 100, -math.inf),
                 (1e8, wide, 5, -math.inf),
@@ -1681,11 +1624,8 @@ def test_stacked_trials_walk_as_single_trials():
             ]
             for step, g, budget, value in cases:
                 walked = []
-                for walk, stack_size in (
-                    (_line_search, ev.stack_size), (_line_search, 1), (one_trial_at_a_time, 1),
-                ):
+                for walk in (_line_search, armijo_reference):
                     walker = _InnerEvaluator(model, cards)
-                    walker.stack_size = stack_size
                     start = walker.point(flat, slopes)
                     if value is not None:
                         start = dataclasses.replace(start, value=value)
@@ -1697,124 +1637,73 @@ def test_stacked_trials_walk_as_single_trials():
                         last.hex(), state.evals, walker._last_key,
                         None if best is None else (best.kernels.tobytes(), best.rate.hex()),
                     ))
-                assert walked[0] == walked[1] == walked[2]
+                assert walked[0] == walked[1]
                 trial, _, evals, _, _ = walked[0]
                 if trial is not None:
-                    stops["accepted"] += 1
-                    stops["accepted in a later stack"] += ev.stack_size > 1 and evals > 2 + ev.stack_size
+                    stops["accepted at trial 1" if evals == 1 else "accepted after a halving"] += 1
                 elif evals == budget:
                     stops["budget"] += 1
                 elif evals == 60:
                     stops["all 60"] += 1
                 else:
-                    stops["move at the first set" if evals == 0 else "move after some sets"] += 1
+                    stops["move at the first trial" if evals == 0 else "move after some trials"] += 1
     assert all(stops.values()), stops
 
 
 @pytest.mark.parametrize(
     "L, D, evaluations, sum_rate",
     [
-        (2, 0.4, 779, "0x1.272ce50f9e24ep+0"),
-        (2, 0.6, 880, "0x1.500472de368a8p-1"),
-        (2, 0.8, 1822, "0x1.309d3d9f6165cp-2"),
-        (3, 0.4, 1255, "0x1.1b7ca04591b23p+0"),
-        (3, 0.6, 1314, "0x1.4b19c74e5e72ap-1"),
-        (3, 0.8, 1332, "0x1.2f1a83feae09cp-2"),
+        (2, 0.4, 461, "0x1.272ce3fac81e7p+0"),
+        (2, 0.6, 544, "0x1.500472532f7e6p-1"),
+        (2, 0.8, 526, "0x1.309d3755e0f08p-2"),
+        (3, 0.4, 534, "0x1.1b7c9ff93079ep+0"),
+        (3, 0.6, 528, "0x1.4b19c96789664p-1"),
+        (3, 0.8, 588, "0x1.2f1a79cbca9aap-2"),
     ],
 )
 def test_benchmark_searches_keep_their_results(monkeypatch, L, D, evaluations, sum_rate):
-    # The benchmark's six searches (|U_l| = 3, seed 1) at the results they
-    # had with every trial evaluated on its own (numpy 2.4 with OpenBLAS on
-    # x86-64).  Most of their trials now go through stacked passes.
-    stacked = []
-    stacked_point = _InnerEvaluator.stacked_point
+    # The benchmark's six searches (|U_l| = 3, seed 1) at their results on
+    # numpy 2.4 with OpenBLAS on x86-64.  Near a solve's end the Armijo test
+    # against each step's own first-order decrease accepts at once, so no
+    # line search makes a third trial.
+    trials = []
+    line_search = mtsc_bounds.regions._line_search
 
-    def counted(self, stack, i, slopes):
-        stacked.append(i)
-        return stacked_point(self, stack, i, slopes)
+    def counted(evaluator, point, grads, step, slopes, state):
+        before = state.evals
+        out = line_search(evaluator, point, grads, step, slopes, state)
+        trials.append(state.evals - before)
+        return out
 
-    monkeypatch.setattr(_InnerEvaluator, "stacked_point", counted)
+    monkeypatch.setattr(mtsc_bounds.regions, "_line_search", counted)
     model = casebook("erasure", p=0.5, L=L, D=0.6).model
     budget = 10_000 if L == 2 else 4_000
     res = optimize_bt_inner_sum_rate(model, [D], [3] * L, budget=budget, seed=1)
     assert (res.evaluations, res.sum_rate.hex()) == (evaluations, sum_rate)
-    assert len(stacked) > res.evaluations // 4
+    assert trials and max(trials) <= 2
 
 
 @pytest.mark.parametrize(
     "L, cards, budget, sum_rate, kernels_sha256",
     [
-        (4, [3] * 4, 800, "0x1.48ebc2af864b0p-1",
-         "f6267e3c4a4a8b8ba11593a9857cc9ae50cfadf1c2bb318748e1e7e4719b7859"),
-        (5, [3] * 5, 600, "0x1.47b057f457e2cp-1",
-         "052cc41d4c4d6613b26ea30b3224c0c8387f385aa28b6b6ae2f6116edc7c837c"),
-        (6, [3] * 6, 400, "0x1.471b097895776p-1",
-         "962fc9d7d358c45249fb0224a733e5e90565cbc5f953a7512e5c4a1be1d14d9f"),
-        (3, [2, 4, 9], 600, "0x1.5004e757eb28cp-1",
-         "ad3a73027bc2479b04899174e38998773ce84f19ee5cbaba95327cd0dcf5c9c2"),
+        (4, [3] * 4, 800, "0x1.48ebc5e215118p-1",
+         "08fe009d912b8a1d56a7b3fb9228923f5c0b5ae07f7140fca09a9a6947b61e3f"),
+        (5, [3] * 5, 600, "0x1.47b055638735cp-1",
+         "fd1f137d79613c95f4d1bddb771fbc59014aac13d4a1573cc5c1a0023642f740"),
+        (6, [3] * 6, 400, "0x1.46e57a11647b8p-1",
+         "903d8f1530a7efe31a49300e7707e7a48195a6fe8f861c44f476b70e779492de"),
+        (3, [2, 4, 9], 600, "0x1.50047b626a0e4p-1",
+         "5284fa5c52937beda2d13af26054d70bf01cd9c1fc1bc74c383f563938c9685e"),
     ],
 )
 def test_searches_past_l3_keep_their_results(L, cards, budget, sum_rate, kernels_sha256):
-    # Erasure at D = 0.6 and seed L: stacks of 12, 4 and 1 set, and kernels
-    # of unequal row lengths (|U_l| = 2, 4, 9, a stack of 14).  Each budget
-    # binds.  The pins are the results on numpy 2.4 with OpenBLAS on x86-64.
+    # Erasure at D = 0.6 and seed L, and kernels of unequal row lengths
+    # (|U_l| = 2, 4, 9).  Each budget binds.  The pins are the results on numpy 2.4 with OpenBLAS on x86-64.
     model = casebook("erasure", p=0.5, L=L, D=0.6).model
     res = optimize_bt_inner_sum_rate(model, [0.6], cards, budget=budget, seed=L)
     kernels = b"".join(k.rows.tobytes() for k in res.gamma.encoder_kernels)
     assert (res.evaluations, res.sum_rate.hex()) == (budget, sum_rate)
     assert hashlib.sha256(kernels).hexdigest() == kernels_sha256
-
-
-def test_stack_size_follows_the_cells_of_a_forward_pass():
-    # Erasure at |U_l| = 3: forward arrays of 4 * 3^L cells, and up to 4,096
-    # cells a stacked set; under 4 sets a stack, 1, and trials go one at a time.
-    sizes = {}
-    for L in range(2, 9):
-        model = casebook("erasure", p=0.5, L=L, D=0.6).model
-        sizes[L] = _InnerEvaluator(model, [3] * L).stack_size
-    assert sizes == {2: 16, 3: 16, 4: 12, 5: 4, 6: 1, 7: 1, 8: 1}
-    # A wider last alphabet makes the last forward array the largest.
-    model = casebook("erasure", p=0.5, L=3, D=0.6).model
-    assert _InnerEvaluator(model, [2, 4, 9]).stack_size == 4096 // (4 * 2 * 4 * 9)
-
-
-@pytest.mark.parametrize("budget, stacks", [(30, [16, 12]), (100, [16, 16, 16, 10])])
-def test_a_line_search_stacks_its_trials_past_the_second(monkeypatch, budget, stacks):
-    # Every trial rejected: trials 1 and 2 go through ``point`` one at a
-    # time, the rest through stacks of up to 16 sets, no more than the
-    # budget or the 60 trials leave.
-    calls, sizes = [], []
-    point, stack, stacked_point = (
-        _InnerEvaluator.point, _InnerEvaluator.stack, _InnerEvaluator.stacked_point,
-    )
-
-    def counted(self, flat, slopes):
-        calls.append("point")
-        return point(self, flat, slopes)
-
-    def counted_stack(self, flats):
-        sizes.append(len(flats))
-        return stack(self, flats)
-
-    def stacked_counted(self, stack, i, slopes):
-        calls.append("stacked")
-        return stacked_point(self, stack, i, slopes)
-
-    model = casebook("erasure", p=0.5, L=2, D=0.6).model
-    ev = _InnerEvaluator(model, [3, 3])
-    rng = np.random.default_rng(3300)
-    flat, slopes = ev.random_kernels(rng), [2.0]
-    start = dataclasses.replace(ev.point(flat, slopes), value=-math.inf)
-    # Exponents of up to 900 in size keep every trial moving.
-    wide = rng.uniform(-900.0, 900.0, size=flat.shape)
-    monkeypatch.setattr(_InnerEvaluator, "point", counted)
-    monkeypatch.setattr(_InnerEvaluator, "stack", counted_stack)
-    monkeypatch.setattr(_InnerEvaluator, "stacked_point", stacked_counted)
-    state = _SearchState((0.6,), budget)
-    trial, _ = _line_search(ev, start, wide, 1e8, slopes, state)
-    assert trial is None and ev.stack_size == 16
-    assert calls == ["point"] * 2 + ["stacked"] * (state.evals - 2)
-    assert sizes == stacks and state.evals == 2 + sum(stacks)
 
 
 def test_optimizer_at_l8_peaks_under_16_mb():
@@ -1861,36 +1750,29 @@ def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
     res = optimize_bt_inner_sum_rate(model, [0.6], [3, 3, 3], budget=4000, seed=1)
     use_the_wrapped_oracle(monkeypatch)
     want = optimize_bt_inner_sum_rate(model, [0.6], [3, 3, 3], budget=4000, seed=1)
-    assert res.evaluations == 1314
+    assert res.evaluations == 528
     assert fingerprint(res) == fingerprint(want)
     assert passes["oracle"] > res.evaluations
     assert 0 < passes["search"] < passes["oracle"]
 
 
-@pytest.mark.parametrize("budget", [10_000, 800, 400, 40, 1])
+@pytest.mark.parametrize("budget", [10_000, 800, 500, 400, 40, 1])
 def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
-    # 400, 40 and 1 run out inside restart 0, the others in later restarts.
-    # A point is evaluated on its own or as one set of a stacked pass.
+    # 400, 40 and 1 run out inside restart 0 and 500 inside restart 2; the
+    # four restarts leave some of 800 and 10,000 unspent.
     calls = []
-    point, stacked_point = _InnerEvaluator.point, _InnerEvaluator.stacked_point
+    point = _InnerEvaluator.point
 
     def counted(self, kernels, slopes):
         calls.append("point")
         return point(self, kernels, slopes)
 
-    def stacked_counted(self, stack, i, slopes):
-        calls.append("stacked")
-        return stacked_point(self, stack, i, slopes)
-
     monkeypatch.setattr(_InnerEvaluator, "point", counted)
-    monkeypatch.setattr(_InnerEvaluator, "stacked_point", stacked_counted)
     inst = casebook("erasure", p=0.5, L=2, D=0.6)
     res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=budget, seed=1)
     assert res.feasible
     assert res.evaluations == len(calls)
     assert res.evaluations <= budget
-    if budget >= 400:
-        assert "stacked" in calls
 
 
 def test_optimizer_reaches_erasure_target_quickly():
@@ -1941,7 +1823,7 @@ def test_optimizer_never_beats_the_erasure_closed_form(L, budget):
     res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * L, budget=budget, seed=L)
     closed = erasure_sum_rate(ErasureParams(0.5, L, 0.6))
     assert res.feasible
-    assert closed - 1e-9 <= res.sum_rate <= closed + 1e-3
+    assert closed - 1e-9 <= res.sum_rate <= closed + 1e-6
 
 
 @pytest.mark.parametrize(
