@@ -1360,13 +1360,14 @@ def wrapped_point(ev, kernels, slopes):
     return _Point(kernels, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
 
 
-def wrapped_gradient(ev, point, slopes):
+def wrapped_gradient(ev, point, slopes, tie_break=True):
     """The optimizer's former reverse sweep, with ``np.put_along_axis``,
-    ``np.any`` and ``np.zeros_like``, kept as a test-only oracle."""
+    ``np.any`` and ``np.zeros_like``, kept as a test-only oracle.  With
+    ``tie_break`` false, every decoder choice is the plain argmin."""
     kernels, q, costs = point.kernels, point.q, point.costs
     argmins = [c.argmin(axis=1) for c in costs]
     dead = [c.max(axis=1) == 0.0 for c in costs]
-    if any(np.any(d) for d in dead):
+    if tie_break and any(np.any(d) for d in dead):
         smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
         q_smooth, _ = wrapped_forward(ev, smoothed)
         for k, ch in enumerate(ev.channels):
@@ -1463,6 +1464,37 @@ def test_evaluation_loop_matches_the_wrapped_oracle_bit_for_bit(L, K):
                 assert same_bits(cand, want_cand)
     assert dead_seen  # the smoothed pass for zero-mass profiles was exercised
     assert pairwise_seen
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2])
+def test_zero_mass_tie_breaks_reach_only_zero_kernel_entries(L, K):
+    # On a zero-mass decoder profile every cost is 0, so every term of its
+    # sum holds a factor 0.0, and the slope placed there reaches a kernel
+    # entry through an exact 0.0 wherever that entry is > 0.  The choice on
+    # such a profile moves only entries that are 0, and the mirror step
+    # keeps those at 0 whatever their gradient.
+    rng = np.random.default_rng(3300 + 10 * L + K)
+    dead_seen = moved_seen = False
+    for trial in range(6):
+        model = random_source_model(rng, L, K, side=1 + trial % 3)
+        ev = _InnerEvaluator(model, [int(c) for c in rng.integers(2, 6, size=L)])
+        slopes = rng.uniform(0.5, 5.0, size=K)
+        for flat in (ev.random_kernels(rng), zeroed_kernels(rng, ev), zeroed_kernels(rng, ev)):
+            point = ev.point(flat, slopes)
+            dead_seen |= any(bool((c.max(axis=1) == 0.0).any()) for c in point.costs)
+            listed = dataclasses.replace(point, kernels=ev.split(flat))
+            grads = ev.gradient(point, slopes)
+            plain = joined(wrapped_gradient(ev, listed, slopes, tie_break=False))
+            alive = flat > 0.0
+            assert same_bits(grads[alive], plain[alive])
+            moved_seen |= not same_bits(grads, plain)
+            for step in (1e-3, 0.1, 1.0, 37.0):
+                cand, move, decrease = _mirror_step(ev, flat, grads, step)
+                want_cand, want_move, want_decrease = _mirror_step(ev, flat, plain, step)
+                assert same_bits(cand, want_cand)
+                assert same_bits(move, want_move) and decrease == want_decrease
+    assert dead_seen and moved_seen
 
 
 def fingerprint(res):
