@@ -470,7 +470,6 @@ class _InnerEvaluator:
             self.runs.append((start, start + n * y * u, n, u))
         # p(y_l) on each row of kernel l, for the kernel entropies and their gradient.
         self.weights = np.concatenate([np.repeat(p, u) for p, u in zip(self.p_y, self.cards)])
-        self.smooth_floor = self.floor(1e-3)  # the zero-mass smoothing's uniform share
         # The first forward step's left factor is the tensor itself.
         self.left0 = self.table.reshape(self.y_sizes[0], -1)
         self.left0_t = self.left0.T
@@ -563,29 +562,24 @@ class _InnerEvaluator:
         Its derivative F in the forward result, over (side, c, u), is pulled
         back through the point's forward matmuls in reverse order: one matmul
         per kernel for its gradient and one to step back.  The kernel
-        entropies add p(y_l) (ln K_l + 1).  Logarithms are floored so
-        boundary points (exact zeros in kernels) get finite pull-in/push-out
-        coefficients.  The gradient is laid out as the kernel set is.
+        entropies add p(y_l) (ln K_l + 1).  The gradient is laid out as the
+        kernel set is.
+
+        Each decoder choice is the plain argmin over (side, u).  On a
+        zero-mass profile every cost is 0, so each term of its sum holds an
+        exact 0.0 factor, and its slope reaches only kernel entries that are
+        0; the mirror step keeps those at 0 whatever their gradient, so the
+        choice there changes no step.  Logarithms are floored only to keep
+        the gradient at such entries finite, so that 0 * G stays 0.
         """
         flat, q, costs = point.kernels, point.q, point.costs
-        # Decoder choices for the gradient are the true Bayes argmins, except
-        # on zero-mass decoder profiles, where the argmin is arbitrary and an
-        # adversarial pick (large penalties) would wall off every unused
-        # symbol; there a slightly smoothed joint breaks the tie sensibly.
-        argmins = [c.argmin(axis=1) for c in costs]  # axes (side, u)
-        tops = [np.maximum.reduce(c, axis=1) for c in costs]
-        if not all(t.all() for t in tops):
-            q_smooth, _ = self._forward((1.0 - 1e-3) * flat + self.smooth_floor)
-            for k, ch in enumerate(self.channels):
-                argmins[k] = np.where(tops[k] == 0.0, q_smooth[:, ch].argmin(axis=1), argmins[k])
-
         f = np.zeros(q.shape)
         ln_q1 = np.maximum(q[:, 0], 1e-300)
         np.log(ln_q1, out=ln_q1)
         ln_q1 += 1.0
         np.subtract(self.ln_ps1[:, None], ln_q1, out=f[:, 0])
         for k, ch in enumerate(self.channels):
-            f[:, ch][self.side_rows, argmins[k], self.u_cols] = slopes[k]
+            f[:, ch][self.side_rows, costs[k].argmin(axis=1), self.u_cols] = slopes[k]
         grad = np.maximum(flat, 1e-300)
         np.log(grad, out=grad)
         grad += 1.0

@@ -1229,11 +1229,7 @@ class DenseInnerEvaluator:
         costs = self.costs(p)
         rate, dists = self.evaluate(kernels)
         value = rate + float(np.dot(slopes, dists))
-        smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
-        argmins = []
-        for c_true, c_smooth in zip(costs, self.costs(self.joint(smoothed))):
-            dead = c_true.max(axis=-1) == 0.0
-            argmins.append(np.where(dead, c_smooth.argmin(axis=-1), c_true.argmin(axis=-1)))
+        argmins = [c.argmin(axis=-1) for c in costs]
         p_u_side = p.sum(axis=tuple(range(self.L + 1)))
         ln_p1 = np.log(np.maximum(p_u_side, 1e-300)) + 1.0
         p_side = p_u_side.reshape(p_u_side.shape[0], -1).sum(axis=1)
@@ -1294,7 +1290,7 @@ def test_optimizer_matches_the_dense_evaluator(L, K):
                 idx = np.unravel_index(flat, tuple(cards) + (model.joint.shape[-1],))
                 zs = [int(c[idx]) for c in choices]
                 assert row[np.ravel_multi_index(zs, model.reproduction_sizes)] == 1.0
-    assert dead_seen  # the smoothed pass for zero-mass profiles was exercised
+    assert dead_seen  # zero-mass profiles, whose choice is the plain argmin too
 
 
 def test_optimizer_gradient_matches_finite_differences():
@@ -1360,18 +1356,26 @@ def wrapped_point(ev, kernels, slopes):
     return _Point(kernels, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
 
 
-def wrapped_gradient(ev, point, slopes, tie_break=True):
-    """The optimizer's former reverse sweep, with ``np.put_along_axis``,
-    ``np.any`` and ``np.zeros_like``, kept as a test-only oracle.  With
-    ``tie_break`` false, every decoder choice is the plain argmin."""
+def smoothed_argmins(ev, point):
+    """The decoder choices the gradient once took: the plain argmin, except
+    on a zero-mass profile, where the argmin of the kernels mixed 1e-3 with
+    the uniform kernel broke the tie.  Kept for the test that shows the tie
+    break moves no step."""
+    argmins = [c.argmin(axis=1) for c in point.costs]
+    smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in point.kernels]
+    q_smooth, _ = wrapped_forward(ev, smoothed)
+    for k, (c, ch) in enumerate(zip(point.costs, ev.channels)):
+        argmins[k] = np.where(c.max(axis=1) == 0.0, q_smooth[:, ch].argmin(axis=1), argmins[k])
+    return argmins
+
+
+def wrapped_gradient(ev, point, slopes, argmins=None):
+    """The optimizer's former reverse sweep, with ``np.put_along_axis`` and
+    ``np.zeros_like``, kept as a test-only oracle.  Each decoder choice is
+    the plain argmin unless ``argmins`` gives them."""
     kernels, q, costs = point.kernels, point.q, point.costs
-    argmins = [c.argmin(axis=1) for c in costs]
-    dead = [c.max(axis=1) == 0.0 for c in costs]
-    if tie_break and any(np.any(d) for d in dead):
-        smoothed = [(1.0 - 1e-3) * ker + 1e-3 / ker.shape[1] for ker in kernels]
-        q_smooth, _ = wrapped_forward(ev, smoothed)
-        for k, ch in enumerate(ev.channels):
-            argmins[k] = np.where(dead[k], q_smooth[:, ch].argmin(axis=1), argmins[k])
+    if argmins is None:
+        argmins = [c.argmin(axis=1) for c in costs]
     f = np.zeros_like(q)
     f[:, 0] = ev.ln_ps1[:, None] - (np.log(np.maximum(q[:, 0], 1e-300)) + 1.0)
     for k, ch in enumerate(ev.channels):
@@ -1462,18 +1466,28 @@ def test_evaluation_loop_matches_the_wrapped_oracle_bit_for_bit(L, K):
                 # The decrease is equal as a number: a zero may carry either sign.
                 assert same_bits(move, want_move) and decrease == want_decrease
                 assert same_bits(cand, want_cand)
-    assert dead_seen  # the smoothed pass for zero-mass profiles was exercised
+    assert dead_seen  # zero-mass profiles, whose choice is the plain argmin too
     assert pairwise_seen
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 @pytest.mark.parametrize("K", [1, 2])
-def test_zero_mass_tie_breaks_reach_only_zero_kernel_entries(L, K):
+def test_zero_mass_tie_breaks_reach_only_zero_kernel_entries(monkeypatch, L, K):
     # On a zero-mass decoder profile every cost is 0, so every term of its
     # sum holds a factor 0.0, and the slope placed there reaches a kernel
     # entry through an exact 0.0 wherever that entry is > 0.  The choice on
     # such a profile moves only entries that are 0, and the mirror step
-    # keeps those at 0 whatever their gradient.
+    # keeps those at 0 whatever their gradient.  So the gradient takes the
+    # plain argmin, with no forward pass of its own, and the smoothed tie
+    # break it once made moves no step.
+    forward = _InnerEvaluator._forward
+    calls = []
+
+    def counted(self, flat):
+        calls.append(None)
+        return forward(self, flat)
+
+    monkeypatch.setattr(_InnerEvaluator, "_forward", counted)
     rng = np.random.default_rng(3300 + 10 * L + K)
     dead_seen = moved_seen = False
     for trial in range(6):
@@ -1484,14 +1498,16 @@ def test_zero_mass_tie_breaks_reach_only_zero_kernel_entries(L, K):
             point = ev.point(flat, slopes)
             dead_seen |= any(bool((c.max(axis=1) == 0.0).any()) for c in point.costs)
             listed = dataclasses.replace(point, kernels=ev.split(flat))
+            before = len(calls)
             grads = ev.gradient(point, slopes)
-            plain = joined(wrapped_gradient(ev, listed, slopes, tie_break=False))
+            assert len(calls) == before
+            former = joined(wrapped_gradient(ev, listed, slopes, smoothed_argmins(ev, listed)))
             alive = flat > 0.0
-            assert same_bits(grads[alive], plain[alive])
-            moved_seen |= not same_bits(grads, plain)
+            assert same_bits(grads[alive], former[alive])
+            moved_seen |= not same_bits(grads, former)
             for step in (1e-3, 0.1, 1.0, 37.0):
                 cand, move, decrease = _mirror_step(ev, flat, grads, step)
-                want_cand, want_move, want_decrease = _mirror_step(ev, flat, plain, step)
+                want_cand, want_move, want_decrease = _mirror_step(ev, flat, former, step)
                 assert same_bits(cand, want_cand)
                 assert same_bits(move, want_move) and decrease == want_decrease
     assert dead_seen and moved_seen
@@ -1742,7 +1758,8 @@ def test_searches_past_l3_keep_their_results(L, cards, budget, sum_rate, kernels
 
 def test_optimizer_at_l8_peaks_under_16_mb():
     # The erasure L = 8 search of the closed-form test, with its result
-    # check, peaks near 9.6 MB.
+    # check, peaks near 9.6 MB.  Its result is pinned as on numpy 2.4 with
+    # OpenBLAS on x86-64.
     model = casebook("erasure", p=0.5, L=8, D=0.6).model
     tracemalloc.start()
     try:
@@ -1752,6 +1769,11 @@ def test_optimizer_at_l8_peaks_under_16_mb():
         tracemalloc.stop()
     assert res.feasible and res.evaluations == 1000
     assert peak <= 16e6, peak
+    kernels = b"".join(k.rows.tobytes() for k in res.gamma.encoder_kernels)
+    assert res.sum_rate.hex() == "0x1.45efc79156f88p-1"
+    assert hashlib.sha256(kernels).hexdigest() == (
+        "e0c0776102f134781eaaed8d7e2ae2e07b5840b62d8b8d416f6a7acf5b81a15c"
+    )
 
 
 def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
@@ -1767,7 +1789,8 @@ def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
     assert ev.point(moved, [2.0]).q is not first.q
 
     # One search counted both ways: the oracle makes a forward pass for every
-    # evaluation and every smoothed pass, the search fewer, with the same result.
+    # evaluation, the search one for every kernel set that is not a repeat of
+    # the last, with the same result; no gradient makes a pass.
     passes = {"search": 0, "oracle": 0}
     forward, oracle_forward = _InnerEvaluator._forward, wrapped_forward
 
@@ -1786,8 +1809,7 @@ def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
     want = optimize_bt_inner_sum_rate(model, [0.6], [3, 3, 3], budget=4000, seed=1)
     assert res.evaluations == 528
     assert fingerprint(res) == fingerprint(want)
-    assert passes["oracle"] > res.evaluations
-    assert 0 < passes["search"] < passes["oracle"]
+    assert passes == {"search": 474, "oracle": 528}
 
 
 @pytest.mark.parametrize("budget", [10_000, 800, 500, 400, 40, 1])
