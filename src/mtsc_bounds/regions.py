@@ -565,7 +565,7 @@ class _InnerEvaluator:
         entropies add p(y_l) (ln K_l + 1).  The gradient is laid out as the
         kernel set is.
 
-        Each decoder choice is the plain argmin over (side, u).  On a
+        Each decoder choice is the plain argmin over z at its (side, u).  On a
         zero-mass profile every cost is 0, so each term of its sum holds an
         exact 0.0 factor, and its slope reaches only kernel entries that are
         0; the mirror step keeps those at 0 whatever their gradient, so the
