@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -89,8 +90,8 @@ class RegionConstraints:
             raise ValueError(f"need K={self.K} distortions, got {len(self.distortions)}")
 
     def bound(self, subset) -> float:
-        """Bound for a subset given as a bitmask or an iterable of encoder indices."""
-        mask = subset if isinstance(subset, int) else _mask_of(subset, self.L)
+        """Bound for a subset given as an integral bitmask or an iterable of encoder indices."""
+        mask = int(subset) if isinstance(subset, numbers.Integral) else _mask_of(subset, self.L)
         if not 1 <= mask < (1 << self.L):
             raise ValueError(f"subset mask {mask} out of range for L={self.L}")
         return self.subset_bounds[mask]
@@ -417,8 +418,7 @@ class _InnerEvaluator:
     ``flat[ends[l]:ends[l + 1]]``, and ``split`` views it as L (|Y_l|, |U_l|)
     matrices, so every per-entry step runs once over the whole set.  The
     mirror step's row sums and per-kernel sums run once a run of kernels of
-    one shape (``runs``).  The last forward pass is kept, keyed by the bytes
-    of its kernel set.
+    one shape (``runs``).
     """
 
     def __init__(self, model: SourceModel, cardinalities: Sequence[int]):
@@ -473,9 +473,6 @@ class _InnerEvaluator:
         # The first forward step's left factor is the tensor itself.
         self.left0 = self.table.reshape(self.y_sizes[0], -1)
         self.left0_t = self.left0.T
-        # The last forward pass, (q, lefts, costs, rate, dists), and the bytes
-        # of its kernel set; points that share it only read it.
-        self._last_key, self._last = None, None
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """The L kernels of a flat kernel set, as (|Y_l|, |U_l|) views."""
@@ -524,34 +521,27 @@ class _InnerEvaluator:
     def point(self, flat, slopes) -> _Point:
         """One forward pass at the kernel set ``flat``: rate, per-k Bayes
         distortions and rate + slopes . dists, with the pass kept for the
-        gradient and the decoder.  A set with the bytes of the last one
-        evaluated reuses its pass.
+        gradient and the decoder.
 
         The rate is I(Y; U | side) = H(U, side) - H(side) - sum_l H(U_l | Y_l),
         because the encoders act on disjoint observations.  Each H(U_l | Y_l)
         sums its own kernel's terms, as ``_sum_plogp`` would.
         """
-        key = flat.tobytes()
-        if key != self._last_key:
-            q, lefts = self._forward(flat)
-            masses = self.weights * flat
-            positive = masses > 0.0
-            masses = masses[positive]
-            terms = np.log(masses)
-            terms *= masses
-            ends = self.ends
-            if masses.size < flat.size:
-                ends = [0] + positive.cumsum()[self.lasts].tolist()
-            own = sum(
-                -float(np.add.reduce(terms[a:b])) - h for a, b, h in zip(ends, ends[1:], self.h_y)
-            )
-            rate = _sum_plogp(q[:, 0]) - self.h_side - own
-            costs = [q[:, ch] for ch in self.channels]
-            dists = tuple(
-                float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs
-            )
-            self._last_key, self._last = key, (q, lefts, costs, rate, dists)
-        q, lefts, costs, rate, dists = self._last
+        q, lefts = self._forward(flat)
+        masses = self.weights * flat
+        positive = masses > 0.0
+        masses = masses[positive]
+        terms = np.log(masses)
+        terms *= masses
+        ends = self.ends
+        if masses.size < flat.size:
+            ends = [0] + positive.cumsum()[self.lasts].tolist()
+        own = sum(
+            -float(np.add.reduce(terms[a:b])) - h for a, b, h in zip(ends, ends[1:], self.h_y)
+        )
+        rate = _sum_plogp(q[:, 0]) - self.h_side - own
+        costs = [q[:, ch] for ch in self.channels]
+        dists = tuple(float(np.add.reduce(np.minimum.reduce(c, axis=1), axis=None)) for c in costs)
         return _Point(flat, q, lefts, costs, rate, dists, rate + float(np.dot(slopes, dists)))
 
     def gradient(self, point: _Point, slopes) -> np.ndarray:
@@ -721,11 +711,15 @@ def _slope_search(evaluator, kernels, state):
 
     Slopes start high (hard, structured solutions) and walk down toward the
     caps; an infeasible solve raises its slope back, a feasible one records
-    the bracket and descends.  Solves warm-start from the most recent
-    all-feasible solution ("anchor"): low-slope regimes have degenerate
-    optima (maximum distortion, zero rate) whose kernels would poison later
-    warm starts.  ``state`` keeps the best feasible point visited anywhere;
-    the final polish at the bracketed slopes runs only while budget remains.
+    the bracket and descends.  Solves warm-start from an "anchor": the first
+    solve's result, feasible or not, then each later all-feasible one, so a
+    degenerate optimum of a low-slope regime (maximum distortion, zero rate)
+    found later never becomes one.  Until some solve meets a cap, the walk
+    stops once a solve after a raise returns exactly the distortions of the
+    one before: the raise left the anchor where it was, as at encoders that
+    ignore their observations, whose gradient is constant on each kernel
+    row.  ``state`` keeps the best feasible point visited anywhere; the
+    final polish at the bracketed slopes runs only while budget remains.
     """
     eps = evaluator.seed_mass
     floor = evaluator.floor(eps)
@@ -742,13 +736,16 @@ def _slope_search(evaluator, kernels, state):
     lo = np.zeros(K)
     hi = np.full(K, np.inf)
     point = _md_minimize(evaluator, soften(kernels), slopes, state, _ITERS)
-    anchor = point.kernels
+    anchor, prev = point.kernels, None
     for _ in range(_ROUNDS):
         if state.exhausted:
             break
         dists = point.dists
         if all(d <= c for d, c in zip(dists, state.limits)):
             anchor = point.kernels
+        elif dists == prev and np.isinf(hi).all():
+            break
+        prev = dists
         moved = False
         for k in range(K):
             if dists[k] > state.limits[k]:

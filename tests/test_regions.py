@@ -868,6 +868,15 @@ def test_region_bound_refuses_a_non_integral_member():
     assert c.bound([2.0]) == c.bound([2]) == 2.0
 
 
+def test_region_bound_takes_a_numpy_integer_mask():
+    c = RegionConstraints(3, 1, {m: float(m) for m in range(1, 8)}, (0.0,))
+    assert [c.bound(m) for m in np.arange(1, 8)] == [c.bound(m) for m in range(1, 8)]
+    assert c.bound(np.uint8(5)) == c.bound(np.array([1, 3])) == c.bound([1, 3]) == 5.0
+    for mask in (np.int64(0), np.int32(8)):
+        with pytest.raises(ValueError, match=rf"^subset mask {mask} out of range for L=3$"):
+            c.bound(mask)
+
+
 def test_region_bound_names_a_member_out_of_range():
     c = RegionConstraints(2, 1, {0b01: 1.0, 0b10: 2.0, 0b11: 3.0}, (0.0,))
     for members, bad in (([0, 1], 0), ([-1], -1), ([1, 5], 5)):
@@ -1543,8 +1552,7 @@ def armijo_reference(ev, point, grads, step, slopes, state):
 
 
 def use_the_wrapped_oracle(monkeypatch):
-    """Run every search step through the list-based oracles, without the
-    cached forward pass."""
+    """Run every search step through the list-based oracles."""
     monkeypatch.setattr(_InnerEvaluator, "point", flat_wrapped_point)
     monkeypatch.setattr(_InnerEvaluator, "gradient", flat_wrapped_gradient)
     monkeypatch.setattr(mtsc_bounds.regions, "_mirror_step", flat_wrapped_mirror_step)
@@ -1681,11 +1689,11 @@ def test_stacked_trials_walk_as_single_trials():
                     best = state.best
                     walked.append((
                         None if trial is None else (trial.kernels.tobytes(), trial.value.hex()),
-                        last.hex(), state.evals, walker._last_key,
+                        last.hex(), state.evals,
                         None if best is None else (best.kernels.tobytes(), best.rate.hex()),
                     ))
                 assert walked[0] == walked[1]
-                trial, _, evals, _, _ = walked[0]
+                trial, _, evals, _ = walked[0]
                 if trial is not None:
                     stops["accepted at trial 1" if evals == 1 else "accepted after a halving"] += 1
                 elif evals == budget:
@@ -1698,24 +1706,28 @@ def test_stacked_trials_walk_as_single_trials():
 
 
 @pytest.mark.parametrize(
-    "L, D, evaluations, sum_rate",
+    "L, D, per_restart, repeats, sum_rate",
     [
-        (2, 0.4, 461, "0x1.272ce3fac81e7p+0"),
-        (2, 0.6, 544, "0x1.500472532f7e6p-1"),
-        (2, 0.8, 526, "0x1.309d3755e0f08p-2"),
-        (3, 0.4, 534, "0x1.1b7c9ff93079ep+0"),
-        (3, 0.6, 528, "0x1.4b19c96789664p-1"),
-        (3, 0.8, 588, "0x1.2f1a79cbca9aap-2"),
+        (2, 0.4, [347, 19, 19, 21], 1, "0x1.272ce3fac81e7p+0"),
+        (2, 0.6, [430, 19, 19, 21], 1, "0x1.500472532f7e6p-1"),
+        (2, 0.8, [412, 19, 19, 21], 1, "0x1.309d3755e0f08p-2"),
+        (3, 0.4, [420, 22, 21, 19], 2, "0x1.1b7c9ff93079ep+0"),
+        (3, 0.6, [414, 22, 21, 19], 2, "0x1.4b19c96789664p-1"),
+        (3, 0.8, [474, 22, 21, 19], 2, "0x1.2f1a79cbca9aap-2"),
     ],
     ids=["L2-D0.4", "L2-D0.6", "L2-D0.8", "L3-D0.4", "L3-D0.6", "L3-D0.8"],
 )
-def test_benchmark_searches_keep_their_results(monkeypatch, L, D, evaluations, sum_rate):
+def test_benchmark_searches_keep_their_results(monkeypatch, L, D, per_restart, repeats, sum_rate):
     # The benchmark's six searches (|U_l| = 3, seed 1) at their results on
     # numpy 2.4 with OpenBLAS on x86-64.  Near a solve's end the Armijo test
     # against each step's own first-order decrease accepts at once, so no
-    # line search makes a third trial.
-    trials = []
+    # line search makes a third trial.  Restart 0 finds every result; the
+    # random restarts never meet the cap and stop about 20 evaluations in,
+    # at their first solve that a raised slope left where it was.  Few
+    # evaluations repeat the kernel set evaluated just before, byte for byte.
+    trials, noted = [], []
     line_search = mtsc_bounds.regions._line_search
+    note = _SearchState.note
 
     def counted(evaluator, point, grads, step, slopes, state):
         before = state.evals
@@ -1723,36 +1735,47 @@ def test_benchmark_searches_keep_their_results(monkeypatch, L, D, evaluations, s
         trials.append(state.evals - before)
         return out
 
+    def noted_with_restart(state, point):
+        noted.append((state.restart, point.kernels.tobytes()))
+        return note(state, point)
+
     monkeypatch.setattr(mtsc_bounds.regions, "_line_search", counted)
+    monkeypatch.setattr(_SearchState, "note", noted_with_restart)
     model = casebook("erasure", p=0.5, L=L, D=0.6).model
     budget = 10_000 if L == 2 else 4_000
     res = optimize_bt_inner_sum_rate(model, [D], [3] * L, budget=budget, seed=1)
-    assert (res.evaluations, res.sum_rate.hex()) == (evaluations, sum_rate)
+    assert (res.evaluations, res.sum_rate.hex()) == (sum(per_restart), sum_rate)
+    assert [r for r, _ in noted] == [r for r, n in enumerate(per_restart) for _ in range(n)]
+    assert sum(a == b for (_, a), (_, b) in zip(noted, noted[1:])) == repeats
+    assert res.message == "best restart 0"
     assert trials and max(trials) <= 2
 
 
 @pytest.mark.parametrize(
-    "L, cards, budget, sum_rate, kernels_sha256",
+    "L, cards, budget, evaluations, sum_rate, kernels_sha256",
     [
-        (4, [3] * 4, 800, "0x1.48ebc5e215118p-1",
+        (4, [3] * 4, 800, 543, "0x1.48ebc5e215118p-1",
          "08fe009d912b8a1d56a7b3fb9228923f5c0b5ae07f7140fca09a9a6947b61e3f"),
-        (5, [3] * 5, 600, "0x1.47b055638735cp-1",
+        (5, [3] * 5, 600, 554, "0x1.47b055638735cp-1",
          "fd1f137d79613c95f4d1bddb771fbc59014aac13d4a1573cc5c1a0023642f740"),
-        (6, [3] * 6, 400, "0x1.46e57a11647b8p-1",
+        (6, [3] * 6, 400, 400, "0x1.46e57a11647b8p-1",
          "903d8f1530a7efe31a49300e7707e7a48195a6fe8f861c44f476b70e779492de"),
-        (3, [2, 4, 9], 600, "0x1.50047b626a0e4p-1",
+        (3, [2, 4, 9], 600, 600, "0x1.50047b626a0e4p-1",
          "5284fa5c52937beda2d13af26054d70bf01cd9c1fc1bc74c383f563938c9685e"),
     ],
     ids=["L4", "L5", "L6", "U-2-4-9"],
 )
-def test_searches_past_l3_keep_their_results(L, cards, budget, sum_rate, kernels_sha256):
+def test_searches_past_l3_keep_their_results(
+    L, cards, budget, evaluations, sum_rate, kernels_sha256
+):
     # Erasure at D = 0.6 and seed L, and kernels of unequal row lengths
-    # (|U_l| = 2, 4, 9).  Each budget binds.  The pins are the results on
-    # numpy 2.4 with OpenBLAS on x86-64.
+    # (|U_l| = 2, 4, 9).  The budgets at L = 6 and |U_l| = (2, 4, 9) bind;
+    # at L = 4 and 5 the stuck random restarts stop and leave some unspent.
+    # The pins are the results on numpy 2.4 with OpenBLAS on x86-64.
     model = casebook("erasure", p=0.5, L=L, D=0.6).model
     res = optimize_bt_inner_sum_rate(model, [0.6], cards, budget=budget, seed=L)
     kernels = b"".join(k.rows.tobytes() for k in res.gamma.encoder_kernels)
-    assert (res.evaluations, res.sum_rate.hex()) == (budget, sum_rate)
+    assert (res.evaluations, res.sum_rate.hex()) == (evaluations, sum_rate)
     assert hashlib.sha256(kernels).hexdigest() == kernels_sha256
 
 
@@ -1767,7 +1790,7 @@ def test_optimizer_at_l8_peaks_under_16_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.feasible and res.evaluations == 1000
+    assert res.feasible and res.evaluations == 671
     assert peak <= 16e6, peak
     kernels = b"".join(k.rows.tobytes() for k in res.gamma.encoder_kernels)
     assert res.sum_rate.hex() == "0x1.45efc79156f88p-1"
@@ -1776,46 +1799,10 @@ def test_optimizer_at_l8_peaks_under_16_mb():
     )
 
 
-def test_a_repeated_kernel_set_reuses_the_last_forward_pass(monkeypatch):
-    model = casebook("erasure", p=0.5, L=3, D=0.6).model
-    ev = _InnerEvaluator(model, [3, 3, 3])
-    flat = ev.random_kernels(np.random.default_rng(0))
-    first = ev.point(flat, [2.0])
-    again = ev.point(flat.copy(), [5.0])
-    assert again.q is first.q and again.rate == first.rate and again.dists == first.dists
-    assert same_bits(again.value, first.rate + 5.0 * first.dists[0])
-    moved = flat.copy()
-    moved[0] = np.nextafter(moved[0], 1.0)
-    assert ev.point(moved, [2.0]).q is not first.q
-
-    # One search counted both ways: the oracle makes a forward pass for every
-    # evaluation, the search one for every kernel set that is not a repeat of
-    # the last, with the same result; no gradient makes a pass.
-    passes = {"search": 0, "oracle": 0}
-    forward, oracle_forward = _InnerEvaluator._forward, wrapped_forward
-
-    def counted(self, flat):
-        passes["search"] += 1
-        return forward(self, flat)
-
-    def oracle_counted(ev, kernels):
-        passes["oracle"] += 1
-        return oracle_forward(ev, kernels)
-
-    monkeypatch.setattr(_InnerEvaluator, "_forward", counted)
-    monkeypatch.setitem(globals(), "wrapped_forward", oracle_counted)
-    res = optimize_bt_inner_sum_rate(model, [0.6], [3, 3, 3], budget=4000, seed=1)
-    use_the_wrapped_oracle(monkeypatch)
-    want = optimize_bt_inner_sum_rate(model, [0.6], [3, 3, 3], budget=4000, seed=1)
-    assert res.evaluations == 528
-    assert fingerprint(res) == fingerprint(want)
-    assert passes == {"search": 474, "oracle": 528}
-
-
-@pytest.mark.parametrize("budget", [10_000, 800, 500, 400, 40, 1])
+@pytest.mark.parametrize("budget", [10_000, 800, 500, 488, 400, 40, 1])
 def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
-    # 400, 40 and 1 run out inside restart 0 and 500 inside restart 2; the
-    # four restarts leave some of 800 and 10,000 unspent.
+    # 400, 40 and 1 run out inside restart 0 and 488 inside restart 3; the
+    # four restarts end after 489 evaluations, under 500, 800 and 10,000.
     calls = []
     point = _InnerEvaluator.point
 
@@ -1827,8 +1814,23 @@ def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
     inst = casebook("erasure", p=0.5, L=2, D=0.6)
     res = optimize_bt_inner_sum_rate(inst.model, [0.6], [3, 3], budget=budget, seed=1)
     assert res.feasible
-    assert res.evaluations == len(calls)
-    assert res.evaluations <= budget
+    assert res.evaluations == len(calls) == min(budget, 489)
+
+
+def test_a_repeat_after_a_raise_ends_a_walk_only_before_it_meets_a_cap():
+    # Restart 0 meets the cap at slope 4, and its solves at slopes 1 and 2.5
+    # both end at one degenerate point (distortion 0.428, rate 0).  That
+    # repeat is no stationary point: the bisection goes on to slope 2.6875
+    # and to the result.  Ending the walk there would leave restart 3's
+    # 0.0339 nats as the result.
+    rng = np.random.default_rng(264)
+    model = random_source_model(rng, 2, 1, 1)
+    cards = [int(c) for c in rng.integers(2, 4, size=2)]
+    caps = [float(c) for c in rng.uniform(0.2, 0.7, size=1)]
+    res = optimize_bt_inner_sum_rate(model, caps, cards, budget=300, seed=264)
+    assert (cards, caps[0].hex()) == ([2, 3], "0x1.a972f5bb71cb6p-2")
+    assert (res.evaluations, res.restarts, res.message) == (300, 1, "best restart 0")
+    assert res.sum_rate.hex() == "0x1.0b6bad259ec50p-5"
 
 
 def test_optimizer_reaches_erasure_target_quickly():
