@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from mtsc_bounds import erasure_ceo
 from mtsc_bounds import (
     ErasureParams,
     InfeasibleError,
@@ -297,6 +298,83 @@ def test_converse_program_meets_g_on_a_wide_grid():
                 got = noise_info_minimum(ErasureParams(p, L, D))
                 worst = max(worst, abs(got - g_function(max(D ** (1 / L), p), p)))
     assert worst <= 1e-12
+
+
+def split_g_of_root(s, p, L):
+    """``_g_of_root`` as it was with ``np.clip``, kept as the oracle."""
+    s = np.clip(np.asarray(s, float), p**L, 1.0)
+    a = np.maximum(np.log(s, out=np.full(s.shape, -np.inf), where=s > 0.0) / L, math.log(p))
+    e = -np.expm1(a)
+    d = e / (1.0 - p)
+    tail = np.log1p(-d, out=np.zeros(s.shape), where=d < 1.0)
+    return -(1.0 - e) * a - e * math.log1p(-p) + (1.0 - p - e) * tail
+
+
+def split_noise_info_minimum(p, L, D):
+    """The converse search as it was: G taken twice per grid, at t and 2D - t."""
+    a, b = max(p**L, 2.0 * D - 1.0), D
+    lo, hi, best = a, b, math.inf
+    for _ in range(9):
+        t = np.linspace(lo, hi, 201)
+        f = 0.5 * (split_g_of_root(t, p, L) + split_g_of_root(2.0 * D - t, p, L))
+        i = int(np.argmin(f))
+        best = min(best, float(f[i]))
+        step = (hi - lo) / 200
+        lo, hi = max(a, t[i] - step), min(b, t[i] + step)
+    return best
+
+
+def converse_points():
+    """The wide grid above, L = 10^6 and 10^15, the floor D = p^L, D = 1,
+    and points where 2D - 1 > p^L cuts the segment's lower end."""
+    points = []
+    for p in np.linspace(0.05, 0.95, 20).tolist():
+        for L in range(1, 7):
+            points += [(p, L, D) for D in np.linspace(p**L, 1.0, 20).tolist()]
+    for p in (0.05, 0.3, 0.5, 0.7, 0.95):
+        for L in (10**6, 10**15):
+            points += [(p, L, D) for D in np.linspace(p**L, 1.0, 13).tolist()]
+        for L in (1, 2, 3, 10, 40):
+            points += [(p, L, p**L), (p, L, 1.0)]
+            low = max(p**L, 0.5 * (1.0 + p**L))  # 2D - 1 = p^L here
+            points += [(p, L, D) for D in np.linspace(low, 1.0, 7)[1:-1].tolist()]
+    return points
+
+
+def test_converse_search_is_the_split_search_bit_for_bit():
+    points = converse_points()
+    assert len(points) == 2_400 + 130 + 5 * 5 * 7
+    assert sum(2.0 * D - 1.0 > p**L for p, L, D in points) > 500
+    for p, L, D in points:
+        got = noise_info_minimum(ErasureParams(p, L, D))
+        assert got.hex() == split_noise_info_minimum(p, L, D).hex(), (p, L, D)
+
+
+def test_g_of_root_over_both_ends_is_the_two_calls_bit_for_bit():
+    # The converse search takes G over t and 2D - t in one call.
+    rng = np.random.default_rng(37)
+    for _ in range(1_000):
+        p = float(rng.uniform(0.01, 0.99))
+        L = int(rng.choice([1, 2, 3, 7, 12, 10**6, 10**15]))
+        D = float(rng.uniform(p**L, 1.0))
+        t = np.linspace(max(p**L, 2.0 * D - 1.0), D, int(rng.integers(2, 300)))
+        both = erasure_ceo._g_of_root(np.concatenate([t, 2.0 * D - t]), p, L)
+        one, other = erasure_ceo._g_of_root(t, p, L), erasure_ceo._g_of_root(2.0 * D - t, p, L)
+        assert both.tobytes() == np.concatenate([one, other]).tobytes()
+        assert both.tobytes() == np.concatenate(
+            [split_g_of_root(t, p, L), split_g_of_root(2.0 * D - t, p, L)]
+        ).tobytes()
+
+
+@pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.9])
+@pytest.mark.parametrize("L", [1, 2, 5, 12, 10**6, 10**15])
+def test_sum_rate_and_root_shape_grid_are_the_oracle_bit_for_bit(p, L):
+    # The root shape report's grid runs past 1, where G is clipped to 0.
+    s = np.linspace(p**L, 1.5, 10_000)
+    assert erasure_ceo._g_of_root(s, p, L).tobytes() == split_g_of_root(s, p, L).tobytes()
+    for D in np.linspace(p**L, 1.0, 41).tolist():
+        want = (1.0 - D) * math.log(2.0) + L * split_g_of_root(np.array([D]), p, L)[0]
+        assert erasure_sum_rate(ErasureParams(p, L, D)).hex() == float(want).hex()
 
 
 # ---------------------------------------------------------------------------
