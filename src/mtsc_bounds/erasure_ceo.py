@@ -100,7 +100,7 @@ def _g_of_root(s: np.ndarray, p: float, L: int) -> np.ndarray:
     equal entropies are subtracted: g = -(1-e) a - e log(1-p) + (1-p-e) log1p(-d).
     a is at least log p, as p^L can underflow to 0 and (p^L)^{1/L} round
     below p; where d rounds to 1 or above the last term is 0."""
-    s = np.clip(np.asarray(s, float), p**L, 1.0)
+    s = np.minimum(np.maximum(np.asarray(s, float), p**L), 1.0)
     a = np.maximum(np.log(s, out=np.full(s.shape, -np.inf), where=s > 0.0) / L, math.log(p))
     e = -np.expm1(a)
     d = e / (1.0 - p)
@@ -132,12 +132,21 @@ def noise_info_minimum(params: ErasureParams) -> float:
     p, L, D = params.p, params.L, params.D
     a, b = max(p**L, 2.0 * D - 1.0), D
     lo, hi, best = a, b, math.inf
+    ramp, s = np.arange(201.0), np.empty(402)  # s holds t, then 2D - t
+    t = s[:201]
     for _ in range(9):  # the whole segment, then 8 zooms
-        t = np.linspace(lo, hi, 201)
-        f = 0.5 * (_g_of_root(t, p, L) + _g_of_root(2.0 * D - t, p, L))
+        step = (hi - lo) / 200
+        if step:  # np.linspace(lo, hi, 201), bit for bit
+            np.multiply(ramp, step, out=t)
+            t += lo
+            t[-1] = hi
+        else:  # a segment of a few subnormals, or of one point
+            t[:] = np.linspace(lo, hi, 201)
+        np.subtract(2.0 * D, t, out=s[201:])
+        g = _g_of_root(s, p, L)  # G at t and at 2D - t in one call
+        f = 0.5 * (g[:201] + g[201:])
         i = int(np.argmin(f))
         best = min(best, float(f[i]))
-        step = (hi - lo) / 200
         lo, hi = max(a, t[i] - step), min(b, t[i] + step)
     return best
 

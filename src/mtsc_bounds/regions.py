@@ -719,7 +719,8 @@ def _slope_search(evaluator, kernels, state):
     one before: the raise left the anchor where it was, as at encoders that
     ignore their observations, whose gradient is constant on each kernel
     row.  ``state`` keeps the best feasible point visited anywhere; the
-    final polish at the bracketed slopes runs only while budget remains.
+    final polish at the bracketed slopes runs only while budget remains,
+    and not after that stop, whose anchor is still infeasible.
     """
     eps = evaluator.seed_mass
     floor = evaluator.floor(eps)
@@ -744,7 +745,7 @@ def _slope_search(evaluator, kernels, state):
         if all(d <= c for d, c in zip(dists, state.limits)):
             anchor = point.kernels
         elif dists == prev and np.isinf(hi).all():
-            break
+            return
         prev = dists
         moved = False
         for k in range(K):

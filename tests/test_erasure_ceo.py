@@ -326,7 +326,7 @@ def split_noise_info_minimum(p, L, D):
 
 def converse_points():
     """The wide grid above, L = 10^6 and 10^15, the floor D = p^L, D = 1,
-    and points where 2D - 1 > p^L cuts the segment's lower end."""
+    points where 2D - 1 > p^L cuts the segment's lower end, and subnormal D."""
     points = []
     for p in np.linspace(0.05, 0.95, 20).tolist():
         for L in range(1, 7):
@@ -338,16 +338,40 @@ def converse_points():
             points += [(p, L, p**L), (p, L, 1.0)]
             low = max(p**L, 0.5 * (1.0 + p**L))  # 2D - 1 = p^L here
             points += [(p, L, D) for D in np.linspace(low, 1.0, 7)[1:-1].tolist()]
+    # p^L is 0 here: segments of a few subnormals, whose grid step underflows.
+    points += [(0.5, 10**15, D) for D in (5e-324, 1e-321, 2e-320, 3e-310, 1e-300)]
     return points
 
 
 def test_converse_search_is_the_split_search_bit_for_bit():
     points = converse_points()
-    assert len(points) == 2_400 + 130 + 5 * 5 * 7
+    assert len(points) == 2_400 + 130 + 5 * 5 * 7 + 5
     assert sum(2.0 * D - 1.0 > p**L for p, L, D in points) > 500
     for p, L, D in points:
         got = noise_info_minimum(ErasureParams(p, L, D))
         assert got.hex() == split_noise_info_minimum(p, L, D).hex(), (p, L, D)
+
+
+@pytest.mark.parametrize(
+    "p, L, D", [(0.5, 2, 0.6), (0.3, 5, 0.9), (0.9, 1, 0.95), (0.5, 2, 0.25), (0.5, 10**15, 5e-324)]
+)
+def test_converse_search_takes_g_once_per_grid(monkeypatch, p, L, D):
+    # Nine grids, the whole segment and 8 zooms, each one call over t and
+    # then 2D - t.  Every t is np.linspace over its ends, bit for bit: also
+    # on a segment of a few subnormals, where its step underflows to 0.
+    calls = []
+    g_of_root = erasure_ceo._g_of_root
+
+    def recorded(s, p, L):
+        calls.append(np.array(s))
+        return g_of_root(s, p, L)
+
+    monkeypatch.setattr(erasure_ceo, "_g_of_root", recorded)
+    noise_info_minimum(ErasureParams(p, L, D))
+    assert [s.shape for s in calls] == [(402,)] * 9
+    for s in calls:
+        t = np.linspace(s[0], s[200], 201)
+        assert s.tobytes() == np.concatenate([t, 2.0 * D - t]).tobytes()
 
 
 def test_g_of_root_over_both_ends_is_the_two_calls_bit_for_bit():
