@@ -7,13 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from mtsc_bounds import erasure_ceo
 from mtsc_bounds import (
     ErasureParams,
     InfeasibleError,
     binary_entropy,
     casebook,
     erasure_bt_counterexample,
+    erasure_ceo,
     erasure_sum_rate,
     g_function,
     g_root_shape_report,

@@ -1799,10 +1799,10 @@ def test_optimizer_at_l8_peaks_under_16_mb():
     )
 
 
-@pytest.mark.parametrize("budget", [10_000, 800, 500, 480, 400, 40, 1])
+@pytest.mark.parametrize("budget", [10_000, 800, 500, 488, 480, 400, 40, 1])
 def test_optimizer_budget_counts_evaluated_points(monkeypatch, budget):
     # 400, 40 and 1 run out inside restart 0 and 480 inside restart 3; the
-    # four restarts end after 484 evaluations, under 500, 800 and 10,000.
+    # four restarts end after 484 evaluations, under 488, 500, 800 and 10,000.
     calls = []
     point = _InnerEvaluator.point
 
