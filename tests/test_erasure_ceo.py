@@ -417,6 +417,48 @@ def test_g_shape_report_passes(p):
     assert report.passed
 
 
+def former_g_vec(x, p):
+    """The former direct g, h(x) - (1 - p) h((x - p) / (1 - p)) elementwise
+    with h = 0 outside (0, 1), kept as a test-only oracle."""
+
+    def h(x):
+        x = np.asarray(x, float)
+        out = np.zeros_like(x)
+        inner = (x > 0.0) & (x < 1.0)
+        xi = x[inner]
+        out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log(1.0 - xi)
+        return out
+
+    return h(x) - (1.0 - p) * h((x - p) / (1.0 - p))
+
+
+def former_g_shape_report(p):
+    """``g_shape_report`` as it was, with g from ``former_g_vec``."""
+    x = np.linspace(math.log(p), 1.0, 10_000)
+    vals = former_g_vec(np.maximum(np.exp(x), p), p)
+    xc = math.log(p) + (-math.log(p)) * np.arange(1, 10_001) / 10_000
+    ex = np.exp(xc)
+    log_exp = np.log(ex - p)
+    calc1_slack = -p - (ex * log_exp - xc * ex)
+    calc2_slack = ex * log_exp - ex * (xc + 1.0) + ex**2 / (ex - p)
+    return erasure_ceo.ShapeReport(
+        p=p,
+        grid_size=10_000,
+        max_first_difference=float(np.diff(vals).max()),
+        min_second_difference=float(np.diff(vals, 2).min()),
+        min_calc1_slack=float(calc1_slack.min()),
+        min_calc2_slack=float(calc2_slack.min()),
+    )
+
+
+@pytest.mark.parametrize("p", np.round(np.arange(1, 20) * 0.05, 2).tolist())
+def test_g_shape_report_is_the_former_report_field_for_field(p):
+    got, want = g_shape_report(p), former_g_shape_report(p)
+    for field in ("max_first_difference", "min_second_difference", "min_calc1_slack", "min_calc2_slack"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
+    assert got == want
+
+
 def test_g_root_shape_report_passes():
     report = g_root_shape_report(0.5, 3)
     assert report.grid_size == 10_000

@@ -245,6 +245,36 @@ def test_binary_entropy_against_extended_precision():
     assert binary_entropy(x) == pytest.approx(0.5336617905842673, abs=1e-12)
 
 
+def former_binary_entropies(x):
+    """The former elementwise binary-entropy kernel, kept as a test-only
+    oracle: h elementwise, 0 outside (0, 1)."""
+    x = np.asarray(x, float)
+    out = np.zeros_like(x)
+    inner = (x > 0.0) & (x < 1.0)
+    xi = x[inner]
+    out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log(1.0 - xi)
+    return out
+
+
+def test_binary_entropy_is_the_former_kernel_bit_for_bit():
+    rng = np.random.default_rng(38)
+    k = np.arange(1, 2_001, dtype=float)
+    xs = np.concatenate([
+        rng.uniform(0.0, 1.0, 100_000),
+        np.ldexp(rng.integers(1, 2**52, 1_000).astype(float), -1074),  # subnormal
+        np.ldexp(rng.uniform(1.0, 2.0, 1_000), rng.integers(-1022, -30, 1_000)),  # tiny
+        1.0 - np.ldexp(k, -53),  # the 2,000 floats just below 1
+        1.0 - np.ldexp(rng.uniform(1.0, 2.0, 1_000), rng.integers(-53, -20, 1_000)),
+        [0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0**-53],
+    ])
+    assert len(xs) >= 10**5
+    want = former_binary_entropies(xs)
+    for x, h in zip(xs.tolist(), want.tolist()):
+        assert binary_entropy(x).hex() == h.hex(), x
+    for x in (0.0, 1.0):
+        assert math.copysign(1.0, binary_entropy(x)) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
