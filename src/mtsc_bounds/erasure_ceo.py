@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import _erasure_params, casebook
-from .prob import _binary_entropies, _refuse_over_cap, _whole
+from .prob import _refuse_over_cap, _whole
 from .regions import bt_outer_constraints
 
 
@@ -45,12 +45,13 @@ class ErasureParams:
 def g_function(x: float, p: float) -> float:
     """g(x) = h(x) - (1-p) h((x-p)/(1-p)) for p <= x <= 1, and 0 for x > 1.
 
-    Defined on [p, infinity); continuous at x = 1.  In nats.
+    Defined on [p, infinity); continuous at x = 1.  In nats.  Taken by
+    ``_g_of_root`` at L = 1, which keeps its relative accuracy next to x = 1.
     """
     _erasure_params(p)
     if not x >= p:
         raise ValueError(f"g is defined on [p, inf), got x={x} < p={p}")
-    return float(_g_vec(x, p))
+    return float(_g_of_root(np.array([x]), p, 1)[0])
 
 
 def _sum_rate(D: np.ndarray, p: float, L: int) -> np.ndarray:
@@ -106,11 +107,6 @@ def _g_of_root(s: np.ndarray, p: float, L: int) -> np.ndarray:
     d = e / (1.0 - p)
     tail = np.log1p(-d, out=np.zeros(s.shape), where=d < 1.0)
     return -(1.0 - e) * a - e * math.log1p(-p) + (1.0 - p - e) * tail
-
-
-def _g_vec(x: np.ndarray, p: float) -> np.ndarray:
-    """g(x) elementwise for x >= p; 0 beyond 1, where both entropies vanish."""
-    return _binary_entropies(x) - (1.0 - p) * _binary_entropies((x - p) / (1.0 - p))
 
 
 def noise_info_minimum(params: ErasureParams) -> float:
@@ -203,19 +199,23 @@ def g_shape_report(p: float) -> ShapeReport:
     Also verifies, pointwise on (log p, 0]:
       (1)  e^x log(e^x - p) - x e^x <= -p
       (2)  e^x log(e^x - p) - e^x (x + 1) + e^{2x} / (e^x - p) >= 0
+    g(e^x) is taken by ``_g_of_root`` at L = 1, which lifts an exp(log p)
+    rounded below p back to p, where x < 0; it is 0 from x = 0 on.
     Returns the worst margins; see ``ShapeReport.passed`` for the thresholds.
     """
     _erasure_params(p)
     x = np.linspace(math.log(p), 1.0, SHAPE_GRID)
-    # exp(log p) can round below p, outside the domain of g.
-    vals = _g_vec(np.maximum(np.exp(x), p), p)
+    vals = np.zeros(SHAPE_GRID)
+    n = int(np.searchsorted(x, 0.0))  # the grid points with x < 0
+    vals[:n] = _g_of_root(np.exp(x[:n]), p, 1)
     first = np.diff(vals)
     second = np.diff(vals, 2)
     xc = math.log(p) + (-math.log(p)) * np.arange(1, SHAPE_GRID + 1) / SHAPE_GRID
     ex = np.exp(xc)
-    log_exp = np.log(ex - p)
-    calc1_slack = -p - (ex * log_exp - xc * ex)
-    calc2_slack = ex * log_exp - ex * (xc + 1.0) + ex**2 / (ex - p)
+    gap = ex - p
+    ex_log = ex * np.log(gap)
+    calc1_slack = -p - (ex_log - xc * ex)
+    calc2_slack = ex_log - ex * (xc + 1.0) + ex**2 / gap
     return ShapeReport(
         p=p,
         grid_size=SHAPE_GRID,

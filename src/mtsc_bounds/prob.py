@@ -769,14 +769,4 @@ def binary_entropy(x: float) -> float:
     """h(x) = -x ln x - (1-x) ln(1-x) with h(0) = h(1) = 0, in nats."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy requires 0 <= x <= 1, got {x!r}")
-    return float(_binary_entropies(x))
-
-
-def _binary_entropies(x) -> np.ndarray:
-    """h elementwise, 0 outside (0, 1): the one binary-entropy kernel."""
-    x = np.asarray(x, float)
-    out = np.zeros_like(x)
-    inner = (x > 0.0) & (x < 1.0)
-    xi = x[inner]
-    out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log(1.0 - xi)
-    return out
+    return _sum_plogp(np.array([x, 1.0 - x])) + 0.0  # h(0) = h(1) = +0.0

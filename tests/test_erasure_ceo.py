@@ -106,19 +106,49 @@ def test_sum_rate_endpoints():
             assert got == pytest.approx(floor, abs=1e-12), (p, L)
 
 
-def sum_rate_decimal(p, L, D):
-    """(1 - D) log 2 + L g(D^{1/L}) in 50-digit decimal arithmetic, from the
-    exact values of the floats p and D, with g as the difference of entropies."""
+def g_decimal(x, p):
+    """g(x) in 50-digit decimal arithmetic, as the difference of entropies,
+    from the exact values of x (a float or a Decimal) and the float p."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        p, D, one = decimal.Decimal(p), decimal.Decimal(D), decimal.Decimal(1)
+        x, p, one = decimal.Decimal(x), decimal.Decimal(p), decimal.Decimal(1)
+        if x >= one:
+            return decimal.Decimal(0)
 
         def h(x):
             return -sum((t * t.ln() for t in (x, one - x) if t > 0), decimal.Decimal(0))
 
-        x = (D.ln() / L).exp()
-        g = h(x) - (one - p) * h((x - p) / (one - p))
-        return float((one - D) * decimal.Decimal(2).ln() + L * g)
+        return h(x) - (one - p) * h((x - p) / (one - p))
+
+
+def root_g_decimal(p, L, D):
+    """g(D^{1/L}) in 50-digit decimal arithmetic, from the exact values of the
+    floats p and D.  D = p^L may lie below the float p^L, so the root is
+    taken no lower than p."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal(D)
+        return g_decimal(max((D.ln() / L).exp(), decimal.Decimal(p)), p)
+
+
+def sum_rate_decimal(p, L, D):
+    """(1 - D) log 2 + L g(D^{1/L}) in 50-digit decimal arithmetic, from the
+    exact values of the floats p and D."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        one = decimal.Decimal(1)
+        return float((one - decimal.Decimal(D)) * decimal.Decimal(2).ln() + L * root_g_decimal(p, L, D))
+
+
+def test_g_keeps_its_relative_accuracy_next_to_1():
+    # Taken as a difference of nearly equal entropies, g(1 - 2^-52) at
+    # p = 0.1 was off by a factor of 34.
+    for p in (0.1, 0.3, 0.5, 0.9):
+        for x in (1.0 - 2.0**-k for k in range(1, 53)):
+            if x < p:
+                continue
+            want = g_decimal(x, p)
+            assert abs((decimal.Decimal(g_function(x, p)) - want) / want) <= 1e-14, (p, x)
 
 
 def test_sum_rate_against_a_decimal_reference_up_to_huge_l():
@@ -257,9 +287,12 @@ def test_curve_csv_emitter():
 
 
 def test_converse_program_matches_g():
+    # g_function and the program share _g_of_root, so each also meets the
+    # decimal g, lest an error in that kernel hide from both.
     for p, L, D in ((0.5, 2, 0.6), (0.1, 1, 0.5), (0.9, 3, 0.9), (0.3, 2, 0.3)):
         got = noise_info_minimum(ErasureParams(p, L, D))
         assert got == pytest.approx(g_function(D ** (1.0 / L), p), abs=1e-12)
+        assert got == pytest.approx(float(root_g_decimal(p, L, D)), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -275,6 +308,7 @@ def test_converse_program_attains_g_where_random_starts_fall_short(p, L, D):
     # Random starts alone stopped up to 7e-4 nats above g at these points.
     got = noise_info_minimum(ErasureParams(p, L, D))
     assert got == pytest.approx(g_function(D ** (1.0 / L), p), abs=1e-12)
+    assert got == pytest.approx(float(root_g_decimal(p, L, D)), abs=1e-12)
 
 
 def test_converse_program_trivial_at_full_erasure():
@@ -291,13 +325,15 @@ def test_converse_program_meets_g_on_a_wide_grid():
     # 20 p x L = 1..6 x 20 D from p^L to 1, both ends included.  At D = p^L
     # the root D^{1/L} can round below p, outside g's domain, so the
     # reference clips it to p as the program itself does.
-    worst = 0.0
+    worst = worst_decimal = 0.0
     for p in np.linspace(0.05, 0.95, 20).tolist():
         for L in range(1, 7):
             for D in np.linspace(p**L, 1.0, 20).tolist():
                 got = noise_info_minimum(ErasureParams(p, L, D))
                 worst = max(worst, abs(got - g_function(max(D ** (1 / L), p), p)))
+                worst_decimal = max(worst_decimal, abs(got - float(root_g_decimal(p, L, D))))
     assert worst <= 1e-12
+    assert worst_decimal <= 1e-12
 
 
 def split_g_of_root(s, p, L):
