@@ -136,8 +136,7 @@ def sum_rate_decimal(p, L, D):
     exact values of the floats p and D."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        one = decimal.Decimal(1)
-        return float((one - decimal.Decimal(D)) * decimal.Decimal(2).ln() + L * root_g_decimal(p, L, D))
+        return float((1 - decimal.Decimal(D)) * decimal.Decimal(2).ln() + L * root_g_decimal(p, L, D))
 
 
 def test_g_keeps_its_relative_accuracy_next_to_1():
