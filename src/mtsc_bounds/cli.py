@@ -36,6 +36,7 @@ from .model import AuxSystem, SourceModel, XChannel, casebook
 from .prob import binary_entropy
 from .regions import (
     RatePoint,
+    _csv,
     bt_inner_constraints,
     bt_outer_constraints,
     new_outer_constraints,
@@ -76,10 +77,6 @@ def _write(args, payload, header: str, rows, indent=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _csv(header: str, rows) -> str:
-    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _load(cls, path: str):

@@ -18,7 +18,6 @@ error penalty only appears in distortion tables (see mtsc_bounds.model).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,7 +26,7 @@ import numpy as np
 
 from .model import _erasure_params, casebook
 from .prob import _refuse_over_cap, _whole
-from .regions import bt_outer_constraints
+from .regions import _csv, bt_outer_constraints
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,7 @@ def sum_rate_curve(p: float, Ls: Sequence[int], n: int) -> list[tuple[float, int
 
 def sum_rate_curve_csv(p: float, Ls: Sequence[int], n: int) -> str:
     """CSV emitter for the sum-rate curve, columns (D, L, sum_rate_nats)."""
-    out = io.StringIO()
-    out.write("D,L,sum_rate_nats\n")
-    for D, L, rate in sum_rate_curve(p, Ls, n):
-        out.write(f"{D!r},{L},{rate!r}\n")
-    return out.getvalue()
+    return _csv("D,L,sum_rate_nats", sum_rate_curve(p, Ls, n))
 
 
 # ---------------------------------------------------------------------------

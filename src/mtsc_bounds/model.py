@@ -25,8 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import AlphabetMismatchError, InfeasibleError, MarkovCheckError, VariableError
-from .prob import Channel, EntropyOracle, JointPmf, _code_dtype, _refuse_over_cap, _Support
-from .prob import _MAX_TABLE_CELLS, _whole
+from .prob import Channel, EntropyOracle, JointPmf, _MAX_TABLE_CELLS, _dense, _oracle, _whole
 
 MARKOV_TOL = 1e-9  # pass tolerance for Markov residuals, in nats
 
@@ -306,15 +305,9 @@ def build_full_joint(
     (Y_l, W, T), Z from (U, Y_{L+1}, T), and, when ``x`` is given, X is drawn
     from the sources alone so that X is conditionally independent of
     (U, Z, W, T) given the sources (the unique such coupling).  Refused over
-    the table cap before any table is made.
+    the table cap before any table is made (``prob._dense``).
     """
-    kernels = _kernels(model, gamma, x)
-    cells = model.joint.probs.size * gamma.wt_pmf.probs.size
-    _refuse_over_cap(cells * math.prod(k.output[1] for k in kernels), "dense joint")
-    joint = model.joint.product(gamma.wt_pmf)
-    for kernel in kernels:
-        joint = joint.extend(kernel)
-    return joint
+    return _dense((model.joint, gamma.wt_pmf), _kernels(model, gamma, x))
 
 
 def _kernels(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> tuple[Channel, ...]:
@@ -326,53 +319,9 @@ def _kernels(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> tup
     return gamma.encoder_kernels + (gamma.decoder_kernel,) + ((x.kernel,) if x is not None else ())
 
 
-def _support_is_smaller(start: JointPmf) -> bool:
-    """Whether the nonzero cells of ``start``, one code per variable plus a
-    mass each, take less memory than its dense table.  Extending by a
-    kernel never raises the nonzero fraction, so a start that fails this
-    loses nothing by the dense build."""
-    row_bytes = len(start.variables) * _code_dtype(start.shape).itemsize + 8
-    return np.count_nonzero(start.probs) * row_bytes < start.probs.size * 8
-
-
-def _oracle(start: JointPmf, kernels: tuple[Channel, ...]) -> EntropyOracle:
-    """One entropy oracle over ``start`` extended by ``kernels`` in order.
-
-    Its root is the joint's support, built by multiplying only the positive
-    kernel entries in, when that is smaller than the dense table
-    (``_support_is_smaller``); otherwise it is the dense joint itself.  Either
-    root is refused over the table cap before it is built.  The support has
-    at most its start cells times every output alphabet size cells, and only
-    a bound over the cap is refined: a kernel whose inputs all lie in
-    ``start`` splits each start cell into the positive entries of its row,
-    and any other into at most (for a deterministic kernel, exactly) the
-    largest positive count of any of its rows.
-    """
-    outputs = math.prod(k.output[1] for k in kernels)
-    if not _support_is_smaller(start):
-        _refuse_over_cap(start.probs.size * outputs, "dense joint")
-        root = start
-    else:
-        root = _Support.of(start)
-        del start  # the dense start is not needed once its support is built
-        cells = root.rows * outputs
-        if cells > _MAX_TABLE_CELLS:
-            rows, widest = np.ones(root.rows), 1  # floats: exact below 2^53, with no int64 overflow
-            for k in kernels:
-                if set(n for n, _ in k.inputs) <= set(root.names):
-                    rows *= np.count_nonzero(k.rows, axis=1)[root.keys(n for n, _ in k.inputs)[0]]
-                else:
-                    widest *= int(np.count_nonzero(k.rows, axis=1).max())
-            cells = int(rows.sum() * widest)
-        _refuse_over_cap(cells, "joint's support")
-    for kernel in kernels:
-        root = root.extend(kernel)
-    return EntropyOracle(root)
-
-
 def _system_oracle(model: SourceModel, gamma: AuxSystem, x: Optional[XChannel]) -> EntropyOracle:
-    """One entropy oracle over the joint of ``build_full_joint`` (``_oracle``)."""
-    return _oracle(model.joint.product(gamma.wt_pmf), _kernels(model, gamma, x))
+    """One entropy oracle over the joint of ``build_full_joint`` (``prob._oracle``)."""
+    return _oracle((model.joint, gamma.wt_pmf), _kernels(model, gamma, x))
 
 
 def gamma_class_residuals(joint: JointPmf, L: int, cls: str) -> MarkovReport:
@@ -444,7 +393,7 @@ def _chi_residual(oracle: EntropyOracle, L: int) -> MarkovReport:
 def check_chi(model: SourceModel, x: XChannel) -> MarkovReport:
     """Check that Y1..YL are conditionally independent given (X, side info)."""
     _check_x(model, x)
-    return _chi_residual(_oracle(model.joint, (x.kernel,)), model.L)
+    return _chi_residual(_oracle((model.joint,), (x.kernel,)), model.L)
 
 
 def expected_distortions(model: SourceModel, gamma: AuxSystem) -> tuple[float, ...]:

@@ -24,6 +24,7 @@ region or report builds for itself and never shares.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -469,10 +470,10 @@ class _Support:
 
     ``codes`` is a tuple of one C-contiguous array per variable, holding
     every cell's symbol in the smallest unsigned type that fits its
-    alphabet, and ``masses`` the cells' probabilities.  Built from a dense
-    pmf and extended by kernels, it holds the nonzero cells of the dense
-    joint the same extensions build, with bit for bit its masses, in the
-    same order.
+    alphabet, and ``masses`` the cells' probabilities.  Built from
+    independent pmfs and extended by kernels, it holds the nonzero cells of
+    the dense joint the same products and extensions build, with bit for
+    bit its masses, in the same order.
     """
 
     def __init__(self, variables: tuple[Variable, ...], codes: tuple, masses: np.ndarray):
@@ -483,11 +484,26 @@ class _Support:
         self._row = {n: i for i, n in enumerate(self.names)}
 
     @classmethod
-    def of(cls, joint: JointPmf) -> "_Support":
-        cells = np.flatnonzero(joint.probs)
-        symbols = np.unravel_index(cells, joint.shape)
-        codes = tuple(c.astype(_code_dtype((k,))) for c, k in zip(symbols, joint.shape))
-        return cls(joint.variables, codes, joint.probs[cells])
+    def of(cls, *pmfs: JointPmf) -> "_Support":
+        """The support of the pmfs' independent product, array for array the
+        support of the dense ``functools.reduce(JointPmf.product, pmfs)``,
+        taken from each pmf's own nonzero cells with no dense product made.
+        Each mass is the float ``np.multiply.outer`` gives, and a product
+        that underflows to 0.0 is dropped, as it drops from the dense one."""
+        cells = [np.flatnonzero(pmf.probs) for pmf in pmfs]
+        masses = functools.reduce(np.multiply.outer, [p.probs[c] for p, c in zip(pmfs, cells)]).ravel()
+        kept = np.flatnonzero(masses)
+        # Each kept product cell's rank among each pmf's nonzero cells.
+        ranks = np.unravel_index(kept, [c.size for c in cells])
+        codes = []
+        for pmf, c, rank in zip(pmfs, cells, ranks):
+            stride = pmf.probs.size
+            for _, k in pmf.variables:  # one variable's symbols at a time, not all in intp at once
+                stride //= k
+                code = (c // stride % k).astype(_code_dtype(k))
+                # Where every other pmf has one cell and none drops, ``rank`` is every row.
+                codes.append(code if c.size == kept.size else code[rank])
+        return cls(sum((pmf.variables for pmf in pmfs), ()), tuple(codes), masses[kept])
 
     @property
     def rows(self) -> int:
@@ -504,7 +520,7 @@ class _Support:
         codes = self.codes
         if parent.size != self.rows:  # else one positive entry per row: ``parent`` is every row
             codes = tuple(c[parent] for c in codes)
-        codes += (outs.astype(_code_dtype((channel.output[1],))),)
+        codes += (outs.astype(_code_dtype(channel.output[1])),)
         masses = self.masses[parent] * entries[parent, outs]
         return _Support(self.variables + (channel.output,), codes, masses)
 
@@ -563,8 +579,9 @@ def _group_sum(key: np.ndarray, masses: np.ndarray, span: Optional[int] = None) 
     return np.add.reduceat(masses[order], starts)
 
 
-def _code_dtype(sizes: Iterable[int]) -> np.dtype:
-    return np.min_scalar_type(max(sizes, default=1) - 1)
+def _code_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned type of the codes of a ``size``-symbol alphabet."""
+    return np.min_scalar_type(size - 1)
 
 
 _MAX_KEY = 1 << 62
@@ -725,6 +742,67 @@ class EntropyOracle:
         if self._support is not None and math.prod(self._sizes[n] for n in abc) > _SMALL_TABLE:
             self._tables.pop(abc, None)
         return value
+
+
+# ---------------------------------------------------------------------------
+# System roots: a joint built from independent pmfs and kernels
+# ---------------------------------------------------------------------------
+
+
+def _support_is_smaller(pmfs: Sequence[JointPmf]) -> bool:
+    """Whether the nonzero cells of the pmfs' product, each variable's code
+    in its own type (as ``_Support.of`` stores it) plus an 8-byte mass per
+    cell, take less memory than the dense product.  Extending by a kernel
+    never raises the nonzero fraction, so a start that fails this loses
+    nothing by the dense build."""
+    row_bytes = sum(_code_dtype(k).itemsize for pmf in pmfs for _, k in pmf.variables) + 8
+    rows = math.prod(np.count_nonzero(pmf.probs) for pmf in pmfs)
+    return rows * row_bytes < math.prod(pmf.probs.size for pmf in pmfs) * 8
+
+
+def _dense(pmfs: Sequence[JointPmf], kernels: Sequence[Channel]) -> JointPmf:
+    """The dense product of ``pmfs`` extended by ``kernels`` in order,
+    refused over the table cap from the sizes alone, before any product."""
+    cells = math.prod(pmf.probs.size for pmf in pmfs) * math.prod(k.output[1] for k in kernels)
+    _refuse_over_cap(cells, "dense joint")
+    joint = functools.reduce(JointPmf.product, pmfs)
+    for kernel in kernels:
+        joint = joint.extend(kernel)
+    return joint
+
+
+def _oracle(pmfs: Sequence[JointPmf], kernels: Sequence[Channel]) -> EntropyOracle:
+    """One entropy oracle over the product of ``pmfs`` extended by
+    ``kernels`` in order.
+
+    Its root is the joint's support, built from the pmfs' nonzero cells
+    (``_Support.of``) by multiplying only the positive kernel entries in,
+    when that is smaller than the dense table (``_support_is_smaller``);
+    otherwise it is the dense joint (``_dense``).  Either root is refused
+    over the table cap before it is built, and no dense product is made for
+    a support.  The support has at most its start cells times every output
+    alphabet size cells, and only a bound over the cap is refined: a kernel
+    whose inputs all lie in the pmfs splits each start cell into the
+    positive entries of its row, and any other into at most (for a
+    deterministic kernel, exactly) the largest positive count of any of
+    its rows.
+    """
+    if not _support_is_smaller(pmfs):
+        return EntropyOracle(_dense(pmfs, kernels))
+    root = _Support.of(*pmfs)
+    cells = root.rows * math.prod(k.output[1] for k in kernels)
+    if cells > _MAX_TABLE_CELLS:
+        rows, widest = np.ones(root.rows), 1  # floats: exact below 2^53, with no int64 overflow
+        for k in kernels:
+            if set(n for n, _ in k.inputs) <= set(root.names):
+                rows *= np.count_nonzero(k.rows, axis=1)[root.keys(n for n, _ in k.inputs)[0]]
+            else:
+                widest *= int(np.count_nonzero(k.rows, axis=1).max())
+        cells = int(rows.sum() * widest)
+    _refuse_over_cap(cells, "joint's support")
+    for kernel in kernels:
+        root = root.extend(kernel)
+    return EntropyOracle(root)
 
 
 def entropy(joint: JointPmf, variables: Iterable[Name], given: Iterable[Name] = ()) -> float:

@@ -10,7 +10,6 @@ L = 14, the largest the casebook's table cap admits.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import numbers
@@ -26,13 +25,13 @@ from .model import (
     XChannel,
     _class_residuals,
     _distortions,
-    _support_is_smaller,
     _system_oracle,
     check_chi,
     encoder_names,
     source_names,
 )
-from .prob import Channel, JointPmf, _lattice_entropies, _refuse_over_cap, _sum_plogp, _whole
+from .prob import Channel, JointPmf, _lattice_entropies, _refuse_over_cap, _sum_plogp
+from .prob import _support_is_smaller, _whole
 
 FEASIBILITY_SLACK = 1e-9  # "meets the cap" means distortion <= cap + this
 SUPERMODULAR_SLACK = 1e-9  # a pair may fall short of supermodular by this
@@ -46,6 +45,12 @@ def _mask_of(members: Iterable[int], L: int) -> int:
             raise ValueError(f"subset member {l} out of range 1..{L} for L={L}")
         mask |= 1 << (l - 1)
     return mask
+
+
+def _csv(header: str, rows) -> str:
+    """``header`` and one line per row, the one CSV writer of the package.  A
+    cell is ``str`` of its value, which for a float is its ``repr``: every digit."""
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def subset_label(mask: int, L: int) -> str:
@@ -112,11 +117,8 @@ class RegionConstraints:
         }
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("subset,bound\n")
-        for mask in sorted(self.subset_bounds):
-            out.write(f"{subset_label(mask, self.L)},{self.subset_bounds[mask]!r}\n")
-        return out.getvalue()
+        bounds = self.subset_bounds
+        return _csv("subset,bound", ((subset_label(m, self.L), bounds[m]) for m in sorted(bounds)))
 
 
 @dataclass(frozen=True)
@@ -427,7 +429,7 @@ class _InnerEvaluator:
         self.cards = tuple(_whole(c, "cardinalities") for c in cardinalities)
         if len(self.cards) != self.L or any(c < 1 for c in self.cards):
             raise ValueError(f"need {self.L} cardinalities >= 1, got {cardinalities}")
-        if not _support_is_smaller(model.joint.product(_ONE_CELL_WT)):  # the check's root is dense
+        if not _support_is_smaller((model.joint, _ONE_CELL_WT)):  # the check's root is dense
             cells = model.joint.probs.size * model.z_size * math.prod(self.cards)
             _refuse_over_cap(cells, "result check's dense joint")
         cells = model.joint.shape[-1] * (1 + sum(model.reproduction_sizes)) * math.prod(self.cards)

@@ -826,6 +826,53 @@ def test_bounds_json_and_csv_agree_bit_for_bit(tmp_path, capsys, kind, bits):
         [label, hexed(value)] for label, value in table[1:]]
 
 
+# The package's CSV writers as they were before all three wrote through
+# one, kept as a test-only oracle of the bytes.
+
+
+def former_to_csv(constraints):
+    out = io.StringIO()
+    out.write("subset,bound\n")
+    for mask, bound in sorted(constraints.subset_bounds.items()):
+        out.write(f"{mtsc_bounds.subset_label(mask, constraints.L)},{bound!r}\n")
+    return out.getvalue()
+
+
+def former_curve_csv(p, Ls, n):
+    out = io.StringIO()
+    out.write("D,L,sum_rate_nats\n")
+    for D, L, rate in mtsc_bounds.sum_rate_curve(p, Ls, n):
+        out.write(f"{D!r},{L},{rate!r}\n")
+    return out.getvalue()
+
+
+def former_cli_csv(header, rows):
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def test_every_csv_writer_writes_the_former_bytes(tmp_path, capsys):
+    # Library writers, on bounds of every float size and on curves.
+    values = [0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.0, 1e22, 1.7976931348623157e308]
+    constraints = mtsc_bounds.RegionConstraints(3, 1, dict(enumerate(values[1:], start=1)), (0.25,))
+    assert constraints.to_csv() == former_to_csv(constraints)
+    for p, Ls, n in ((0.5, (1, 2), 10), (0.3, (1, 2, 5), 7), (0.9, (10,), 101)):
+        assert mtsc_bounds.sum_rate_curve_csv(p, Ls, n) == former_curve_csv(p, Ls, n)
+    # mtsc bounds --format csv, in nats (the library's to_csv) and in bits.
+    prefix = str(tmp_path / "er")
+    run(capsys, "info", "--dump", "erasure", "--out", prefix, "--p", "0.5", "--L", "3", "--D", "0.3")
+    inst = mtsc_bounds.casebook("erasure", p=0.5, L=3, D=0.3)
+    got = mtsc_bounds.new_outer_constraints(inst.model, inst.x, inst.gamma)
+    argv = ["bounds", "--model", prefix + ".model.json", "--gamma", prefix + ".gamma.json",
+            "--x", prefix + ".x.json", "--kind", "new-outer", "--format", "csv"]
+    assert run(capsys, *argv) == (0, former_to_csv(got), "")
+    rows = [(row["A"], row["bound_nats"] / LN2) for row in got.to_json()["bounds"]]
+    assert run(capsys, *argv, "--bits") == (0, former_cli_csv("subset,bound_bits", rows), "")
+    # mtsc repro erasure-figure --out.
+    path = tmp_path / "curve.csv"
+    assert run(capsys, "repro", "erasure-figure", "--out", str(path))[0] == 0
+    assert path.read_text() == former_curve_csv(0.5, (1, 2, 3, 10), 1000)
+
+
 @pytest.mark.parametrize("mode", [("--L", "3", "--D", "0.4"), ("--L", "1,2,5", "--curve", "7")])
 @pytest.mark.parametrize("bits", [False, True])
 def test_erasure_ceo_json_and_csv_agree_bit_for_bit(tmp_path, capsys, mode, bits):

@@ -15,6 +15,7 @@ from mtsc_bounds import (
     JointPmf,
     VariableError,
     binary_entropy,
+    casebook,
     conditional_mutual_information,
     entropy,
     mutual_information,
@@ -561,6 +562,82 @@ def test_support_holds_the_nonzero_cells_bit_for_bit(zero_frac):
         assert_narrow_contiguous_codes(support)
         kept = support.masses > 0
         assert_codes_are_cells([c[kept] for c in support.codes], cells, joint.shape)
+
+
+def assert_same_support(got, want):
+    """Array for array: the variables, each code array's values, dtype and
+    C-contiguity, and the masses byte for byte."""
+    assert got.variables == want.variables
+    assert len(got.codes) == len(want.codes) == len(want.variables)
+    for a, b in zip(got.codes, want.codes):
+        assert a.dtype == b.dtype and a.flags.c_contiguous and np.array_equal(a, b)
+    assert got.masses.tobytes() == want.masses.tobytes()
+
+
+def test_support_of_independent_pmfs_is_the_support_of_their_product():
+    # The erasure casebook's sources x (W, T) through L = 13 (3.2 M source
+    # cells), and appendix_c's, whose W has a zero cell.
+    for inst in [casebook("erasure", p=0.5, L=L, D=0.6) for L in range(2, 14)]:
+        sources, wt = inst.model.joint, inst.gamma.wt_pmf
+        assert_same_support(_Support.of(sources, wt), _Support.of(sources.product(wt)))
+    inst = casebook("appendix_c")
+    sources, wt = inst.model.joint, inst.gamma.wt_pmf
+    assert wt.probs.tolist() == [0.2, 0.4, 0.4, 0.0]
+    support = _Support.of(sources, wt)
+    assert_same_support(support, _Support.of(sources.product(wt)))
+    assert support.rows == 3 * np.count_nonzero(sources.probs)
+
+
+@pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.7])
+def test_support_of_random_pmfs_is_the_support_of_their_product(zero_frac):
+    # Two or three factors with zero cells, some of one cell (one symbol
+    # each, or one positive entry), and alphabets past 256 symbols.
+    rng = np.random.default_rng(int(zero_frac * 10) + 40)
+    one_cell = JointPmf((("P", 1), ("Q", 1)), np.array([1.0]))
+    for trial in range(30):
+        factors = []
+        for i in range(2 + trial % 2):
+            sizes = [int(s) for s in rng.integers(1, 4, 1 + i % 2)]
+            if trial % 5 == i:
+                sizes[0] = 300
+            factors.append(sparse_joint(rng, [f"V{i}{j}" for j in range(len(sizes))], sizes, zero_frac))
+        if trial % 3 == 0:
+            factors.insert(trial % len(factors), one_cell)
+        if trial % 4 == 1:  # one positive entry of two
+            factors.append(JointPmf((("R", 2),), np.array([0.0, 1.0])))
+        dense = factors[0]
+        for pmf in factors[1:]:
+            dense = dense.product(pmf)
+        assert_same_support(_Support.of(*factors), _Support.of(dense))
+
+
+def test_support_of_drops_a_product_that_underflows():
+    # 1e-200 * 1e-200 is 0.0 in floats, and 1e-200 * 1e-120 a subnormal:
+    # the first cell drops from the dense product's support, the second stays.
+    a = JointPmf((("A", 3),), np.array([1e-200, 0.0, 1.0 - 1e-200]))
+    b = JointPmf((("B", 2),), np.array([1e-200, 1.0 - 1e-200]))
+    c = JointPmf((("C", 2),), np.array([1e-120, 1.0 - 1e-120]))
+    dense = a.product(b).product(c)
+    assert np.count_nonzero(dense.probs) == 6
+    support = _Support.of(a, b, c)
+    assert_same_support(support, _Support.of(dense))
+    assert support.rows == 6 and support.masses.min() == 1e-200 * (1.0 - 1e-200) * 1e-120
+
+
+def test_memory_rule_sizes_each_variable_at_its_own_code_type():
+    # One 300-symbol and five binary variables with about 45% nonzero cells:
+    # uint16 codes for the one and uint8 for the five, so 15 bytes a cell
+    # against 8 a dense cell.  Sized at the widest type (20 bytes a cell) the
+    # support would look larger than the dense table.
+    rng = np.random.default_rng(45)
+    joint = sparse_joint(rng, ["A", "B", "C", "D", "E", "F"], [300, 2, 2, 2, 2, 2], 0.55)
+    rows = np.count_nonzero(joint.probs)
+    assert 0.4 < rows / joint.probs.size < 0.5
+    support = _Support.of(joint)
+    stored = sum(c.nbytes for c in support.codes) + support.masses.nbytes
+    assert stored == rows * 15 < joint.probs.nbytes < rows * 20
+    assert prob._support_is_smaller((joint,))
+    assert not prob._support_is_smaller((JointPmf(joint.variables, np.full(9600, 1 / 9600)),))
 
 
 @pytest.mark.parametrize("dense_cells_per_row, small_table", [(0, 0), (4, 1 << 12), (10**9, 0)])

@@ -581,7 +581,7 @@ def test_evaluators_match_the_dense_body_on_either_root(monkeypatch, path, L, K)
     # checked on both; the memory rule only picks between them.  "sorted"
     # groups every large-looking marginal by sorting, as large models do.
     forced = path != "dense"
-    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda start: forced)
+    monkeypatch.setattr(mtsc_bounds.prob, "_support_is_smaller", lambda pmfs: forced)
     if path == "sorted":
         monkeypatch.setattr(mtsc_bounds.prob, "_DENSE_CELLS_PER_ROW", 0)
         monkeypatch.setattr(mtsc_bounds.prob, "_SMALL_TABLE", 0)
@@ -596,8 +596,10 @@ def test_evaluators_match_the_dense_body_on_either_root(monkeypatch, path, L, K)
         u_sizes = [1 + (l + trial) % 3 for l in range(L)]
         gamma = random_system(rng, model, w_size, t_size, u_sizes, w_blind=trial % 4 < 2)
         x = x_channel_from_sources(model, ("Y0",))
+        assert (_system_oracle(model, gamma, x)._support is None) == (not forced)
         raised += assert_matches_dense(model, gamma, x)
         sparse = sparse_model(rng, model), sparse_system(rng, model, gamma)
+        assert (_system_oracle(*sparse, x)._support is None) == (not forced)
         raised += assert_matches_dense(*sparse, x)
     # Outside their class: W-leaning encoders, X = Y0 on a random source.  A
     # single encoder has no other description to lean on, and chi is empty.
@@ -610,7 +612,7 @@ def test_berger_tung_bounds_drop_the_v_axis_when_w_is_trivial(monkeypatch, path,
     # With |W| = 1 the lattice table has the U axes and S = (side, T) only,
     # and the own terms -H(U_l | Y_l, T) stand in for its V = Y axis; the
     # bounds still agree with the V = Y body, on either root.
-    monkeypatch.setattr(mtsc_bounds.model, "_support_is_smaller", lambda start: path != "dense")
+    monkeypatch.setattr(mtsc_bounds.prob, "_support_is_smaller", lambda pmfs: path != "dense")
     if path == "sorted":
         monkeypatch.setattr(mtsc_bounds.prob, "_DENSE_CELLS_PER_ROW", 0)
         monkeypatch.setattr(mtsc_bounds.prob, "_SMALL_TABLE", 0)
@@ -629,6 +631,7 @@ def test_berger_tung_bounds_drop_the_v_axis_when_w_is_trivial(monkeypatch, path,
         gamma = random_system(rng, model, 1, t_size, u_sizes, w_blind=True)
         if trial % 3 == 0:
             model, gamma = sparse_model(rng, model), sparse_system(rng, model, gamma)
+        assert (_system_oracle(model, gamma, None)._support is None) == (path == "dense")
         for cls in ("bt_inner", "bt_outer"):
             shapes.clear()
             got = EVALUATORS[cls](model, gamma, None)
@@ -642,16 +645,18 @@ def test_berger_tung_bounds_drop_the_v_axis_when_w_is_trivial(monkeypatch, path,
 def test_memory_rule_picks_the_support_only_where_it_is_smaller():
     # The rule reads the one joint it is given: sources x (W, T) for a
     # system, and (sources, X) for the chi check.
-    rule = mtsc_bounds.model._support_is_smaller
+    rule = mtsc_bounds.prob._support_is_smaller
     for L in (2, 6):
         inst = casebook("erasure", p=0.5, L=L, D=0.6)
-        assert rule(inst.model.joint.product(inst.gamma.wt_pmf))  # 2^(L+1) of 2 * 3^L source cells
-        assert rule(inst.model.joint.extend(inst.x.kernel))  # X = Y0 adds no cell
+        assert rule((inst.model.joint, inst.gamma.wt_pmf))  # 2^(L+1) of 2 * 3^L source cells
+        assert _system_oracle(inst.model, inst.gamma, inst.x)._support is not None
+        assert rule((inst.model.joint.extend(inst.x.kernel),))  # X = Y0 adds no cell
     inst = casebook("toy")
-    assert not rule(inst.model.joint.product(inst.gamma.wt_pmf))  # every cell is positive
-    assert not rule(inst.model.joint.extend(inst.x.kernel))  # a constant X keeps them so
+    assert not rule((inst.model.joint, inst.gamma.wt_pmf))  # every cell is positive
+    assert _system_oracle(inst.model, inst.gamma, inst.x)._support is None
+    assert not rule((inst.model.joint.extend(inst.x.kernel),))  # a constant X keeps them so
     full = x_channel_full_observation(inst.model)
-    assert rule(inst.model.joint.extend(full.kernel))  # 16 of 256 cells
+    assert rule((inst.model.joint.extend(full.kernel),))  # 16 of 256 cells
 
 
 @pytest.mark.parametrize("L, D", [(7, 0.3), (7, 0.6), (8, 0.3), (8, 0.6), (10, 0.3)])
@@ -737,6 +742,56 @@ def test_every_evaluator_refuses_a_support_over_the_table_cap():
     # its result, with no zero encoder entry either, is refused the same way.
     with pytest.raises(ValueError, match="support would have 120,932,352 cells"):
         optimize_bt_inner_sum_rate(inst.model, [0.6], [3] * 10, budget=2, seed=0)
+
+
+def test_a_support_over_the_cap_is_refused_without_a_dense_start():
+    # Erasure L = 11 with a uniform 128-symbol W that the encoders ignore:
+    # sources x (W, T) has 2 * 3^11 * 128 = 45,349,632 cells (363 MB dense),
+    # of which 2 * 2^11 * 128 are positive, and each splits into 3^11 / 2^11
+    # on average.  The support is built from the pmfs' nonzero cells alone.
+    inst = casebook("erasure", p=0.5, L=11, D=0.3)
+    w = 128
+    wt = JointPmf((("W", w), ("T", 1)), np.full(w, 1.0 / w))
+    encoders = tuple(
+        Channel((k.inputs[0], ("W", w), ("T", 1)), k.output, np.repeat(k.rows, w, axis=0))
+        for k in inst.gamma.encoder_kernels
+    )
+    gamma = AuxSystem(wt, encoders, inst.gamma.decoder_kernel)
+    checks = {
+        "bt-inner": lambda: bt_inner_constraints(inst.model, gamma),
+        "new-outer": lambda: new_outer_constraints(inst.model, inst.x, gamma),
+        "outer class": lambda: check_gamma_class(inst.model, gamma, "outer"),
+    }
+    for name, check in checks.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="joint's support would have 45,349,632 cells"):
+                check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, (name, peak)
+
+
+def test_a_wide_side_alphabet_takes_the_support_and_keeps_the_dense_values():
+    # Side information of 300 symbols (uint16 codes) beside binary sources,
+    # about 45% of the source cells positive: the system's support takes 15
+    # bytes a cell against 8 a dense cell, so the rule picks it (at the
+    # widest type, 20 bytes a cell, it would not).  Every bound, check and
+    # distortion agrees with the dense body at 1e-12.
+    rng = np.random.default_rng(300)
+    sizes = (2, 2, 2, 300)
+    probs = rng.random(2400)
+    probs[rng.random(2400) < 0.55] = 0.0
+    joint = JointPmf(tuple(zip(source_names(2), sizes)), probs / probs.sum())
+    assert 0.4 < np.count_nonzero(joint.probs) / 2400 < 0.5
+    reps = (2, 3)
+    tables = tuple(rng.uniform(0.0, 1.0, size=sizes + (z,)) for z in reps)
+    model = SourceModel(2, 2, joint, tables, reps)
+    gamma = random_system(rng, model, 1, 1, [2, 3], w_blind=True)
+    x = x_channel_from_sources(model, ("Y0",))
+    assert _system_oracle(model, gamma, x)._support is not None
+    assert_matches_dense(model, gamma, x)
 
 
 def test_new_outer_refuses_an_inadmissible_x_before_the_table_cap():
